@@ -76,6 +76,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A finite, positive tolerance; nan would make every check pass."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse tolerance {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and positive, got {text}"
+        )
+    return value
+
+
 def _scan_points(text: str) -> int:
     value = int(text)
     if value < 2:
@@ -203,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated width ratios",
     )
     p.add_argument("--max-level", type=_positive_int, default=20)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--quad-tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--quad-tol", type=_tolerance, default=1e-10)
     _add_well_constants(p)
     _add_output(p)
 
@@ -257,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated drive/Larmor ratios",
     )
     p.add_argument("--samples", type=_positive_int, default=16)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     _add_spin_constants(p)
     _add_output(p)
 
@@ -268,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--draws", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=20260810)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     _add_spin_constants(p)
     _add_output(p)
 
@@ -306,10 +319,11 @@ def _run_well(args) -> int:
         qspec = well.QuadratureSpec(tolerance=args.quad_tol)
         rows = []
         worst = 0.0
+        levels = np.arange(1, args.max_level + 1)
         for g in gammas:
-            for n in range(1, args.max_level + 1):
+            oracles = well.overlap_oracle(levels, g, cfg, qspec).tolist()
+            for n, oracle in zip(levels.tolist(), oracles):
                 closed = well.expansion_coefficient(n, g)
-                oracle = well.overlap_oracle(n, g, cfg, qspec)
                 diff = abs(closed - oracle)
                 worst = max(worst, diff)
                 rows.append((n, g, closed, oracle, diff))

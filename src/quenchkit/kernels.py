@@ -3,15 +3,16 @@
 Three inner loops dominate the runtime of the scans: the expansion
 coefficients of the frozen well state (evaluated up to 10^4 levels per grid
 point), the fixed-step RK4 propagator for the driven two-level system, and
-the single-cycle return-probability curve (10^4+ grid points).  Each has a
-plain NumPy implementation and a scalar-loop twin compiled with
-``numba.njit``.
+the single-cycle return-probability curve (10^4+ grid points).  The
+coefficient and cycle kernels each have a plain NumPy implementation and a
+scalar-loop twin compiled with ``numba.njit``.  RK4 has one implementation
+on every machine: its per-step increments are built as NumPy arrays and
+applied in a scalar loop.
 
 Backend selection happens at import time: numba is used when importable
 unless the environment variable ``QUENCHKIT_NO_NUMBA`` is set to a truthy
 value (1/true/yes/on).  ``BACKEND`` records the choice.  The uncompiled
-implementations stay importable either way; ``benchmarks/bench_backends.py``
-times the two side by side.
+implementations stay importable either way.
 """
 
 from __future__ import annotations
@@ -78,45 +79,77 @@ def _expansion_coefficients_numpy(gamma, n_max, resonance_tol):
     return b
 
 
-def _spin_rhs(t, y0, y1, alpha, omega, omega0):
-    # i dpsi/dt = (omega0/2) n(t).sigma psi with
-    # n(t) = (sin a cos wt, sin a sin wt, cos a)
-    ca = math.cos(alpha)
-    sa = math.sin(alpha)
+# Steps whose RK4 increments are built at once; bounds the temporaries of
+# `spin_rk4` at a few MiB however long the window.
+RK4_BLOCK = 2048
+
+
+def _spin_generator(t, alpha, omega, omega0):
+    # A(t) in y' = A(t) y, i.e. i y' = (omega0/2) n(t).sigma y with
+    # n(t) = (sin a cos wt, sin a sin wt, cos a); entries (a00, a01, a10, a11)
     ph = omega * t
-    off = sa * complex(math.cos(ph), -math.sin(ph))
-    g0 = -0.5j * omega0 * (ca * y0 + off * y1)
-    g1 = -0.5j * omega0 * (off.conjugate() * y0 - ca * y1)
-    return g0, g1
+    off = math.sin(alpha) * (np.cos(ph) - 1j * np.sin(ph))
+    diag = -0.5j * omega0 * math.cos(alpha)
+    return diag, -0.5j * omega0 * off, -0.5j * omega0 * np.conj(off), -diag
 
 
-def _spin_rk4_loop(alpha, omega, omega0, t_end, n_steps, up0, dn0, stride):
-    # Fixed-step RK4; records the state every `stride` steps (plus t = 0).
+def _matmul(p, q):
+    # Product of 2x2 matrices stored as (m00, m01, m10, m11) entry arrays.
+    return (
+        p[0] * q[0] + p[1] * q[2],
+        p[0] * q[1] + p[1] * q[3],
+        p[2] * q[0] + p[3] * q[2],
+        p[2] * q[1] + p[3] * q[3],
+    )
+
+
+def _rk4_increments(t, h, alpha, omega, omega0):
+    # D with y(t + h) = y(t) + D y(t) for one classical RK4 step from each t.
+    # The stages K1..K4 are linear in y: K_i = M_i y, with M_i built from
+    # the generator at t, t + h/2 and t + h.
+    a1 = _spin_generator(t, alpha, omega, omega0)
+    a2 = _spin_generator(t + 0.5 * h, alpha, omega, omega0)
+    a3 = _spin_generator(t + h, alpha, omega, omega0)
+    m2 = [x + 0.5 * h * y for x, y in zip(a2, _matmul(a2, a1))]
+    m3 = [x + 0.5 * h * y for x, y in zip(a2, _matmul(a2, m2))]
+    m4 = [x + h * y for x, y in zip(a3, _matmul(a3, m3))]
+    return [
+        (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for k1, k2, k3, k4 in zip(a1, m2, m3, m4)
+    ]
+
+
+def spin_rk4(alpha, omega, omega0, t_end, n_steps, up0, dn0, stride):
+    """Fixed-step RK4 for the rotating-field spinor over [0, t_end].
+
+    Returns the state at t = 0 and after every ``stride`` steps, and the
+    largest deviation of the norm from one over every step.  Each step's
+    increment D (y <- y + D y) is built as arrays, a block of steps at a
+    time; only the sequential updates run as a scalar loop.
+    """
+    h = t_end / n_steps
     n_rec = n_steps // stride
     states = np.empty((n_rec + 1, 2), np.complex128)
-    states[0, 0] = up0
-    states[0, 1] = dn0
-    h = t_end / n_steps
-    y0 = up0
-    y1 = dn0
+    states[0] = up0, dn0
+    y0, y1 = complex(up0), complex(dn0)
     drift = 0.0
-    rec = 1
-    for step in range(n_steps):
-        t = step * h
-        a0, a1 = _spin_rhs(t, y0, y1, alpha, omega, omega0)
-        b0, b1 = _spin_rhs(t + 0.5 * h, y0 + 0.5 * h * a0, y1 + 0.5 * h * a1, alpha, omega, omega0)
-        c0, c1 = _spin_rhs(t + 0.5 * h, y0 + 0.5 * h * b0, y1 + 0.5 * h * b1, alpha, omega, omega0)
-        d0, d1 = _spin_rhs(t + h, y0 + h * c0, y1 + h * c1, alpha, omega, omega0)
-        y0 = y0 + (h / 6.0) * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-        y1 = y1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        norm = math.sqrt(abs(y0) ** 2 + abs(y1) ** 2)
-        dev = abs(norm - 1.0)
-        if dev > drift:
-            drift = dev
-        if (step + 1) % stride == 0 and rec <= n_rec:
-            states[rec, 0] = y0
-            states[rec, 1] = y1
-            rec += 1
+    for start in range(0, n_steps, RK4_BLOCK):
+        steps = np.arange(start, min(start + RK4_BLOCK, n_steps))
+        d00, d01, d10, d11 = (
+            d.tolist() for d in _rk4_increments(steps * h, h, alpha, omega, omega0)
+        )
+        out0, out1 = [], []
+        for a, b, c, d in zip(d00, d01, d10, d11):
+            y0, y1 = y0 + (a * y0 + b * y1), y1 + (c * y0 + d * y1)
+            out0.append(y0)
+            out1.append(y1)
+        s0, s1 = np.array(out0), np.array(out1)
+        norm = np.sqrt(np.abs(s0) ** 2 + np.abs(s1) ** 2)
+        drift = max(drift, float(np.max(np.abs(norm - 1.0))))
+        at = np.flatnonzero((steps + 1) % stride == 0)
+        rec = (steps[at] + 1) // stride
+        states[rec, 0] = s0[at]
+        states[rec, 1] = s1[at]
     return states, drift
 
 
@@ -158,7 +191,7 @@ def _cycle_curve_numpy(ratios, alpha):
 
 NUMPY_IMPLS = {
     "expansion_coefficients": _expansion_coefficients_numpy,
-    "spin_rk4": _spin_rk4_loop,
+    "spin_rk4": spin_rk4,
     "cycle_return_curve": _cycle_curve_numpy,
 }
 
@@ -166,45 +199,15 @@ _numba_cache: dict | None = None
 
 
 def numba_impls() -> dict | None:
-    """Compile (once) and return the numba kernel set, or None without numba."""
+    """Compile (once) and return the numba twins of the coefficient and cycle
+    kernels, or None without numba.  RK4 has the one implementation above."""
     global _numba_cache
     if numba is None:
         return None
     if _numba_cache is None:
         jit = numba.njit(cache=True)
-        rhs = jit(_spin_rhs)
-
-        def _rk4_src(alpha, omega, omega0, t_end, n_steps, up0, dn0, stride):
-            n_rec = n_steps // stride
-            states = np.empty((n_rec + 1, 2), np.complex128)
-            states[0, 0] = up0
-            states[0, 1] = dn0
-            h = t_end / n_steps
-            y0 = up0
-            y1 = dn0
-            drift = 0.0
-            rec = 1
-            for step in range(n_steps):
-                t = step * h
-                a0, a1 = rhs(t, y0, y1, alpha, omega, omega0)
-                b0, b1 = rhs(t + 0.5 * h, y0 + 0.5 * h * a0, y1 + 0.5 * h * a1, alpha, omega, omega0)
-                c0, c1 = rhs(t + 0.5 * h, y0 + 0.5 * h * b0, y1 + 0.5 * h * b1, alpha, omega, omega0)
-                d0, d1 = rhs(t + h, y0 + h * c0, y1 + h * c1, alpha, omega, omega0)
-                y0 = y0 + (h / 6.0) * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-                y1 = y1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-                norm = math.sqrt(abs(y0) ** 2 + abs(y1) ** 2)
-                dev = abs(norm - 1.0)
-                if dev > drift:
-                    drift = dev
-                if (step + 1) % stride == 0 and rec <= n_rec:
-                    states[rec, 0] = y0
-                    states[rec, 1] = y1
-                    rec += 1
-            return states, drift
-
         _numba_cache = {
             "expansion_coefficients": jit(_expansion_coefficients_loop),
-            "spin_rk4": numba.njit(cache=False)(_rk4_src),
             "cycle_return_curve": jit(_cycle_curve_loop),
         }
     return _numba_cache
@@ -218,5 +221,4 @@ else:
     _active = NUMPY_IMPLS
 
 expansion_coefficients = _active["expansion_coefficients"]
-spin_rk4 = _active["spin_rk4"]
 cycle_return_curve = _active["cycle_return_curve"]

@@ -155,15 +155,19 @@ def eigen_energy(n: int, width: float, cfg: WellConfig | None = None) -> float:
     return (cfg.hbar * math.pi * n) ** 2 / (2.0 * cfg.mass * width**2)
 
 
-def eigen_wavefunction(n: int, width: float, q: float) -> float:
-    """Amplitude sqrt(2/W) sin(n pi q / W) at position ``q``; zero outside the box."""
-    if n < 1:
+def eigen_wavefunction(n, width: float, q):
+    """Amplitude sqrt(2/W) sin(n pi q / W) at position ``q``; zero outside the box.
+
+    ``n`` and ``q`` broadcast: array arguments give an array of amplitudes.
+    """
+    if np.any(np.asarray(n) < 1):
         raise ValueError(f"level index must be >= 1, got {n}")
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width}")
-    if q < 0.0 or q > width:
-        return 0.0
-    return math.sqrt(2.0 / width) * math.sin(n * math.pi * q / width)
+    q = np.asarray(q, dtype=float)
+    psi = math.sqrt(2.0 / width) * np.sin(n * math.pi * q / width)
+    psi = np.where((q < 0.0) | (q > width), 0.0, psi)
+    return float(psi) if psi.ndim == 0 else psi
 
 
 def expansion_coefficient(n: int, gamma) -> float:
@@ -202,20 +206,25 @@ def population(n: int, gamma) -> float:
 
 
 def overlap_oracle(
-    n: int,
+    n,
     gamma,
     cfg: WellConfig | None = None,
     spec: QuadratureSpec | None = None,
-) -> float:
+):
     """Quadrature cross-check of `expansion_coefficient`.
 
     Integrates the product of the old ground state and the new level-``n``
     eigenfunction over their common support, one panel per arch of the
     oscillating eigenfunction (otherwise level spacings commensurate with the
-    bisection points can alias the integrand to zero).  The result is
-    dimensionless and independent of the physical scale in ``cfg``.
+    bisection points can alias the integrand to zero), each panel to an equal
+    share of ``spec.tolerance``.  The result is dimensionless and independent
+    of the physical scale in ``cfg``.
+
+    ``n`` may be an array of levels: every panel of every level then goes
+    through one `integrate` call, and the result is an array over ``n``.
     """
-    if n < 1:
+    levels = np.asarray(n)
+    if np.any(levels < 1):
         raise ValueError(f"level index must be >= 1, got {n}")
     if cfg is None:
         cfg = WellConfig()
@@ -226,17 +235,24 @@ def overlap_oracle(
     w1 = r.new_width(cfg)
     upper = min(w0, w1)
 
-    def integrand(q: float) -> float:
-        return eigen_wavefunction(n, w1, q) * eigen_wavefunction(1, w0, q)
+    edges = []  # panel edges, one list per requested level
+    for k in levels.ravel().tolist():
+        nodes = [j * w1 / k for j in range(1, k + 1) if j * w1 / k < upper]
+        edges.append([0.0, *nodes, upper])
+    counts = [len(e) - 1 for e in edges]
+    lo = np.array([x for e in edges for x in e[:-1]])
+    hi = np.array([x for e in edges for x in e[1:]])
+    panel_level = np.repeat(levels.ravel(), counts)
+    panel_tol = np.repeat([spec.tolerance / len(e) for e in edges], counts)
 
-    nodes = [j * w1 / n for j in range(1, n + 1) if j * w1 / n < upper]
-    edges = [0.0, *nodes, upper]
-    panel_spec = QuadratureSpec(
-        tolerance=spec.tolerance / len(edges), max_subdivisions=spec.max_subdivisions
-    )
-    return sum(
-        integrate(integrand, a, b, panel_spec) for a, b in zip(edges, edges[1:])
-    )
+    def integrand(nodes):
+        new_level = eigen_wavefunction(panel_level[nodes.root], w1, nodes.x)
+        return new_level * eigen_wavefunction(1, w0, nodes.x)
+
+    panels = iter(integrate(integrand, lo, hi, spec, tolerance=panel_tol).tolist())
+    # each level's panels summed left to right
+    out = [sum(next(panels) for _ in range(c)) for c in counts]
+    return out[0] if levels.ndim == 0 else np.reshape(out, levels.shape)
 
 
 def decompose(gamma, n_levels: int = DEFAULT_LEVELS) -> SpectralDecomposition:

@@ -89,6 +89,25 @@ class TestExitCodes:
         assert "alpha" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["well", "oracle-check", "--max-level", "2", "--tol"],
+            ["well", "oracle-check", "--max-level", "2", "--quad-tol"],
+            ["spin", "ode-check", "--ratio-list", "1", "--tol"],
+            ["spin", "symmetry-check", "--draws", "2", "--tol"],
+        ],
+        ids=["oracle-check", "oracle-check-quad", "ode-check", "symmetry-check"],
+    )
+    def test_tolerance_must_be_finite_and_positive(self, argv, value, capsys):
+        # a nan tolerance used to pass every check: worst > nan is False
+        with pytest.raises(SystemExit) as err:
+            cli.main([*argv, value])
+        assert err.value.code == 2
+        assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+
 class TestWellCommands:
     def test_coeffs_identity_single_nonzero_row(self, capsys):
         code, out = run_cli(capsys, "well", "coeffs", "--gamma", "1", "--levels", "10")

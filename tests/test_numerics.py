@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quenchkit import numerics
 from quenchkit.numerics import (
     OdeDivergenceError,
     OdeSpec,
@@ -70,6 +72,125 @@ class TestIntegrate:
             QuadratureSpec(tolerance=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+
+def recursive_simpson(f, a, b, tol, depth):
+    """Depth-first adaptive Simpson, kept as the reference for `integrate`.
+
+    Returns (value, converged); the value is the best estimate either way.
+    """
+    if a == b:
+        return 0.0, True
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    return _panel(f, a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, depth)
+
+
+def _panel(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0, True
+    if depth <= 0:
+        return left + right + delta / 15.0, False
+    lval, lok = _panel(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
+    rval, rok = _panel(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
+    return lval + rval, lok and rok
+
+
+def smooth(c, x):
+    # A quintic plus a Lorentzian peak, in + - * / only, so a Python float
+    # and a NumPy array give the same doubles.
+    p = c[0] + x * (c[1] + x * x * x * x * c[2])
+    return p + c[3] / (1.0 + c[4] * (x - c[5]) * (x - c[5]))
+
+
+coefficients = st.tuples(
+    st.floats(-3, 3), st.floats(-3, 3), st.floats(-1, 1), st.floats(-2, 2),
+    st.floats(0, 2000), st.floats(-2, 2),
+)
+intervals = st.tuples(st.floats(-2, 2), st.floats(0, 3)).map(lambda p: (p[0], p[0] + p[1]))
+
+
+class TestIntegrateMatchesRecursion:
+    """The breadth-first `integrate` returns the recursion's doubles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        c=coefficients,
+        bounds=intervals,
+        tol=st.floats(1e-13, 1e-4),
+        depth=st.integers(1, 14),
+    )
+    def test_scalar_bounds(self, c, bounds, tol, depth):
+        f = lambda x: smooth(c, x)
+        expected, converged = recursive_simpson(f, *bounds, tol, depth)
+        spec = QuadratureSpec(tolerance=tol, max_subdivisions=depth)
+        if converged:
+            got = integrate(f, *bounds, spec)
+        else:
+            with pytest.raises(QuadratureConvergenceError) as err:
+                integrate(f, *bounds, spec)
+            got = err.value.best_estimate
+        assert type(got) is float
+        assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=coefficients,
+        panels=st.lists(st.tuples(intervals, st.floats(1e-13, 1e-4)), min_size=1, max_size=20),
+        depth=st.integers(1, 14),
+        batch=st.sampled_from([1, 3, 128]),
+        cap=st.sampled_from([1, 5, 4096]),
+    )
+    def test_array_bounds(self, c, panels, depth, batch, cap):
+        f = lambda x: smooth(c, x)
+        reference = [recursive_simpson(f, a, b, tol, depth) for (a, b), tol in panels]
+        lo, hi = np.array([p[0] for p in panels]).T
+        tols = np.array([p[1] for p in panels])
+        spec = QuadratureSpec(max_subdivisions=depth)
+        args = (lambda nodes: smooth(c, nodes.x), lo, hi, spec)
+        with mock.patch.multiple(numerics, ROOT_BATCH=batch, PANEL_CAP=cap):
+            if all(ok for _, ok in reference):
+                got = integrate(*args, tolerance=tols)
+            else:
+                with pytest.raises(QuadratureConvergenceError) as err:
+                    integrate(*args, tolerance=tols)
+                got = err.value.best_estimate
+        np.testing.assert_array_equal(got, [v for v, _ in reference])
+
+    def test_array_integrand_sees_each_point_with_its_interval(self):
+        # integrate x * k over [k, k + 1]: the integrand reads k off the root
+        k = np.arange(5.0)
+        got = integrate(lambda nodes: nodes.x * k[nodes.root], k, k + 1.0)
+        np.testing.assert_allclose(got, k * (k + 0.5), rtol=1e-15)
+
+    def test_array_bounds_keep_their_shape(self):
+        lo = np.zeros((2, 3))
+        got = integrate(lambda nodes: np.ones_like(nodes.x), lo, lo + 2.0)
+        assert got.shape == (2, 3)
+        assert np.all(got == 2.0)
+
+    def test_first_failing_interval_named(self):
+        f = lambda nodes: np.sin(50.0 * nodes.x)
+        spec = QuadratureSpec(tolerance=1e-14, max_subdivisions=2)
+        with pytest.raises(QuadratureConvergenceError, match=r"\[1\.0, 10\.0\]"):
+            integrate(f, np.array([0.0, 1.0]), np.array([1e-9, 10.0]), spec)
+
+    @pytest.mark.parametrize(
+        "a, b", [(np.zeros(2), np.ones(3)), (math.nan, 1.0), (0.0, math.inf)]
+    )
+    def test_bad_bounds_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            integrate(lambda nodes: nodes.x, a, b)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError):
+            integrate(math.sin, 0.0, 1.0, tolerance=tol)
 
 
 class TestOdeEvolve:

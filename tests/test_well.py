@@ -91,6 +91,14 @@ class TestEigenstates:
         assert eigen_wavefunction(1, 1e-9, 1.5e-9) == 0.0
         assert eigen_wavefunction(1, 1e-9, -1e-12) == 0.0
 
+    def test_wavefunction_on_arrays_matches_scalar_calls(self):
+        w = 1e-9
+        q = np.linspace(-0.1 * w, 1.1 * w, 61)
+        n = np.arange(1, 62)
+        got = eigen_wavefunction(n, w, q)
+        expected = [eigen_wavefunction(k, w, x) for k, x in zip(n.tolist(), q.tolist())]
+        assert got.tolist() == expected
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_wavefunction_normalized(self, n):
         w = 1e-9
@@ -146,6 +154,15 @@ class TestOverlapOracle:
 
     def test_resonant_case(self):
         assert overlap_oracle(3, 3.0) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.280011, 1.0, 2.0, 4.9, 10.1])
+    def test_levels_in_one_call_match_scalar_calls_bitwise(self, gamma):
+        levels = np.arange(1, 13)
+        spec = QuadratureSpec(tolerance=1e-11)
+        batched = overlap_oracle(levels, gamma, spec=spec)
+        assert batched.shape == levels.shape
+        scalar = [overlap_oracle(n, gamma, spec=spec) for n in levels.tolist()]
+        assert batched.tolist() == scalar
 
     def test_scale_invariance(self):
         for n, g in ((1, 0.5), (2, 1.5), (4, 4.9)):
