@@ -16,7 +16,9 @@ Exit codes: 0 success, 1 numerical non-convergence or a failed cross-check,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -31,39 +33,57 @@ class CheckFailure(Exception):
     """A cross-check exceeded its tolerance."""
 
 
+def parse_real(text: str) -> float:
+    """A finite decimal.  nan and inf are refused at the door: they slip past
+    ``> 0`` and interval checks or overflow deep inside a kernel."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse number {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def parse_angle(text: str) -> float:
-    """Angle in radians from a decimal or a 'pi' / 'pi/N' literal."""
+    """Angle in radians from a finite decimal or a 'pi' / 'pi/N' literal."""
     s = text.strip().lower()
     try:
         if s == "pi":
             return math.pi
-        if s.startswith("pi/"):
-            return math.pi / float(s[3:])
-        return float(s)
+        value = math.pi / float(s[3:]) if s.startswith("pi/") else float(s)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"cannot parse angle {text!r}; use a decimal or pi/N"
         ) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    return value
 
 
-def parse_angle_list(text: str) -> list[float]:
-    values = [parse_angle(part) for part in text.split(",") if part.strip()]
+def _comma_list(text: str, parse, what: str) -> list[float]:
+    values = [parse(part) for part in text.split(",") if part.strip()]
     if not values:
-        raise argparse.ArgumentTypeError(f"no angles in {text!r}")
+        raise argparse.ArgumentTypeError(f"no {what} in {text!r}")
     return values
 
 
+def parse_angle_list(text: str) -> list[float]:
+    return _comma_list(text, parse_angle, "angles")
+
+
+def parse_real_list(text: str) -> list[float]:
+    return _comma_list(text, parse_real, "numbers")
+
+
 def parse_range(text: str) -> tuple[float, float]:
-    """'min:max' range literal."""
+    """'min:max' range literal with finite bounds."""
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(
             f"cannot parse range {text!r}; use the form min:max"
         )
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric range bound in {text!r}") from None
+    lo, hi = parse_real(parts[0]), parse_real(parts[1])
     if not lo < hi:
         raise argparse.ArgumentTypeError(f"empty range {text!r}; need min < max")
     return lo, hi
@@ -96,22 +116,49 @@ def _scan_points(text: str) -> int:
     return value
 
 
-def _format_value(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".16e")
+# Rows formatted per `%` call.  Large enough to amortize the call; small
+# enough that a chunk's row objects and flat value tuple stay far below the
+# table itself (65,536-row chunks raised energy-scan's peak RSS by 1.5 MiB).
+EMIT_CHUNK_ROWS = 4096
 
 
 def write_table(header: list[str], rows, output: str | None) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_value(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if output is None:
-        sys.stdout.write(text)
-    else:
+    """Stream ``rows`` as CSV under ``header`` to the file ``output``, or to
+    stdout when it is None.
+
+    The row format is fixed by the first row: ``%d`` for integer columns and
+    ``%.16e`` (17 significant digits) for the rest, so every row must carry
+    the first row's column types.  Rows are pulled in chunks of
+    `EMIT_CHUNK_ROWS` and each chunk is formatted by one ``%`` call, so an
+    iterator of rows is never held whole.
+    """
+    if output is not None:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _stream_csv(fh, header, rows)
+        return
+    try:
+        _stream_csv(sys.stdout, header, rows)
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Stop emitting and let
+        # the command's own outcome set the exit status; fd 1 now points at
+        # devnull so the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _stream_csv(fh, header: list[str], rows) -> None:
+    fh.write(",".join(header) + "\n")
+    rows = iter(rows)
+    chunk = list(itertools.islice(rows, EMIT_CHUNK_ROWS))
+    if chunk:
+        row_format = ",".join(
+            "%d" if isinstance(v, (int, np.integer)) else "%.16e" for v in chunk[0]
+        ) + "\n"
+    while chunk:
+        flat = tuple(itertools.chain.from_iterable(chunk))
+        fh.write((row_format * len(chunk)) % flat)
+        chunk = list(itertools.islice(rows, EMIT_CHUNK_ROWS))
 
 
 def _well_config(args) -> well.WellConfig:
@@ -129,21 +176,25 @@ def _rotor_config(args, alpha: float, ratio: float) -> spin.RotorConfig:
 
 
 def _add_well_constants(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mass", type=float, default=1e-27, help="particle mass in kg")
     parser.add_argument(
-        "--planck", type=float, default=6.626e-34, help="Planck constant in J*s"
+        "--mass", type=parse_real, default=1e-27, help="particle mass in kg"
     )
     parser.add_argument(
-        "--width", type=float, default=1e-9, help="initial well width in m"
+        "--planck", type=parse_real, default=6.626e-34, help="Planck constant in J*s"
+    )
+    parser.add_argument(
+        "--width", type=parse_real, default=1e-9, help="initial well width in m"
     )
 
 
 def _add_spin_constants(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--b0", type=float, default=1.0, help="field strength in T")
+    parser.add_argument("--b0", type=parse_real, default=1.0, help="field strength in T")
     parser.add_argument(
-        "--charge", type=float, default=1.6e-19, help="charge magnitude in C"
+        "--charge", type=parse_real, default=1.6e-19, help="charge magnitude in C"
     )
-    parser.add_argument("--mass", type=float, default=9.3e-31, help="particle mass in kg")
+    parser.add_argument(
+        "--mass", type=parse_real, default=9.3e-31, help="particle mass in kg"
+    )
 
 
 def _add_output(parser: argparse.ArgumentParser) -> None:
@@ -165,12 +216,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = wsub.add_parser(
         "coeffs", help="expansion coefficients; columns n,b_n,rho_n"
     )
-    p.add_argument("--gamma", type=float, default=4.9, help="width ratio")
+    p.add_argument("--gamma", type=parse_real, default=4.9, help="width ratio")
     p.add_argument("--levels", type=_positive_int, default=10)
     _add_output(p)
 
     p = wsub.add_parser("pop-scan", help="level populations; columns n,rho_n")
-    p.add_argument("--gamma", type=float, default=4.9, help="width ratio")
+    p.add_argument("--gamma", type=parse_real, default=4.9, help="width ratio")
     p.add_argument("--levels", type=_positive_int, default=10)
     _add_output(p)
 
@@ -200,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=parse_range, default=(0.1, 5.0), metavar="MIN:MAX")
     p.add_argument("--points", type=_scan_points, default=500)
     p.add_argument("--levels", type=_positive_int, default=10)
-    p.add_argument("--step", type=float, default=well.DEFAULT_FORCE_STEP)
+    p.add_argument("--step", type=parse_real, default=well.DEFAULT_FORCE_STEP)
     _add_well_constants(p)
     _add_output(p)
 
@@ -211,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--gamma-list",
-        type=str,
+        type=parse_real_list,
         default="0.1,0.3,0.5,0.9,1.5,2,2.5,4.9,5,10.1",
         help="comma-separated width ratios",
     )
@@ -229,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="return probability over one drive period; columns t_over_period,rho1",
     )
     p.add_argument("--alpha", type=parse_angle, default=math.pi / 4)
-    p.add_argument("--ratio", type=float, default=1.0, help="drive/Larmor ratio")
+    p.add_argument("--ratio", type=parse_real, default=1.0, help="drive/Larmor ratio")
     p.add_argument("--points", type=_scan_points, default=1000)
     _add_spin_constants(p)
     _add_output(p)
@@ -251,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         "monotone_onset_ratio,frozen_ratio,max_rho1",
     )
     p.add_argument("--alpha", type=parse_angle, default=math.pi / 4)
-    p.add_argument("--epsilon", type=float, default=0.02)
+    p.add_argument("--epsilon", type=parse_real, default=0.02)
     p.add_argument("--ratio", type=parse_range, default=(0.05, 20.0), metavar="MIN:MAX")
     p.add_argument("--points", type=_scan_points, default=10000)
     _add_spin_constants(p)
@@ -266,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha", type=parse_angle_list, default=[math.pi / 12, math.pi / 4, math.pi / 3]
     )
     p.add_argument(
-        "--ratio-list", type=str, default="0.3,1,1.442,5,15",
+        "--ratio-list", type=parse_real_list, default="0.3,1,1.442,5,15",
         help="comma-separated drive/Larmor ratios",
     )
     p.add_argument("--samples", type=_positive_int, default=16)
@@ -292,13 +343,11 @@ def _run_well(args) -> int:
     cfg = _well_config(args) if hasattr(args, "mass") else well.WellConfig()
     if args.command == "coeffs":
         dec = well.decompose(args.gamma, args.levels)
-        rows = [
-            (n + 1, dec.coefficients[n], dec.populations[n]) for n in range(args.levels)
-        ]
+        rows = zip(range(1, args.levels + 1), dec.coefficients, dec.populations)
         write_table(["n", "b_n", "rho_n"], rows, args.output)
     elif args.command == "pop-scan":
         table = well.population_scan(args.gamma, args.levels)
-        rows = [(int(n), rho) for n, rho in table]
+        rows = zip(table[:, 0].astype(np.int64), table[:, 1])
         write_table(["n", "rho_n"], rows, args.output)
     elif args.command == "captured":
         lo, hi = args.gamma
@@ -315,12 +364,11 @@ def _run_well(args) -> int:
         rows = zip(profile.gamma, profile.energy, profile.force)
         write_table(["gamma", "E_over_E1", "F_over_E1_per_Q0"], rows, args.output)
     elif args.command == "oracle-check":
-        gammas = [float(s) for s in args.gamma_list.split(",") if s.strip()]
         qspec = well.QuadratureSpec(tolerance=args.quad_tol)
         rows = []
         worst = 0.0
         levels = np.arange(1, args.max_level + 1)
-        for g in gammas:
+        for g in args.gamma_list:
             oracles = well.overlap_oracle(levels, g, cfg, qspec).tolist()
             for n, oracle in zip(levels.tolist(), oracles):
                 closed = well.expansion_coefficient(n, g)
@@ -354,11 +402,10 @@ def _run_spin(args) -> int:
             rows = zip(curves[0].ratios, curves[0].probabilities)
             write_table(["omega_over_omega0", "rho1"], rows, args.output)
         else:
-            rows = [
-                (curve.alpha, r, p)
+            rows = itertools.chain.from_iterable(
+                zip(itertools.repeat(curve.alpha), curve.ratios, curve.probabilities)
                 for curve in curves
-                for r, p in zip(curve.ratios, curve.probabilities)
-            ]
+            )
             write_table(["alpha_rad", "omega_over_omega0", "rho1"], rows, args.output)
     elif args.command == "threshold":
         cfg = _rotor_config(args, args.alpha, 1.0)
@@ -376,11 +423,10 @@ def _run_spin(args) -> int:
                 f"best rho1 = {report.max_probability:.6f}"
             )
     elif args.command == "ode-check":
-        ratios = [float(s) for s in args.ratio_list.split(",") if s.strip()]
         rows = []
         worst = 0.0
         for alpha in args.alpha:
-            for ratio in ratios:
+            for ratio in args.ratio_list:
                 cfg = _rotor_config(args, alpha, ratio)
                 times, states, drift = spin.ode_trajectory(
                     cfg.drive_period, spin.UPPER, cfg, samples=args.samples

@@ -44,8 +44,9 @@ class RotorConfig:
 
     def __post_init__(self):
         for name in ("field_strength", "charge", "mass", "omega"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0.0 <= self.alpha <= math.pi:
             raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
 
@@ -289,9 +290,9 @@ def omega_scan(
     cfg: RotorConfig | None = None,
 ) -> list[ReturnCurve]:
     """Single-cycle return probability curves, one per cone angle."""
-    if not 0.0 < ratio_min < ratio_max:
+    if not (0.0 < ratio_min < ratio_max and math.isfinite(ratio_max)):
         raise ValueError(
-            f"need 0 < ratio_min < ratio_max, got [{ratio_min}, {ratio_max}]"
+            f"need finite 0 < ratio_min < ratio_max, got [{ratio_min}, {ratio_max}]"
         )
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")

@@ -45,8 +45,9 @@ class WellConfig:
 
     def __post_init__(self):
         for name in ("mass", "planck", "width"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
     def hbar(self) -> float:
@@ -74,8 +75,8 @@ class QuenchRatio:
     resonance_tol: float = DEFAULT_RESONANCE_TOL
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
         if self.resonance_tol < 0.0:
             raise ValueError(
                 f"resonance_tol must be non-negative, got {self.resonance_tol}"
@@ -336,9 +337,9 @@ def population_scan(gamma, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:
 
 
 def _gamma_grid(gamma_min: float, gamma_max: float, points: int) -> np.ndarray:
-    if not 0.0 < gamma_min < gamma_max:
+    if not (0.0 < gamma_min < gamma_max and math.isfinite(gamma_max)):
         raise ValueError(
-            f"need 0 < gamma_min < gamma_max, got [{gamma_min}, {gamma_max}]"
+            f"need finite 0 < gamma_min < gamma_max, got [{gamma_min}, {gamma_max}]"
         )
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")

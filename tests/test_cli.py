@@ -1,8 +1,15 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quenchkit import cli, spin, well
 
@@ -19,7 +26,7 @@ class TestParsing:
         assert cli.parse_angle("0.75") == 0.75
         assert cli.parse_angle_list("pi/12,pi/6") == [math.pi / 12, math.pi / 6]
 
-    @pytest.mark.parametrize("text", ["tau/4", "pi/0", "pi/"])
+    @pytest.mark.parametrize("text", ["tau/4", "pi/0", "pi/", "inf", "nan", "pi/nan"])
     def test_bad_angle(self, text):
         import argparse
 
@@ -29,12 +36,28 @@ class TestParsing:
     def test_ranges(self):
         assert cli.parse_range("0.1:5") == (0.1, 5.0)
 
-    @pytest.mark.parametrize("text", ["5", "2:1", "a:b", "1:1"])
+    @pytest.mark.parametrize("text", ["5", "2:1", "a:b", "1:1", "1:inf", "nan:2"])
     def test_bad_ranges(self, text):
         import argparse
 
         with pytest.raises(argparse.ArgumentTypeError):
             cli.parse_range(text)
+
+
+# (argv, the value the error must name)
+_NON_FINITE_CASES = [
+    (["well", "coeffs", "--gamma", "inf"], "inf"),
+    (["spin", "omega-scan", "--ratio", "1:inf", "--points", "3"], "inf"),
+    (["spin", "return-prob", "--ratio", "inf"], "inf"),
+    (["well", "energy-scan", "--gamma", "1:inf"], "inf"),
+    (["well", "oracle-check", "--gamma-list", "1,inf"], "inf"),
+    (["spin", "ode-check", "--ratio-list", "nan"], "nan"),
+    (["spin", "threshold", "--alpha", "pi/nan"], "pi/nan"),
+    (["spin", "threshold", "--epsilon", "nan"], "nan"),
+    (["well", "force-scan", "--step", "nan"], "nan"),
+    (["well", "energy-scan", "--planck", "inf"], "inf"),
+    (["spin", "return-prob", "--b0=-inf"], "-inf"),
+]
 
 
 class TestExitCodes:
@@ -106,6 +129,23 @@ class TestExitCodes:
             cli.main([*argv, value])
         assert err.value.code == 2
         assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "argv, bad", _NON_FINITE_CASES, ids=[" ".join(a) for a, _ in _NON_FINITE_CASES]
+    )
+    def test_non_finite_input_exits_2(self, argv, bad, capsys):
+        # nan/inf once overflowed in a kernel, wrote nan rows with exit 0, or
+        # blamed the wrong value after a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+        assert err.value.code == 2
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        assert f"got {bad!r}" in stderr
+        assert "Traceback" not in stderr
 
 
 class TestWellCommands:
@@ -302,3 +342,119 @@ class TestOutputContract:
         assert code == 0
         row = out.strip().split("\n")[2].split(",")
         assert float(row[0]) == 1.0 and float(row[1]) == 1.0
+
+
+def _per_value_table(header, rows) -> str:
+    """The per-value CSV writer that `cli.write_table` replaced; the byte
+    reference for the chunked one."""
+
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return format(float(value), ".16e")
+
+    lines = [",".join(header)] + [",".join(fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL_REALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
+_INTS = st.integers(-(2**63), 2**63 - 1)
+_REALS = st.floats() | st.sampled_from(_SPECIAL_REALS)
+_COLUMNS = {
+    "int": _INTS,
+    "np.int64": _INTS.map(np.int64),
+    "float": _REALS,
+    "np.float64": _REALS.map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+}
+
+
+@st.composite
+def _tables(draw, n_rows):
+    """(header, rows): a pool of drawn rows cycled to ``n_rows``, as tuples of
+    mixed column types or as a 2-D float64 array."""
+    if draw(st.booleans()):
+        kinds = ["np.float64"] * draw(st.integers(1, 4))
+        as_array = n_rows > 0
+    else:
+        kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=4))
+        as_array = False
+    row = st.tuples(*(_COLUMNS[k] for k in kinds))
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    rows = [pool[i % len(pool)] for i in range(n_rows)]
+    header = [f"c{i}" for i in range(len(kinds))]
+    return header, np.array(rows, dtype=float) if as_array else rows
+
+
+_CHUNK = cli.EMIT_CHUNK_ROWS
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("n_rows", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_bytes_match_per_value_writer(self, n_rows, data, capsys, tmp_path):
+        header, rows = data.draw(_tables(n_rows))
+        expected = _per_value_table(header, rows).encode("utf-8")
+        capsys.readouterr()
+        cli.write_table(header, rows, None)
+        assert capsys.readouterr().out.encode("utf-8") == expected
+        path = tmp_path / "table.csv"
+        cli.write_table(header, iter(rows), str(path))
+        assert path.read_bytes() == expected
+
+    def test_header_only_force_scan(self, capsys):
+        # every grid point of 1:2 at 2 points is resonant and omitted
+        code, out = run_cli(
+            capsys, "well", "force-scan", "--gamma", "1:2", "--points", "2"
+        )
+        assert code == 0
+        assert out == "gamma,E_over_E1,F_over_E1_per_Q0\n"
+
+    def test_closed_stdout_pipe_ends_quietly(self):
+        # `quenchkit ... | head -1`: once the reader is gone the writer stops
+        # without a traceback and the command's own exit status stands
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        argv = ["spin", "omega-scan", "--points", "200000"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "quenchkit", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline() == b"omega_over_omega0,rho1\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert stderr == b""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["well", "coeffs", "--levels", "5"],
+            ["well", "pop-scan", "--levels", "5"],
+            ["well", "captured", "--points", "7"],
+            ["well", "energy-scan", "--points", "7"],
+            ["well", "force-scan", "--points", "7"],
+            ["well", "force-scan", "--gamma", "1:2", "--points", "2"],
+            ["well", "oracle-check", "--gamma-list", "0.5,2", "--max-level", "3"],
+            ["spin", "return-prob", "--points", "7"],
+            ["spin", "omega-scan", "--points", "7"],
+            ["spin", "omega-scan", "--alpha", "pi/12,pi/4", "--points", "7"],
+            ["spin", "threshold"],
+            ["spin", "ode-check", "--ratio-list", "1", "--samples", "2"],
+            ["spin", "symmetry-check", "--draws", "5"],
+        ],
+        ids=" ".join,
+    )
+    def test_stdout_and_file_sinks_agree(self, argv, capsys, tmp_path):
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "table.csv"
+        assert cli.main([*argv, "-o", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == out.encode("utf-8")

@@ -54,6 +54,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             RotorConfig(omega=0.0)
 
+    @pytest.mark.parametrize("name", ["field_strength", "charge", "mass", "omega"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_validation_rejects_non_finite(self, name, value):
+        message = f"{name} must be finite and positive, got {value}"
+        with pytest.raises(ValueError, match=message):
+            RotorConfig(**{name: value})
+
+    def test_at_ratio_rejects_infinite_ratio(self):
+        with pytest.raises(ValueError, match="omega must be finite and positive, got inf"):
+            RotorConfig.at_ratio(math.inf)
+
     @settings(max_examples=60, deadline=None)
     @given(alpha=angles, ratio=ratios)
     def test_rabi_rate_triangle_bounds(self, alpha, ratio):
@@ -291,6 +302,12 @@ class TestOmegaScan:
             omega_scan(2.0, 1.0, 10, [0.5])
         with pytest.raises(ValueError):
             omega_scan(0.5, 2.0, 1, [0.5])
+
+    @pytest.mark.parametrize("bounds", [(1.0, math.inf), (math.nan, 2.0)])
+    def test_validation_rejects_non_finite(self, bounds):
+        # an infinite bound used to return nan/inf ratios and probabilities
+        with pytest.raises(ValueError, match=rf"got \[{bounds[0]}, {bounds[1]}\]"):
+            omega_scan(*bounds, 3, [0.5])
 
 
 class TestThreshold:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,20 @@ class TestConfigAndRatio:
             QuenchRatio(0.0)
         with pytest.raises(ValueError):
             QuenchRatio(1.0, resonance_tol=-1e-9)
+
+    @pytest.mark.parametrize("name", ["mass", "planck", "width"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_config_rejects_non_finite(self, name, value):
+        message = f"{name} must be finite and positive, got {value}"
+        with pytest.raises(ValueError, match=message):
+            WellConfig(**{name: value})
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan])
+    def test_ratio_rejects_non_finite(self, gamma):
+        # inf used to reach int(floor(inf)) in the kernel: OverflowError
+        message = f"gamma must be finite and positive, got {gamma}"
+        with pytest.raises(ValueError, match=message):
+            QuenchRatio(gamma)
 
     @pytest.mark.parametrize(
         "gamma,regime",
@@ -335,6 +350,16 @@ class TestScans:
             energy_scan(2.0, 1.0, 10)
         with pytest.raises(ValueError):
             energy_scan(1.0, 2.0, 1)
+
+    @pytest.mark.parametrize("scan", [energy_scan, force_scan])
+    @pytest.mark.parametrize("bounds", [(1.0, math.inf), (math.nan, 2.0)])
+    def test_scan_grid_rejects_non_finite(self, scan, bounds):
+        # an infinite bound used to make a nan grid with a numpy warning and
+        # then blame the nan, not the bound
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"got \[{bounds[0]}, {bounds[1]}\]"):
+                scan(*bounds, 3)
 
     def test_force_scan_shrink_all_repulsive(self):
         profile = force_scan(0.3, 0.7, 9)
