@@ -161,10 +161,6 @@ def _stream_csv(fh, header: list[str], rows) -> None:
         chunk = list(itertools.islice(rows, EMIT_CHUNK_ROWS))
 
 
-def _well_config(args) -> well.WellConfig:
-    return well.WellConfig(mass=args.mass, planck=args.planck, width=args.width)
-
-
 def _rotor_config(args, alpha: float, ratio: float) -> spin.RotorConfig:
     return spin.RotorConfig.at_ratio(
         ratio,
@@ -172,18 +168,6 @@ def _rotor_config(args, alpha: float, ratio: float) -> spin.RotorConfig:
         field_strength=args.b0,
         charge=args.charge,
         mass=args.mass,
-    )
-
-
-def _add_well_constants(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--mass", type=parse_real, default=1e-27, help="particle mass in kg"
-    )
-    parser.add_argument(
-        "--planck", type=parse_real, default=6.626e-34, help="Planck constant in J*s"
-    )
-    parser.add_argument(
-        "--width", type=parse_real, default=1e-9, help="initial well width in m"
     )
 
 
@@ -240,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=parse_range, default=(0.1, 5.0), metavar="MIN:MAX")
     p.add_argument("--points", type=_scan_points, default=500)
     p.add_argument("--levels", type=_positive_int, default=10)
-    _add_well_constants(p)
     _add_output(p)
 
     p = wsub.add_parser(
@@ -252,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_scan_points, default=500)
     p.add_argument("--levels", type=_positive_int, default=10)
     p.add_argument("--step", type=parse_real, default=well.DEFAULT_FORCE_STEP)
-    _add_well_constants(p)
     _add_output(p)
 
     p = wsub.add_parser(
@@ -269,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=_positive_int, default=20)
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--quad-tol", type=_tolerance, default=1e-10)
-    _add_well_constants(p)
     _add_output(p)
 
     spin_group = top.add_parser("spin", help="spin-1/2 in a rotating field")
@@ -340,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_well(args) -> int:
-    cfg = _well_config(args) if hasattr(args, "mass") else well.WellConfig()
     if args.command == "coeffs":
         dec = well.decompose(args.gamma, args.levels)
         rows = zip(range(1, args.levels + 1), dec.coefficients, dec.populations)
@@ -351,16 +331,15 @@ def _run_well(args) -> int:
         write_table(["n", "rho_n"], rows, args.output)
     elif args.command == "captured":
         lo, hi = args.gamma
-        grid = np.linspace(lo, hi, args.points)
-        rows = [(g, well.decompose(float(g), args.levels).captured) for g in grid]
-        write_table(["gamma", "captured"], rows, args.output)
+        table = well.captured_scan(lo, hi, args.points, args.levels)
+        write_table(["gamma", "captured"], table, args.output)
     elif args.command == "energy-scan":
         lo, hi = args.gamma
-        table = well.energy_scan(lo, hi, args.points, args.levels, cfg)
+        table = well.energy_scan(lo, hi, args.points, args.levels)
         write_table(["gamma", "E_over_E1"], table, args.output)
     elif args.command == "force-scan":
         lo, hi = args.gamma
-        profile = well.force_scan(lo, hi, args.points, args.levels, cfg, args.step)
+        profile = well.force_scan(lo, hi, args.points, args.levels, args.step)
         rows = zip(profile.gamma, profile.energy, profile.force)
         write_table(["gamma", "E_over_E1", "F_over_E1_per_Q0"], rows, args.output)
     elif args.command == "oracle-check":
@@ -369,9 +348,9 @@ def _run_well(args) -> int:
         worst = 0.0
         levels = np.arange(1, args.max_level + 1)
         for g in args.gamma_list:
-            oracles = well.overlap_oracle(levels, g, cfg, qspec).tolist()
-            for n, oracle in zip(levels.tolist(), oracles):
-                closed = well.expansion_coefficient(n, g)
+            oracles = well.overlap_oracle(levels, g, spec=qspec).tolist()
+            closed_row = well.decompose(g, args.max_level).coefficients.tolist()
+            for n, closed, oracle in zip(levels.tolist(), closed_row, oracles):
                 diff = abs(closed - oracle)
                 worst = max(worst, diff)
                 rows.append((n, g, closed, oracle, diff))

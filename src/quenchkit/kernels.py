@@ -1,82 +1,75 @@
-"""Hot numeric kernels, numba-compiled when available.
+"""Hot numeric kernels, all plain NumPy.
 
 Three inner loops dominate the runtime of the scans: the expansion
-coefficients of the frozen well state (evaluated up to 10^4 levels per grid
-point), the fixed-step RK4 propagator for the driven two-level system, and
-the single-cycle return-probability curve (10^4+ grid points).  The
-coefficient and cycle kernels each have a plain NumPy implementation and a
-scalar-loop twin compiled with ``numba.njit``.  RK4 has one implementation
-on every machine: its per-step increments are built as NumPy arrays and
-applied in a scalar loop.
-
-Backend selection happens at import time: numba is used when importable
-unless the environment variable ``QUENCHKIT_NO_NUMBA`` is set to a truthy
-value (1/true/yes/on).  ``BACKEND`` records the choice.  The uncompiled
-implementations stay importable either way.
+coefficients of the frozen well state (up to 10^4 levels for each of 10^4
+grid points), the fixed-step RK4 propagator for the driven two-level system,
+and the single-cycle return-probability curve (10^6 grid points).  Each has
+one implementation here, written on arrays; the scalar entry points in
+`quenchkit.well` and `quenchkit.spin` are thin wrappers over them.
+`resonances` is the one integer-resonance test of the well.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("QUENCHKIT_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG in {"1", "true", "yes", "on"}
+BACKEND = "numpy"
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - exercised via QUENCHKIT_NO_NUMBA instead
-    numba = None
-
-NUMBA_AVAILABLE = numba is not None
+# Largest width ratio gamma and drive/Larmor ratio accepted anywhere: below
+# sqrt(DBL_MAX) = 1.34e154, so their squares in the kernels stay finite.
+MAX_RATIO = 1e150
 
 
-def _expansion_coefficients_loop(gamma, n_max, resonance_tol):
-    # Overlap of the old ground state with post-quench level n, n = 1..n_max.
-    b = np.zeros(n_max)
-    if abs(gamma - 1.0) <= resonance_tol:
-        b[0] = 1.0
-        return b
-    if gamma < 1.0:
-        pref = 2.0 * math.sqrt(gamma) * math.sin(math.pi * gamma)
-        for i in range(n_max):
-            n = float(i + 1)
-            sign = -1.0 if i % 2 == 0 else 1.0  # (-1)^n, n odd -> -1
-            b[i] = sign * pref * n / (math.pi * (gamma * gamma - n * n))
-        return b
-    nearest = int(math.floor(gamma + 0.5))
-    resonant = 1 <= nearest <= n_max and abs(gamma - nearest) <= resonance_tol * nearest
-    pref = 2.0 * gamma * math.sqrt(gamma)
-    for i in range(n_max):
-        n = float(i + 1)
-        if resonant and i + 1 == nearest:
-            b[i] = 1.0 / math.sqrt(gamma)
-        else:
-            b[i] = pref * math.sin(n * math.pi / gamma) / (math.pi * (gamma * gamma - n * n))
-    return b
+def resonances(gamma, resonance_tol):
+    """The integer-resonance test, for a scalar or an array of ``gamma``.
+
+    Returns ``(nearest, identity, resonant)``: the nearest integer
+    floor(gamma + 1/2); the identity quench |gamma - 1| <= tol; and an
+    expansion that sits on level k = nearest, |gamma - k| <= tol * k
+    (gamma >= 1 and not the identity).
+    """
+    nearest = np.floor(gamma + 0.5)
+    identity = np.abs(gamma - 1.0) <= resonance_tol
+    resonant = (
+        ~identity & (gamma >= 1.0) & (np.abs(gamma - nearest) <= resonance_tol * nearest)
+    )
+    return nearest, identity, resonant
 
 
-def _expansion_coefficients_numpy(gamma, n_max, resonance_tol):
-    if abs(gamma - 1.0) <= resonance_tol:
-        b = np.zeros(n_max)
-        b[0] = 1.0
-        return b
+def expansion_coefficients(gamma, n_max, resonance_tol):
+    """Overlaps b_n, n = 1..n_max, of the frozen ground state with the
+    post-quench levels: shape ``(n_max,)`` for a scalar ``gamma`` and
+    ``(len(gamma), n_max)`` for a 1-D array.
+
+    Each row is computed by its own regime's formula only: the identity
+    (b_1 = 1), shrink (gamma < 1), or expansion (gamma > 1), where the level
+    on an integer resonance gets 1/sqrt(gamma).
+    """
+    g = np.asarray(gamma, dtype=float)
+    rows = np.atleast_1d(g)
     n = np.arange(1.0, n_max + 1.0)
-    if gamma < 1.0:
+    b = np.zeros((rows.size, n_max))
+    nearest, identity, resonant = resonances(rows, resonance_tol)
+    b[identity, 0] = 1.0
+    shrink = np.flatnonzero(~identity & (rows < 1.0))
+    if shrink.size:
+        gs = rows[shrink, None]
         sign = np.where(n % 2.0 == 1.0, -1.0, 1.0)
-        pref = 2.0 * math.sqrt(gamma) * math.sin(math.pi * gamma)
-        return sign * pref * n / (np.pi * (gamma * gamma - n * n))
-    nearest = int(math.floor(gamma + 0.5))
-    resonant = 1 <= nearest <= n_max and abs(gamma - nearest) <= resonance_tol * nearest
-    den = np.pi * (gamma * gamma - n * n)
-    if resonant:
-        den[nearest - 1] = 1.0  # dummy, row is overwritten below
-    b = 2.0 * gamma * math.sqrt(gamma) * np.sin(n * np.pi / gamma) / den
-    if resonant:
-        b[nearest - 1] = 1.0 / math.sqrt(gamma)
-    return b
+        pref = 2.0 * np.sqrt(gs) * np.sin(np.pi * gs)
+        b[shrink] = sign * pref * n / (np.pi * (gs * gs - n * n))
+    expand = np.flatnonzero(~identity & (rows >= 1.0))
+    if expand.size:
+        ge = rows[expand, None]
+        den = np.pi * (ge * ge - n * n)
+        res = np.flatnonzero(resonant[expand] & (nearest[expand] <= n_max))
+        level = nearest[expand][res].astype(np.intp) - 1
+        den[res, level] = 1.0  # dummy, overwritten below
+        be = 2.0 * ge * np.sqrt(ge) * np.sin(n * np.pi / ge) / den
+        be[res, level] = 1.0 / np.sqrt(ge[res, 0])
+        b[expand] = be
+    return b[0] if g.ndim == 0 else b
 
 
 # Steps whose RK4 increments are built at once; bounds the temporaries of
@@ -153,28 +146,12 @@ def spin_rk4(alpha, omega, omega0, t_end, n_steps, up0, dn0, stride):
     return states, drift
 
 
-def _cycle_curve_loop(ratios, alpha):
-    # rho after one full drive cycle as a function of x = omega/omega0.
-    # mu^2 = x^2 + 1 - 2 x cos(a) in the cancellation-free form.
-    out = np.empty(ratios.shape[0])
-    ca = math.cos(alpha)
-    sh = math.sin(0.5 * alpha)
-    for i in range(ratios.shape[0]):
-        x = ratios[i]
-        mu2 = (x - 1.0) * (x - 1.0) + 4.0 * x * sh * sh
-        if mu2 <= 0.0:
-            out[i] = 1.0  # degenerate x = 1, alpha = 0: state pinned
-            continue
-        mu = math.sqrt(mu2)
-        phase = math.pi * mu / x
-        coef = (1.0 - x * ca) / mu
-        c = math.cos(phase)
-        s = math.sin(phase)
-        out[i] = c * c + coef * coef * s * s
-    return out
+def cycle_return_curve(ratios, alpha):
+    """Return probability after one full drive cycle against x = omega/omega0.
 
-
-def _cycle_curve_numpy(ratios, alpha):
+    mu^2 = x^2 + 1 - 2 x cos(alpha) in the cancellation-free form; the
+    degenerate x = 1, alpha = 0 (mu = 0) pins the state at probability 1.
+    """
     x = np.asarray(ratios, dtype=float)
     ca = math.cos(alpha)
     sh = math.sin(0.5 * alpha)
@@ -187,38 +164,3 @@ def _cycle_curve_numpy(ratios, alpha):
     s = np.sin(phase)
     rho = c * c + coef * coef * s * s
     return np.where(mu2 > 0.0, rho, 1.0)
-
-
-NUMPY_IMPLS = {
-    "expansion_coefficients": _expansion_coefficients_numpy,
-    "spin_rk4": spin_rk4,
-    "cycle_return_curve": _cycle_curve_numpy,
-}
-
-_numba_cache: dict | None = None
-
-
-def numba_impls() -> dict | None:
-    """Compile (once) and return the numba twins of the coefficient and cycle
-    kernels, or None without numba.  RK4 has the one implementation above."""
-    global _numba_cache
-    if numba is None:
-        return None
-    if _numba_cache is None:
-        jit = numba.njit(cache=True)
-        _numba_cache = {
-            "expansion_coefficients": jit(_expansion_coefficients_loop),
-            "cycle_return_curve": jit(_cycle_curve_loop),
-        }
-    return _numba_cache
-
-
-if NUMBA_AVAILABLE and not NUMBA_DISABLED:
-    BACKEND = "numba"
-    _active = numba_impls()
-else:
-    BACKEND = "numpy"
-    _active = NUMPY_IMPLS
-
-expansion_coefficients = _active["expansion_coefficients"]
-cycle_return_curve = _active["cycle_return_curve"]

@@ -290,9 +290,10 @@ def omega_scan(
     cfg: RotorConfig | None = None,
 ) -> list[ReturnCurve]:
     """Single-cycle return probability curves, one per cone angle."""
-    if not (0.0 < ratio_min < ratio_max and math.isfinite(ratio_max)):
+    if not 0.0 < ratio_min < ratio_max <= kernels.MAX_RATIO:
         raise ValueError(
-            f"need finite 0 < ratio_min < ratio_max, got [{ratio_min}, {ratio_max}]"
+            f"need 0 < ratio_min < ratio_max <= {kernels.MAX_RATIO:g}, "
+            f"got [{ratio_min}, {ratio_max}]"
         )
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")

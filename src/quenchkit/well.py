@@ -26,9 +26,10 @@ DEFAULT_LEVELS = 10
 DEFAULT_FORCE_STEP = 1e-4
 DEFAULT_RESONANCE_TOL = 1e-9
 
-
-class DegenerateDenominatorError(ArithmeticError):
-    """Coefficient denominator vanished outside the resonance window."""
+# Elements of coefficient rows computed at once by the energy scans: bounds
+# their temporaries at a few hundred KiB (2^16 raised well-scan's peak RSS
+# by 3 MiB).
+ENERGY_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -75,30 +76,30 @@ class QuenchRatio:
     resonance_tol: float = DEFAULT_RESONANCE_TOL
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma}")
+        _check_gamma(self.gamma)
         if self.resonance_tol < 0.0:
             raise ValueError(
                 f"resonance_tol must be non-negative, got {self.resonance_tol}"
             )
 
     @property
-    def nearest_level(self) -> int:
-        return int(math.floor(self.gamma + 0.5))
-
-    @property
     def regime(self) -> Regime:
-        if abs(self.gamma - 1.0) <= self.resonance_tol:
+        _, identity, resonant = kernels.resonances(self.gamma, self.resonance_tol)
+        if identity:
             return Regime.IDENTITY
         if self.gamma < 1.0:
             return Regime.SHRINK
-        k = self.nearest_level
-        if abs(self.gamma - k) <= self.resonance_tol * k:
-            return Regime.EXPAND_RESONANT
-        return Regime.EXPAND_GENERIC
+        return Regime.EXPAND_RESONANT if resonant else Regime.EXPAND_GENERIC
 
     def new_width(self, cfg: WellConfig) -> float:
         return self.gamma * cfg.width
+
+
+def _check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    if gamma > kernels.MAX_RATIO:
+        raise ValueError(f"gamma must be at most {kernels.MAX_RATIO:g}, got {gamma}")
 
 
 def _as_ratio(gamma) -> QuenchRatio:
@@ -174,30 +175,16 @@ def eigen_wavefunction(n, width: float, q):
 def expansion_coefficient(n: int, gamma) -> float:
     """Overlap of the frozen initial ground state with post-quench level ``n``.
 
-    Three closed-form cases: a shrink formula for gamma < 1, a generic
-    expansion formula for gamma > 1, and 1/sqrt(gamma) at integer resonance
-    gamma = n, where the new level reproduces the old state exactly.  The
-    identity case gamma = 1 gives 1 for n = 1 and 0 otherwise.
+    Three closed-form cases (see `kernels.expansion_coefficients`): a shrink
+    formula for gamma < 1, a generic expansion formula for gamma > 1, and
+    1/sqrt(gamma) at integer resonance gamma = n, where the new level
+    reproduces the old state exactly.  The identity case gamma = 1 gives 1
+    for n = 1 and 0 otherwise.
     """
     if n < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
     r = _as_ratio(gamma)
-    g = r.gamma
-    regime = r.regime
-    if regime is Regime.IDENTITY:
-        return 1.0 if n == 1 else 0.0
-    if regime is Regime.SHRINK:
-        sign = -1.0 if n % 2 == 1 else 1.0
-        return sign * 2.0 * n * math.sqrt(g) * math.sin(math.pi * g) / (math.pi * (g * g - n * n))
-    if regime is Regime.EXPAND_RESONANT and n == r.nearest_level:
-        return 1.0 / math.sqrt(g)
-    den = math.pi * (g * g - float(n) * float(n))
-    if den == 0.0:
-        raise DegenerateDenominatorError(
-            f"gamma = {g} coincides with level {n} but resonance_tol = "
-            f"{r.resonance_tol} does not classify it as resonant"
-        )
-    return 2.0 * g * math.sqrt(g) * math.sin(n * math.pi / g) / den
+    return float(kernels.expansion_coefficients(r.gamma, n, r.resonance_tol)[n - 1])
 
 
 def population(n: int, gamma) -> float:
@@ -272,35 +259,82 @@ def decompose(gamma, n_levels: int = DEFAULT_LEVELS) -> SpectralDecomposition:
     )
 
 
-def quench_energy(
-    gamma, n_levels: int = DEFAULT_LEVELS, cfg: WellConfig | None = None
-) -> EnergyReport:
-    """Truncated post-quench energy in units of the initial ground energy.
+def _energies(gammas: np.ndarray, n_levels: int, tol: float):
+    """Renormalized, raw and captured energies at each of ``gammas``.
 
-    ``cfg`` is accepted for signature symmetry with the absolute-energy
-    helpers; the report is dimensionless and does not depend on it.
+    The coefficient rows are computed a block of about `ENERGY_BLOCK`
+    elements at a time; each row's sums are the same doubles as for that
+    gamma alone.
     """
-    del cfg
-    dec = decompose(gamma, n_levels)
-    g = dec.ratio.gamma
+    if n_levels < 1:
+        raise ValueError(f"n_levels must be >= 1, got {n_levels}")
+    in_domain = (gammas > 0.0) & (gammas <= kernels.MAX_RATIO)
+    if not in_domain.all():
+        _check_gamma(float(gammas[np.argmin(in_domain)]))
     n = np.arange(1.0, n_levels + 1.0)
-    raw = float(np.sum(dec.populations * n * n) / (g * g))
-    if dec.captured <= 0.0:  # unreachable for gamma > 0, n_levels >= 1
-        raise AssertionError("captured probability vanished")
+    raw = np.empty(len(gammas))
+    captured = np.empty(len(gammas))
+    rows = max(1, ENERGY_BLOCK // n_levels)
+    for start in range(0, len(gammas), rows):
+        block = slice(start, start + rows)
+        g = gammas[block]
+        b = kernels.expansion_coefficients(g, n_levels, tol)
+        rho = b * b
+        captured[block] = np.sum(rho, axis=1)
+        raw[block] = np.sum(rho * n * n, axis=1) / (g * g)
+    if not (captured > 0.0).all():
+        g = gammas[np.argmin(captured > 0.0)]
+        raise ValueError(
+            f"captured probability underflows to zero at gamma = {g} "
+            f"with {n_levels} levels"
+        )
+    return raw / captured, raw, captured
+
+
+def quench_energy(gamma, n_levels: int = DEFAULT_LEVELS) -> EnergyReport:
+    """Truncated post-quench energy in units of the initial ground energy."""
+    r = _as_ratio(gamma)
+    renormalized, raw, captured = (
+        float(v[0]) for v in _energies(np.array([r.gamma]), n_levels, r.resonance_tol)
+    )
     return EnergyReport(
-        ratio=dec.ratio,
+        ratio=r,
         n_levels=n_levels,
-        renormalized=raw / dec.captured,
+        renormalized=renormalized,
         raw=raw,
-        captured=dec.captured,
+        captured=captured,
     )
 
 
+def _forces(gammas: np.ndarray, n_levels: int, step: float, tol: float) -> np.ndarray:
+    # `matter_wave_force` at each of ``gammas``, every stencil as arrays
+    if not (gammas - step > 0.0).all():
+        g = gammas[np.argmin(gammas - step > 0.0)]
+        raise ValueError(f"gamma - step must stay positive, got gamma={g}, step={step}")
+
+    def energy(x):
+        return _energies(x, n_levels, tol)[0]
+
+    k = np.floor(gammas + 0.5)
+    one_sided = (k >= 1.0) & (np.abs(gammas - k) < 2.0 * step)
+    slope = np.empty(len(gammas))
+    left, right = one_sided & (gammas < k), one_sided & (gammas >= k)
+    g = gammas[left]
+    slope[left] = (3.0 * energy(g) - 4.0 * energy(g - step) + energy(g - 2.0 * step)) / (
+        2.0 * step
+    )
+    central = ~one_sided
+    if central.any():
+        slope[central] = central_difference(energy, gammas[central], step)
+    g = gammas[right]
+    slope[right] = (-3.0 * energy(g) + 4.0 * energy(g + step) - energy(g + 2.0 * step)) / (
+        2.0 * step
+    )
+    return -slope
+
+
 def matter_wave_force(
-    gamma,
-    n_levels: int = DEFAULT_LEVELS,
-    cfg: WellConfig | None = None,
-    step: float = DEFAULT_FORCE_STEP,
+    gamma, n_levels: int = DEFAULT_LEVELS, step: float = DEFAULT_FORCE_STEP
 ) -> float:
     """Force on the wall, in units of (ground energy / initial width).
 
@@ -311,22 +345,7 @@ def matter_wave_force(
     integer replaces the central one.
     """
     r = _as_ratio(gamma)
-    g = r.gamma
-    if not g - step > 0.0:
-        raise ValueError(f"gamma - step must stay positive, got gamma={g}, step={step}")
-
-    def energy(x: float) -> float:
-        return quench_energy(QuenchRatio(x, r.resonance_tol), n_levels).renormalized
-
-    k = r.nearest_level
-    if k >= 1 and abs(g - k) < 2.0 * step:
-        if g >= k:
-            slope = (-3.0 * energy(g) + 4.0 * energy(g + step) - energy(g + 2.0 * step)) / (2.0 * step)
-        else:
-            slope = (3.0 * energy(g) - 4.0 * energy(g - step) + energy(g - 2.0 * step)) / (2.0 * step)
-    else:
-        slope = central_difference(energy, g, step)
-    return -slope
+    return float(_forces(np.array([r.gamma]), n_levels, step, r.resonance_tol)[0])
 
 
 def population_scan(gamma, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:
@@ -337,9 +356,10 @@ def population_scan(gamma, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:
 
 
 def _gamma_grid(gamma_min: float, gamma_max: float, points: int) -> np.ndarray:
-    if not (0.0 < gamma_min < gamma_max and math.isfinite(gamma_max)):
+    if not 0.0 < gamma_min < gamma_max <= kernels.MAX_RATIO:
         raise ValueError(
-            f"need finite 0 < gamma_min < gamma_max, got [{gamma_min}, {gamma_max}]"
+            f"need 0 < gamma_min < gamma_max <= {kernels.MAX_RATIO:g}, "
+            f"got [{gamma_min}, {gamma_max}]"
         )
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
@@ -347,16 +367,21 @@ def _gamma_grid(gamma_min: float, gamma_max: float, points: int) -> np.ndarray:
 
 
 def energy_scan(
-    gamma_min: float,
-    gamma_max: float,
-    points: int,
-    n_levels: int = DEFAULT_LEVELS,
-    cfg: WellConfig | None = None,
+    gamma_min: float, gamma_max: float, points: int, n_levels: int = DEFAULT_LEVELS
 ) -> np.ndarray:
     """Table of (gamma, renormalized energy) on a uniform grid."""
     grid = _gamma_grid(gamma_min, gamma_max, points)
-    energies = [quench_energy(g, n_levels, cfg).renormalized for g in grid]
-    return np.column_stack([grid, energies])
+    energy = _energies(grid, n_levels, DEFAULT_RESONANCE_TOL)[0]
+    return np.column_stack([grid, energy])
+
+
+def captured_scan(
+    gamma_min: float, gamma_max: float, points: int, n_levels: int = DEFAULT_LEVELS
+) -> np.ndarray:
+    """Table of (gamma, probability captured by n_levels) on a uniform grid."""
+    grid = _gamma_grid(gamma_min, gamma_max, points)
+    captured = _energies(grid, n_levels, DEFAULT_RESONANCE_TOL)[2]
+    return np.column_stack([grid, captured])
 
 
 def force_scan(
@@ -364,7 +389,6 @@ def force_scan(
     gamma_max: float,
     points: int,
     n_levels: int = DEFAULT_LEVELS,
-    cfg: WellConfig | None = None,
     step: float = DEFAULT_FORCE_STEP,
 ) -> ForceProfile:
     """Energy and force over a gamma grid.
@@ -372,20 +396,13 @@ def force_scan(
     Grid points sitting exactly on an integer resonance are omitted: the
     energy has a kink there and no two-sided derivative exists.
     """
-    del cfg
     grid = _gamma_grid(gamma_min, gamma_max, points)
-    gs, es, fs = [], [], []
-    for g in grid:
-        r = QuenchRatio(float(g))
-        if r.regime in (Regime.IDENTITY, Regime.EXPAND_RESONANT):
-            continue
-        gs.append(float(g))
-        es.append(quench_energy(r, n_levels).renormalized)
-        fs.append(matter_wave_force(r, n_levels, step=step))
+    _, identity, resonant = kernels.resonances(grid, DEFAULT_RESONANCE_TOL)
+    kept = grid[~(identity | resonant)]
     return ForceProfile(
-        gamma=np.asarray(gs),
-        energy=np.asarray(es),
-        force=np.asarray(fs),
+        gamma=kept,
+        energy=_energies(kept, n_levels, DEFAULT_RESONANCE_TOL)[0],
+        force=_forces(kept, n_levels, step, DEFAULT_RESONANCE_TOL),
         step=step,
         n_levels=n_levels,
     )

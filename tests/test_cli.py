@@ -55,7 +55,7 @@ _NON_FINITE_CASES = [
     (["spin", "threshold", "--alpha", "pi/nan"], "pi/nan"),
     (["spin", "threshold", "--epsilon", "nan"], "nan"),
     (["well", "force-scan", "--step", "nan"], "nan"),
-    (["well", "energy-scan", "--planck", "inf"], "inf"),
+    (["spin", "omega-scan", "--charge", "inf"], "inf"),
     (["spin", "return-prob", "--b0=-inf"], "-inf"),
 ]
 
@@ -146,6 +146,44 @@ class TestExitCodes:
         assert out == ""
         assert f"got {bad!r}" in stderr
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["well", "coeffs", "--gamma", "1e300"], "got 1e+300"),
+            (["well", "energy-scan", "--gamma", "1e160:1e161"], "got [1e+160, 1e+161]"),
+            (["well", "captured", "--gamma", "1:1e200"], "got [1.0, 1e+200]"),
+            (["spin", "omega-scan", "--ratio", "1:1e308", "--points", "3"],
+             "got [1.0, 1e+308]"),
+            # captured probability underflows to zero below gamma ~ 1e-108
+            (["well", "energy-scan", "--gamma", "1e-120:1e-110", "--points", "3"],
+             "at gamma = 1e-120 "),
+            (["well", "force-scan", "--gamma", "0.5:2", "--points", "11", "--step", "0.3"],
+             "got -0.09999999999999998"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_out_of_domain_finite_input_exits_2(self, argv, named, capsys):
+        # huge ratios once overflowed to nan rows with exit 0 or ended in an
+        # AssertionError traceback; a stencil below zero must keep its error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as err:
+                cli.main(argv)
+        assert err.value.code == 2
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        assert named in stderr
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("command", ["energy-scan", "force-scan", "oracle-check"])
+    @pytest.mark.parametrize("flag", ["--mass", "--planck", "--width"])
+    def test_well_constant_flags_are_gone(self, command, flag, capsys):
+        # the dimensionless well commands never read them
+        with pytest.raises(SystemExit) as err:
+            cli.main(["well", command, flag, "1"])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestWellCommands:

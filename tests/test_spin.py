@@ -309,6 +309,13 @@ class TestOmegaScan:
         with pytest.raises(ValueError, match=rf"got \[{bounds[0]}, {bounds[1]}\]"):
             omega_scan(*bounds, 3, [0.5])
 
+    def test_validation_rejects_huge_ratios(self):
+        # (x - 1)^2 overflowed past sqrt(DBL_MAX): nan rows with warnings
+        with pytest.raises(ValueError, match=r"<= 1e\+150, got \[1.0, 1e\+308\]"):
+            omega_scan(1.0, 1e308, 3, [0.5])
+        (curve,) = omega_scan(1e100, 1e150, 3, [0.5])
+        assert np.all(np.isfinite(curve.probabilities))
+
 
 class TestThreshold:
     def test_aligned_field_frozen_from_start(self):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -31,6 +32,30 @@ B_HALF_1 = 0.6002108774380708
 ALT_CONFIG = WellConfig(mass=3.3e-26, planck=6.626e-34, width=2.5e-9)
 
 
+def per_point_energy(gamma, n_levels):
+    """The one-gamma renormalized energy that the blocked scans replaced."""
+    dec = decompose(gamma, n_levels)
+    n = np.arange(1.0, n_levels + 1.0)
+    return float(np.sum(dec.populations * n * n) / (gamma * gamma)) / dec.captured
+
+
+def per_point_force(g, n_levels, step):
+    """The one-gamma force stencil that the array stencils replaced."""
+
+    def energy(x):
+        return per_point_energy(x, n_levels)
+
+    k = math.floor(g + 0.5)
+    if k >= 1 and abs(g - k) < 2.0 * step:
+        if g >= k:
+            slope = -3.0 * energy(g) + 4.0 * energy(g + step) - energy(g + 2.0 * step)
+        else:
+            slope = 3.0 * energy(g) - 4.0 * energy(g - step) + energy(g - 2.0 * step)
+    else:
+        slope = energy(g + step) - energy(g - step)
+    return -slope / (2.0 * step)
+
+
 class TestConfigAndRatio:
     def test_ground_energy_reference_constants(self):
         # m = 1e-27 kg, h = 6.626e-34 J s, width = 1 nm
@@ -54,6 +79,14 @@ class TestConfigAndRatio:
         message = f"{name} must be finite and positive, got {value}"
         with pytest.raises(ValueError, match=message):
             WellConfig(**{name: value})
+
+    @pytest.mark.parametrize("gamma", [1.0000000000000002e150, 1e300])
+    def test_ratio_rejects_huge(self, gamma):
+        # gamma^2 must stay finite in the kernel
+        message = f"gamma must be at most 1e+150, got {gamma}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QuenchRatio(gamma)
+        QuenchRatio(1e150)
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan])
     def test_ratio_rejects_non_finite(self, gamma):
@@ -272,8 +305,12 @@ class TestQuenchEnergy:
         # untruncated energy diverges; the truncated sum must keep growing
         assert quench_energy(0.5, 1000).raw > quench_energy(0.5, 10).raw
 
-    def test_config_independence(self):
-        assert quench_energy(2.7, 10, WellConfig()) == quench_energy(2.7, 10, ALT_CONFIG)
+    @pytest.mark.parametrize("gamma", [1e-120, 1e120])
+    def test_vanishing_captured_probability_is_a_value_error(self, gamma):
+        # rho_1 ~ 4 gamma^3 (shrink) or 4 / gamma^3 (expansion) underflows
+        message = f"underflows to zero at gamma = {gamma} with 10 levels"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            quench_energy(gamma, 10)
 
 
 class TestForce:
@@ -369,6 +406,42 @@ class TestScans:
     def test_force_scan_expand_fluctuates_small(self):
         profile = force_scan(1.5, 5.0, 50)
         assert np.max(np.abs(profile.force)) < 0.01 * matter_wave_force(0.5)
+
+    @pytest.mark.parametrize("scan", [energy_scan, force_scan, well.captured_scan])
+    def test_scan_grid_rejects_huge(self, scan):
+        with pytest.raises(ValueError, match=r"<= 1e\+150, got \[1.0, 1e\+200\]"):
+            scan(1.0, 1e200, 3)
+
+    def test_ratio_bound_keeps_coefficients_finite(self):
+        assert np.all(np.isfinite(decompose(1e150, 1000).coefficients))
+        assert np.all(np.isfinite(energy_scan(1e90, 1e100, 5)))
+        profile = force_scan(1e90, 1e100, 5)
+        assert np.all(np.isfinite(profile.energy)) and np.all(np.isfinite(profile.force))
+
+    def test_blocks_do_not_change_the_scans(self, monkeypatch):
+        # one row per block, then every grid point in one block
+        monkeypatch.setattr(well, "ENERGY_BLOCK", 1)
+        rows = energy_scan(0.3, 6.7, 301, 37), force_scan(0.5, 5.5, 201, 37, step=0.01)
+        monkeypatch.setattr(well, "ENERGY_BLOCK", 10**9)
+        whole = energy_scan(0.3, 6.7, 301, 37), force_scan(0.5, 5.5, 201, 37, step=0.01)
+        np.testing.assert_array_equal(rows[0], whole[0])
+        for name in ("gamma", "energy", "force"):
+            np.testing.assert_array_equal(getattr(rows[1], name), getattr(whole[1], name))
+
+    def test_scans_equal_the_per_point_path_bitwise(self):
+        # 0.01 spacing puts grid points within 2 * step of every integer, so
+        # both one-sided stencils, the central one and the omission all run
+        profile = force_scan(0.5, 4.5, 401, 12, step=0.01)
+        gammas = profile.gamma.tolist()
+        assert len(gammas) == 401 - 4
+        expected = [per_point_force(g, 12, 0.01) for g in gammas]
+        assert profile.force.tolist() == expected
+        assert [matter_wave_force(g, 12, step=0.01) for g in gammas] == expected
+        expected = [per_point_energy(g, 12) for g in gammas]
+        assert profile.energy.tolist() == expected
+        assert [quench_energy(g, 12).renormalized for g in gammas] == expected
+        table = well.captured_scan(0.5, 4.5, 401, 12)
+        assert table[:, 1].tolist() == [decompose(g, 12).captured for g in table[:, 0]]
 
     def test_force_scan_omits_resonant_grid_points(self):
         profile = force_scan(1.9, 2.1, 3)
