@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 numerical non-convergence or a failed cross-check,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -89,11 +90,26 @@ def parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+# Largest value of a size flag (--levels, --points, --max-level, --samples,
+# --draws).  The largest array a command holds is a few times one of these
+# sizes (energy scans go in blocks), so 10^7 keeps each under a few hundred
+# MiB; the benchmark's largest size is 10^6 points.
+MAX_ELEMENTS = 10_000_000
+
+
+def _size(value: int, text: str) -> int:
+    if value > MAX_ELEMENTS:
+        raise argparse.ArgumentTypeError(
+            f"{text} exceeds the size budget of {MAX_ELEMENTS} elements"
+        )
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    return _size(value, text)
 
 
 def _tolerance(text: str) -> float:
@@ -113,12 +129,13 @@ def _scan_points(text: str) -> int:
     value = int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"scans need at least 2 points, got {text}")
-    return value
+    return _size(value, text)
 
 
-# Rows formatted per `%` call.  Large enough to amortize the call; small
-# enough that a chunk's row objects and flat value tuple stay far below the
-# table itself (65,536-row chunks raised energy-scan's peak RSS by 1.5 MiB).
+# Rows formatted per chunk.  Large enough to amortize the per-chunk calls;
+# small enough that a chunk's row objects, flat value tuple and long-double
+# temporaries stay far below the table itself (65,536-row chunks raised
+# energy-scan's peak RSS by 1.5 MiB).
 EMIT_CHUNK_ROWS = 4096
 
 
@@ -126,11 +143,13 @@ def write_table(header: list[str], rows, output: str | None) -> None:
     """Stream ``rows`` as CSV under ``header`` to the file ``output``, or to
     stdout when it is None.
 
-    The row format is fixed by the first row: ``%d`` for integer columns and
-    ``%.16e`` (17 significant digits) for the rest, so every row must carry
-    the first row's column types.  Rows are pulled in chunks of
-    `EMIT_CHUNK_ROWS` and each chunk is formatted by one ``%`` call, so an
-    iterator of rows is never held whole.
+    ``rows`` is a 2-D array, an iterable of 2-D arrays (blocks of rows, such
+    as one per curve), or an iterable of rows.  The row format is fixed by
+    the first row: ``%d`` for integer columns and ``%.16e`` (17 significant
+    digits) for the rest, so every row must carry the first row's column
+    types.  The table is formatted in chunks of `EMIT_CHUNK_ROWS` rows, so an
+    iterator of rows is never held whole.  Chunks of float64 arrays go
+    through `_decimal_rows`, which gives the same bytes as ``%``.
     """
     if output is not None:
         with open(output, "w", encoding="utf-8", newline="") as fh:
@@ -149,16 +168,169 @@ def write_table(header: list[str], rows, output: str | None) -> None:
 
 def _stream_csv(fh, header: list[str], rows) -> None:
     fh.write(",".join(header) + "\n")
+    row_format = None
+    for chunk in _chunks(rows):
+        if row_format is None:
+            row_format = ",".join(
+                "%d" if isinstance(v, (int, np.integer)) else "%.16e" for v in chunk[0]
+            ) + "\n"
+        if (isinstance(chunk, np.ndarray) and chunk.dtype == np.float64
+                and _decimal_tables() is not None):
+            fh.write(_decimal_rows(chunk, row_format))
+        else:
+            flat = tuple(itertools.chain.from_iterable(chunk))
+            fh.write((row_format * len(chunk)) % flat)
+
+
+def _chunks(rows):
+    """The table in pieces of at most `EMIT_CHUNK_ROWS` rows: slices of 2-D
+    arrays, or lists of rows."""
+    if isinstance(rows, np.ndarray):
+        rows = (rows,)
     rows = iter(rows)
-    chunk = list(itertools.islice(rows, EMIT_CHUNK_ROWS))
-    if chunk:
-        row_format = ",".join(
-            "%d" if isinstance(v, (int, np.integer)) else "%.16e" for v in chunk[0]
-        ) + "\n"
-    while chunk:
-        flat = tuple(itertools.chain.from_iterable(chunk))
-        fh.write((row_format * len(chunk)) % flat)
-        chunk = list(itertools.islice(rows, EMIT_CHUNK_ROWS))
+    first = next(rows, None)
+    if isinstance(first, np.ndarray) and first.ndim == 2:
+        for block in itertools.chain((first,), rows):
+            for start in range(0, len(block), EMIT_CHUNK_ROWS):
+                yield block[start:start + EMIT_CHUNK_ROWS]
+    elif first is not None:
+        rows = itertools.chain((first,), rows)
+        while chunk := list(itertools.islice(rows, EMIT_CHUNK_ROWS)):
+            yield chunk
+
+
+# Decimal exponents the fast path meets: the floor(log10) estimate of a value
+# in [1e-99, 1e100) and its correction by one either way.
+_EXPONENTS = range(-101, 102)
+# One formatted value: d.dddddddddddddddde+dd and its ',' or '\n'.
+_SLOT = 23
+
+
+@functools.cache
+def _decimal_tables():
+    """Powers of ten 10^(16-e) for e in `_EXPONENTS`, correctly rounded to
+    long double, and the four bytes ``e+dd`` for each exponent -99..99; None
+    where long double is not the x87 format with its 64-bit mantissa, whose
+    rounding bound `_decimal_rows` relies on.  Built on first use, so that
+    importing the CLI costs nothing."""
+    if np.finfo(np.longdouble).nmant != 63:
+        return None
+    powers = np.array([np.longdouble(f"1e{16 - e}") for e in _EXPONENTS])
+    exponents = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-99, 100)), "<u4")
+    return powers, exponents
+
+
+def _field(buf, offset: int, dtype: str):
+    # The bytes from ``offset`` on in each slot of ``buf`` as one integer per
+    # slot; unaligned, as a slot is 23 bytes.
+    count = buf.size // _SLOT
+    return np.ndarray((count,), dtype, buffer=buf, offset=offset, strides=(_SLOT,))
+
+
+def _ascii_8(n):
+    # Eight decimal digits of each n < 10^8 (a uint64 array, overwritten) as
+    # one little-endian word of ASCII bytes, most significant digit first:
+    # split into 4-digit halves in 32-bit lanes, each lane into 2-digit
+    # 16-bit lanes, each of those into 8-bit digits.  x // 100 =
+    # (x * 5243) >> 19 for x < 10^4 and x // 10 = (x * 103) >> 10 for
+    # x < 100, and no product carries out of its lane.
+    q = n // 10000
+    n -= q * 10000
+    n <<= 32
+    n |= q
+    q = n * 5243
+    q >>= 19
+    q &= 0x0000007F0000007F
+    n -= q * 100
+    n <<= 16
+    n |= q
+    q = n * 103
+    q >>= 10
+    q &= 0x000F000F000F000F
+    n -= q * 10
+    n <<= 8
+    n |= q
+    n += 0x3030303030303030
+    return n
+
+
+def _decimal_rows(block, row_format: str) -> str:
+    """``(row_format * len(block)) % values`` for a 2-D float64 ``block``,
+    formatted as arrays.
+
+    A value x in [1e-99, 1e100) is scaled to r = x 10^(16-e) in [1e16, 1e17)
+    in long double; its 17 digits are those of r rounded to an integer.  The
+    power and the product are each rounded to 64 bits, so r is within
+    2 2^-64 r < 0.011 of the exact scaled value, and the rounding is certain
+    unless r lies within 0.02 of a half.  Those values (about 4% of a smooth
+    curve) are formatted by ``%.16e`` into their 22-byte slot, as Grisu3
+    defers to an exact method (Loitsch 2010).  Rows holding a value outside
+    that range (zero, negative, nan, inf, or a 3-digit exponent) are
+    formatted by ``row_format`` whole.
+
+    Temporaries are updated in place or dropped once used, so that a chunk
+    costs little more memory than its text.
+    """
+    powers, exponents = _decimal_tables()
+    rows, cols = block.shape
+    x = block.ravel()
+    fast = (x >= 1e-99) & (x < 1e100)
+    xs = np.where(fast, x, 1.0)
+    e = np.log10(xs)
+    e = np.floor(e, out=e).astype(np.intp)
+    r = xs.astype(np.longdouble)
+    r *= powers[e - _EXPONENTS.start]
+    q = r.astype(np.uint64)
+    off = np.flatnonzero((q < 10**16) | (q >= 10**17))
+    if off.size:
+        e[off] += np.where(q[off] < 10**16, -1, 1)
+        r[off] = xs[off].astype(np.longdouble) * powers[e[off] - _EXPONENTS.start]
+        q[off] = r[off].astype(np.uint64)
+    del xs
+    r -= q
+    frac = r.astype(np.float64)
+    del r
+    unsure = np.abs(frac - 0.5) < 0.02
+    q += frac > 0.5
+    del frac
+    carry = np.flatnonzero(q == 10**17)
+    q[carry] = 10**16
+    e[carry] += 1
+
+    buf = np.empty((rows, cols, _SLOT), np.uint8)
+    buf[:, :, -1] = ord(",")
+    buf[:, -1, -1] = ord("\n")
+    lead = q // 10**16
+    q -= lead * 10**16
+    lead += ord("0") + (ord(".") << 8)
+    _field(buf, 0, "<u2")[...] = lead
+    del lead
+    hi = q // 10**8
+    q -= hi * 10**8
+    _field(buf, 2, "<u8")[...] = _ascii_8(hi)
+    _field(buf, 10, "<u8")[...] = _ascii_8(q)
+    _field(buf, 18, "<u4")[...] = exponents[e + 99]
+
+    whole = ~fast.reshape(rows, cols).all(axis=1)
+    exact = np.flatnonzero(unsure & np.repeat(~whole, cols))
+    if exact.size:
+        text = ("%.16e" * exact.size) % tuple(x[exact].tolist())
+        buf.reshape(x.size, _SLOT)[exact, :-1] = np.frombuffer(
+            text.encode("ascii"), np.uint8
+        ).reshape(exact.size, _SLOT - 1)
+    lines = buf.reshape(rows, cols * _SLOT)
+    if not whole.any():
+        return str(lines, "ascii")
+    # Runs of rows alternate between the two paths; splice them in order.
+    edges = [0, *(np.flatnonzero(np.diff(whole)) + 1).tolist(), rows]
+    parts = []
+    for start, stop in zip(edges, edges[1:]):
+        if whole[start]:
+            values = tuple(block[start:stop].ravel().tolist())
+            parts.append((row_format * (stop - start)) % values)
+        else:
+            parts.append(str(lines[start:stop], "ascii"))
+    return "".join(parts)
 
 
 def _rotor_config(args, alpha: float, ratio: float) -> spin.RotorConfig:
@@ -340,8 +512,8 @@ def _run_well(args) -> int:
     elif args.command == "force-scan":
         lo, hi = args.gamma
         profile = well.force_scan(lo, hi, args.points, args.levels, args.step)
-        rows = zip(profile.gamma, profile.energy, profile.force)
-        write_table(["gamma", "E_over_E1", "F_over_E1_per_Q0"], rows, args.output)
+        table = np.column_stack((profile.gamma, profile.energy, profile.force))
+        write_table(["gamma", "E_over_E1", "F_over_E1_per_Q0"], table, args.output)
     elif args.command == "oracle-check":
         qspec = well.QuadratureSpec(tolerance=args.quad_tol)
         rows = []
@@ -368,24 +540,23 @@ def _run_spin(args) -> int:
     if args.command == "return-prob":
         cfg = _rotor_config(args, args.alpha, args.ratio)
         fractions = np.linspace(0.0, 1.0, args.points)
-        rows = [
-            (f, spin.return_probability(f * cfg.drive_period, spin.UPPER, cfg))
-            for f in fractions
-        ]
-        write_table(["t_over_period", "rho1"], rows, args.output)
+        rho = [spin.return_probability(f * cfg.drive_period, spin.UPPER, cfg)
+               for f in fractions]
+        write_table(["t_over_period", "rho1"], np.column_stack((fractions, rho)),
+                    args.output)
     elif args.command == "omega-scan":
         cfg = _rotor_config(args, args.alpha[0], 1.0)
         lo, hi = args.ratio
         curves = spin.omega_scan(lo, hi, args.points, args.alpha, cfg)
         if len(curves) == 1:
-            rows = zip(curves[0].ratios, curves[0].probabilities)
-            write_table(["omega_over_omega0", "rho1"], rows, args.output)
+            table = np.column_stack((curves[0].ratios, curves[0].probabilities))
+            write_table(["omega_over_omega0", "rho1"], table, args.output)
         else:
-            rows = itertools.chain.from_iterable(
-                zip(itertools.repeat(curve.alpha), curve.ratios, curve.probabilities)
-                for curve in curves
+            blocks = (
+                np.column_stack((np.full(len(c.ratios), c.alpha), c.ratios, c.probabilities))
+                for c in curves
             )
-            write_table(["alpha_rad", "omega_over_omega0", "rho1"], rows, args.output)
+            write_table(["alpha_rad", "omega_over_omega0", "rho1"], blocks, args.output)
     elif args.command == "threshold":
         cfg = _rotor_config(args, args.alpha, 1.0)
         lo, hi = args.ratio

@@ -49,6 +49,22 @@ class RotorConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0.0 <= self.alpha <= math.pi:
             raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
+        # rabi_lambda squares the frequencies as Python floats, which raise
+        # OverflowError past sqrt(DBL_MAX) instead of returning inf
+        top = kernels.MAX_RATIO
+        omega0 = self.omega0
+        if not 0.0 < omega0 <= top:
+            raise ValueError(
+                f"Larmor frequency charge * field_strength / mass must lie in "
+                f"(0, {top:g}] rad/s, got {omega0}"
+            )
+        if not self.omega / omega0 <= top:
+            raise ValueError(
+                f"drive ratio omega / omega0 must be at most {top:g}, "
+                f"got {self.omega / omega0:g}"
+            )
+        if not self.omega <= top:
+            raise ValueError(f"omega must be at most {top:g} rad/s, got {self.omega}")
 
     @property
     def omega0(self) -> float:
@@ -145,14 +161,11 @@ def hamiltonian(t: float, cfg: RotorConfig) -> np.ndarray:
 
     Traceless Hermitian with eigenvalues +/- hbar*omega0/2 at every instant:
     (hbar*omega0/2) times the field direction contracted with the Pauli
-    matrices.
+    matrices.  It is i hbar A(t) for the generator A of the RK4 oracle,
+    y' = A(t) y, so the two share one matrix.
     """
-    ca = math.cos(cfg.alpha)
-    sa = math.sin(cfg.alpha)
-    ph = cfg.omega * t
-    off = sa * complex(math.cos(ph), -math.sin(ph))
-    scale = 0.5 * HBAR * cfg.omega0
-    return scale * np.array([[ca, off], [off.conjugate(), -ca]], dtype=complex)
+    a00, a01, a10, a11 = kernels._spin_generator(t, cfg.alpha, cfg.omega, cfg.omega0)
+    return 1j * HBAR * np.array([[a00, a01], [a10, a11]], dtype=complex)
 
 
 def instantaneous_eigenstates(

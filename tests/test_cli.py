@@ -1,17 +1,24 @@
+import contextlib
 import csv
+import functools
+import io
 import math
 import os
+import itertools
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quenchkit import cli, spin, well
+from quenchkit import cli, kernels, well
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +167,9 @@ class TestExitCodes:
              "at gamma = 1e-120 "),
             (["well", "force-scan", "--gamma", "0.5:2", "--points", "11", "--step", "0.3"],
              "got -0.09999999999999998"),
+            # (omega - omega0) ** 2 in spin.rabi_lambda raised OverflowError
+            (["spin", "return-prob", "--ratio", "1e200", "--points", "3"], "got 1e+200"),
+            (["spin", "ode-check", "--ratio-list", "1e200"], "got 1e+200"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -175,6 +185,35 @@ class TestExitCodes:
         assert out == ""
         assert named in stderr
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["well", "coeffs", "--levels"],
+            ["well", "energy-scan", "--points"],
+            ["well", "force-scan", "--levels"],
+            ["well", "oracle-check", "--max-level"],
+            ["spin", "omega-scan", "--points"],
+            ["spin", "ode-check", "--samples"],
+        ],
+        ids=" ".join,
+    )
+    def test_sizes_above_the_budget_exit_2(self, argv, capsys):
+        # refused while parsing, by size: nothing is allocated
+        too_big = cli.MAX_ELEMENTS + 1
+        with pytest.raises(SystemExit) as err:
+            cli.main([*argv, str(too_big)])
+        assert err.value.code == 2
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        (error,) = [line for line in stderr.splitlines() if "error:" in line]
+        assert error.endswith(
+            f"argument {argv[-1]}: {too_big} "
+            f"exceeds the size budget of {cli.MAX_ELEMENTS} elements"
+        )
+        assert "Traceback" not in stderr
+        # the budget itself parses
+        assert cli.build_parser().parse_args([*argv, str(cli.MAX_ELEMENTS)])
 
     @pytest.mark.parametrize("command", ["energy-scan", "force-scan", "oracle-check"])
     @pytest.mark.parametrize("flag", ["--mass", "--planck", "--width"])
@@ -496,3 +535,147 @@ class TestWriteTable:
         assert cli.main([*argv, "-o", str(path)]) == 0
         assert capsys.readouterr().out == ""
         assert path.read_bytes() == out.encode("utf-8")
+
+
+def _written(header, rows) -> bytes:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.write_table(header, rows, None)
+    return out.getvalue().encode("utf-8")
+
+
+def _assert_matches_per_value(values, cols=2):
+    """A float64 table of ``values`` (cut to whole rows of ``cols``) is
+    written with the per-value writer's bytes."""
+    flat = np.asarray(values, dtype=float)
+    table = flat[: flat.size // cols * cols].reshape(-1, cols)
+    header = [f"c{i}" for i in range(cols)]
+    assert _written(header, table) == _per_value_table(header, table).encode("utf-8")
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+def _curve(points=10_000):
+    """The kind of table bulk output is made of: an omega-scan curve."""
+    ratios = np.linspace(0.05, 20.0, points)
+    return np.column_stack((ratios, kernels.cycle_return_curve(ratios, 0.7)))
+
+
+def _ties():
+    # x = n / 2^j with n odd is exactly n 5^j / 10^j, whose last digit is 5;
+    # with 18 significant digits its 17-digit rounding is an exact tie
+    ties = []
+    for j in range(2, 25):
+        lo, hi = -(-(10**17) // 5**j), min(2**53, 10**18 // 5**j)
+        ties += [((lo + (hi - lo) * k // 40) | 1) / 2**j for k in range(40)]
+    return ties
+
+
+def _round_to_64_bits(value: Fraction) -> Fraction:
+    # nearest number with a 64-bit significand, ties to even
+    shift = value.numerator.bit_length() - value.denominator.bit_length() - 64
+    while value / Fraction(2) ** shift >= 2**64:
+        shift += 1
+    while value / Fraction(2) ** shift < 2**63:
+        shift -= 1
+    return round(value / Fraction(2) ** shift) * Fraction(2) ** shift
+
+
+_POWERS_OF_TEN = [float(f"1e{k}") for k in range(-100, 101)]
+_FIXED_VALUES = {
+    "i*10^-j": [float(f"{i}e-{j}") for i in range(1, 3000) for j in range(30)],
+    "2^53+i scaled": [
+        float(f"{2**53 + i}e{k}") for i in range(-500, 500) for k in range(-110, 90, 9)
+    ],
+    "exponent edges": [
+        1e-99, np.nextafter(1e-99, 0.0), np.nextafter(1e-99, 1.0),
+        9.999999999999999e99, np.nextafter(1e100, 0.0), 1e100, np.nextafter(1e100, math.inf),
+    ],
+    # floor(log10(x)) overshoots just below a power of ten
+    "near powers of ten": [
+        np.nextafter(p, toward) for p in _POWERS_OF_TEN for toward in (0.0, math.inf)
+    ] + _POWERS_OF_TEN,
+    "exact ties": _ties(),
+    "random": np.random.default_rng(20261018)
+    .integers(1, 0x7FF0000000000000, 2**16, dtype=np.uint64)
+    .view(np.float64),
+}
+
+
+class TestDecimalRows:
+    """`cli.write_table` formats float64 arrays as arrays; the bytes must be
+    those of ``format(v, ".16e")`` for every value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bits=st.lists(
+            st.integers(1, 0x7FEFFFFFFFFFFFFF)  # every positive finite double
+            | st.integers(_bits(1e-99), _bits(1e100) - 1),  # the array path's range
+            min_size=1,
+            max_size=300,
+        ),
+        cols=st.integers(1, 3),
+    )
+    def test_random_bit_patterns_match_per_value_writer(self, bits, cols):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        _assert_matches_per_value(np.resize(values, max(cols, values.size)), cols)
+
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(_FIXED_VALUES))
+    def test_fixed_cases_match_per_value_writer(self, case, cols):
+        _assert_matches_per_value(_FIXED_VALUES[case], cols)
+
+    def test_ties_are_exact(self):
+        for x in _ties():
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+
+    @pytest.mark.parametrize("shift", [-0.5, 0.5])
+    def test_exponent_estimate_off_by_one_is_corrected(self, shift, monkeypatch):
+        # floor(log10(x)) is never too low for a correctly rounded log10; a
+        # shifted one is one too low (or high) for about half of the values
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        _assert_matches_per_value(np.concatenate([
+            _FIXED_VALUES["near powers of ten"], _FIXED_VALUES["exponent edges"],
+            _curve(2000).ravel()]))
+
+    def test_rows_outside_the_range_are_spliced_in_order(self):
+        table = _curve(3 * cli.EMIT_CHUNK_ROWS)
+        for row, bad in zip(range(5, len(table), 977),
+                            itertools.cycle([0.0, -1.5, math.nan, math.inf, 1e-200, 1e200])):
+            table[row, row % 2] = bad
+        table[:3, 1] = 0.0  # a chunk that starts with such rows
+        table[-2:, 0] = -0.0  # and one that ends with them
+        header = ["a", "b"]
+        assert _written(header, table) == _per_value_table(header, table).encode()
+
+    def test_blocks_of_rows(self):
+        # multi-angle omega-scan hands over one block per curve
+        blocks = [_curve(cli.EMIT_CHUNK_ROWS + 5), _curve(3), _curve(0)]
+        header = ["a", "b"]
+        expected = _per_value_table(header, np.concatenate(blocks))
+        assert _written(header, iter(blocks)) == expected.encode()
+
+    def test_without_x87_long_double_bytes_are_unchanged(self, monkeypatch):
+        finfo = np.finfo
+        monkeypatch.setattr(
+            np, "finfo",
+            lambda t: SimpleNamespace(nmant=52) if t is np.longdouble else finfo(t))
+        monkeypatch.setattr(
+            cli, "_decimal_tables", functools.cache(cli._decimal_tables.__wrapped__))
+        assert cli._decimal_tables() is None
+        _assert_matches_per_value(_curve().ravel())
+        _assert_matches_per_value(_FIXED_VALUES["random"])
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant != 63, reason="no x87 long double: no table"
+    )
+    def test_power_table_is_correctly_rounded(self):
+        powers, _ = cli._decimal_tables()
+        assert len(powers) == len(cli._EXPONENTS)
+        for e, power in zip(cli._EXPONENTS, powers):
+            exact = _round_to_64_bits(Fraction(10) ** (16 - e))
+            assert Fraction(*power.as_integer_ratio()) == exact, e

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quenchkit import spin
+from quenchkit import kernels, spin
 from quenchkit.numerics import OdeSpec, ode_evolve
 from quenchkit.spin import (
     HBAR,
@@ -64,6 +64,23 @@ class TestConfig:
     def test_at_ratio_rejects_infinite_ratio(self):
         with pytest.raises(ValueError, match="omega must be finite and positive, got inf"):
             RotorConfig.at_ratio(math.inf)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # (omega - omega0) ** 2 in rabi_lambda raised OverflowError here
+            ({"ratio": 1e200}, r"drive ratio omega / omega0 must be at most 1e\+150, got 1e\+200"),
+            ({"ratio": 1e145}, r"omega must be at most 1e\+150 rad/s"),
+            ({"ratio": 1.0, "field_strength": 1e200}, r"Larmor frequency .* must lie in"),
+            ({"ratio": 1.0, "charge": 1e-300, "mass": 1e300}, r"got 0\.0"),
+        ],
+    )
+    def test_frequencies_bounded_so_squares_stay_finite(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RotorConfig.at_ratio(**kwargs)
+
+    def test_largest_accepted_drive_has_finite_precession_rate(self):
+        assert math.isfinite(RotorConfig(omega=kernels.MAX_RATIO).rabi_lambda)
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=angles, ratio=ratios)
