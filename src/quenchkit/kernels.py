@@ -38,38 +38,76 @@ def resonances(gamma, resonance_tol):
     return nearest, identity, resonant
 
 
-def expansion_coefficients(gamma, n_max, resonance_tol):
+def level_terms(n_max):
+    """The row operands shared by every coefficient row: ``(n, n*n, n*pi)``
+    for n = 1..n_max.  A caller computing many blocks at one ``n_max`` forms
+    them once and passes them to `expansion_coefficients`."""
+    n = np.arange(1.0, n_max + 1.0)
+    return n, n * n, n * np.pi
+
+
+def expansion_coefficients(gamma, n_max, resonance_tol, out=None, terms=None):
     """Overlaps b_n, n = 1..n_max, of the frozen ground state with the
     post-quench levels: shape ``(n_max,)`` for a scalar ``gamma`` and
     ``(len(gamma), n_max)`` for a 1-D array.
 
     Each row is computed by its own regime's formula only: the identity
     (b_1 = 1), shrink (gamma < 1), or expansion (gamma > 1), where the level
-    on an integer resonance gets 1/sqrt(gamma).
+    on an integer resonance gets 1/sqrt(gamma).  For a 1-D ``gamma`` the
+    rows may go into ``out``, a C-contiguous float array of the result's
+    shape, which is then returned; ``terms`` is `level_terms(n_max)`.
+    Either way every double is the same.
     """
     g = np.asarray(gamma, dtype=float)
     rows = np.atleast_1d(g)
-    n = np.arange(1.0, n_max + 1.0)
-    b = np.zeros((rows.size, n_max))
+    n, nn, npi = level_terms(n_max) if terms is None else terms
+    b = np.empty((rows.size, n_max)) if out is None else out
     nearest, identity, resonant = resonances(rows, resonance_tol)
-    b[identity, 0] = 1.0
-    shrink = np.flatnonzero(~identity & (rows < 1.0))
-    if shrink.size:
-        gs = rows[shrink, None]
-        sign = np.where(n % 2.0 == 1.0, -1.0, 1.0)
-        pref = 2.0 * np.sqrt(gs) * np.sin(np.pi * gs)
-        b[shrink] = sign * pref * n / (np.pi * (gs * gs - n * n))
-    expand = np.flatnonzero(~identity & (rows >= 1.0))
-    if expand.size:
-        ge = rows[expand, None]
-        den = np.pi * (ge * ge - n * n)
-        res = np.flatnonzero(resonant[expand] & (nearest[expand] <= n_max))
-        level = nearest[expand][res].astype(np.intp) - 1
-        den[res, level] = 1.0  # dummy, overwritten below
-        be = 2.0 * ge * np.sqrt(ge) * np.sin(n * np.pi / ge) / den
-        be[res, level] = 1.0 / np.sqrt(ge[res, 0])
-        b[expand] = be
+    shrink = ~identity & (rows < 1.0)
+    expand = ~identity & (rows >= 1.0)
+    if shrink.all():
+        _shrink_rows(rows, n, nn, b)
+    elif expand.all():
+        _expand_rows(rows, nearest, resonant, nn, npi, b)
+    else:  # a mixed block: each regime's rows through a block of their own
+        b[identity] = 0.0
+        b[identity, 0] = 1.0
+        if shrink.any():
+            b[shrink] = _shrink_rows(rows[shrink], n, nn, None)
+        if expand.any():
+            b[expand] = _expand_rows(
+                rows[expand], nearest[expand], resonant[expand], nn, npi, None
+            )
     return b[0] if g.ndim == 0 else b
+
+
+def _shrink_rows(gamma, n, nn, out):
+    # (-1)^n 2 sqrt(g) sin(pi g) n / (pi (g^2 - n^2)) for each g < 1, into out
+    g = gamma[:, None]
+    den = g * g - nn
+    den *= np.pi
+    sign = np.where(n % 2.0 == 1.0, -1.0, 1.0)
+    out = np.multiply(sign, 2.0 * np.sqrt(g) * np.sin(np.pi * g), out=out)
+    out *= n
+    out /= den
+    return out
+
+
+def _expand_rows(gamma, nearest, resonant, nn, npi, out):
+    # 2 g^(3/2) sin(n pi / g) / (pi (g^2 - n^2)) for each g >= 1, into out;
+    # the level on a resonance gets 1/sqrt(g) in place of 0/0
+    g = gamma[:, None]
+    den = g * g - nn
+    den *= np.pi
+    res = np.flatnonzero(resonant & (nearest <= len(nn)))
+    level = nearest[res].astype(np.intp) - 1
+    den[res, level] = 1.0  # dummy, overwritten below
+    out = np.divide(npi, g, out=out)
+    np.sin(out, out=out)
+    out *= 2.0 * g * np.sqrt(g)
+    out /= den
+    out[res, level] = 1.0 / np.sqrt(gamma[res])
+    return out
 
 
 # Steps whose RK4 increments are built at once; bounds the temporaries of

@@ -26,6 +26,11 @@ LOWER = "lower"  # eigenvalue -hbar*omega0/2
 DEFAULT_RATIO_RANGE = (0.05, 20.0)
 DEFAULT_SCAN_POINTS = 10_000
 
+# Most RK4 steps one trajectory may take: ~10 s of the scalar step loop, far
+# above the 10^4 a cycle at a drive ratio >= 0.2 takes.  At least 20 steps
+# per Larmor period make a slow drive costly: ratio 1e-9 would need 2e10.
+MAX_RK4_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class RotorConfig:
@@ -50,21 +55,18 @@ class RotorConfig:
         if not 0.0 <= self.alpha <= math.pi:
             raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
         # rabi_lambda squares the frequencies as Python floats, which raise
-        # OverflowError past sqrt(DBL_MAX) instead of returning inf
+        # OverflowError past sqrt(DBL_MAX) instead of returning inf; below
+        # 1 / MAX_RATIO a ratio or a period leaves the range of a double.
+        # The Larmor frequency comes first, as every ratio divides by it.
         top = kernels.MAX_RATIO
         omega0 = self.omega0
-        if not 0.0 < omega0 <= top:
+        if not 1.0 / top <= omega0 <= top:
             raise ValueError(
                 f"Larmor frequency charge * field_strength / mass must lie in "
-                f"(0, {top:g}] rad/s, got {omega0}"
+                f"[{1.0 / top:g}, {top:g}] rad/s, got {omega0}"
             )
-        if not self.omega / omega0 <= top:
-            raise ValueError(
-                f"drive ratio omega / omega0 must be at most {top:g}, "
-                f"got {self.omega / omega0:g}"
-            )
-        if not self.omega <= top:
-            raise ValueError(f"omega must be at most {top:g} rad/s, got {self.omega}")
+        _check_bounded("drive ratio omega / omega0", self.omega / omega0, "")
+        _check_bounded("omega", self.omega, " rad/s")
 
     @property
     def omega0(self) -> float:
@@ -83,7 +85,9 @@ class RotorConfig:
     @classmethod
     def at_ratio(cls, ratio: float, alpha: float = math.pi / 4, **kwargs) -> "RotorConfig":
         """Config with the drive at ``ratio`` times the Larmor frequency."""
-        probe = cls(alpha=alpha, **kwargs)
+        # only the probe's Larmor frequency is read; its 1 rad/s drive meets
+        # every ratio bound whenever that frequency is valid
+        probe = cls(alpha=alpha, omega=1.0, **kwargs)
         return cls(
             field_strength=probe.field_strength,
             charge=probe.charge,
@@ -91,6 +95,14 @@ class RotorConfig:
             alpha=alpha,
             omega=ratio * probe.omega0,
         )
+
+
+def _check_bounded(name: str, value: float, unit: str) -> None:
+    top = kernels.MAX_RATIO
+    if not value <= top:
+        raise ValueError(f"{name} must be at most {top:g}{unit}, got {value:g}")
+    if not value >= 1.0 / top:
+        raise ValueError(f"{name} must be at least {1.0 / top:g}{unit}, got {value:g}")
 
 
 def rabi_lambda(omega: float, omega0: float, alpha: float) -> float:
@@ -255,6 +267,12 @@ def ode_trajectory(
         100,
     )
     n_steps = math.ceil(n_steps / samples) * samples
+    if n_steps > MAX_RK4_STEPS:
+        raise ValueError(
+            f"RK4 over t = {t:g} s at drive ratio omega / omega0 = "
+            f"{cfg.omega / cfg.omega0:g} needs {n_steps} steps, above the budget "
+            f"of {MAX_RK4_STEPS}"
+        )
     stride = n_steps // samples
     states, drift = kernels.spin_rk4(
         cfg.alpha, cfg.omega, cfg.omega0, t, n_steps, initial.up, initial.down, stride
@@ -303,9 +321,10 @@ def omega_scan(
     cfg: RotorConfig | None = None,
 ) -> list[ReturnCurve]:
     """Single-cycle return probability curves, one per cone angle."""
-    if not 0.0 < ratio_min < ratio_max <= kernels.MAX_RATIO:
+    top = kernels.MAX_RATIO
+    if not 1.0 / top <= ratio_min < ratio_max <= top:
         raise ValueError(
-            f"need 0 < ratio_min < ratio_max <= {kernels.MAX_RATIO:g}, "
+            f"need {1.0 / top:g} <= ratio_min < ratio_max <= {top:g}, "
             f"got [{ratio_min}, {ratio_max}]"
         )
     if points < 2:

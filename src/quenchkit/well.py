@@ -263,25 +263,32 @@ def _energies(gammas: np.ndarray, n_levels: int, tol: float):
     """Renormalized, raw and captured energies at each of ``gammas``.
 
     The coefficient rows are computed a block of about `ENERGY_BLOCK`
-    elements at a time; each row's sums are the same doubles as for that
-    gamma alone.
+    elements at a time into one buffer, squared and weighted in place; each
+    row's sums are the same doubles as for that gamma alone.
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     in_domain = (gammas > 0.0) & (gammas <= kernels.MAX_RATIO)
     if not in_domain.all():
         _check_gamma(float(gammas[np.argmin(in_domain)]))
-    n = np.arange(1.0, n_levels + 1.0)
+    terms = kernels.level_terms(n_levels)
+    n = terms[0]
     raw = np.empty(len(gammas))
     captured = np.empty(len(gammas))
     rows = max(1, ENERGY_BLOCK // n_levels)
+    buffer = np.empty((min(rows, len(gammas)), n_levels))
     for start in range(0, len(gammas), rows):
         block = slice(start, start + rows)
         g = gammas[block]
-        b = kernels.expansion_coefficients(g, n_levels, tol)
-        rho = b * b
-        captured[block] = np.sum(rho, axis=1)
-        raw[block] = np.sum(rho * n * n, axis=1) / (g * g)
+        rho = kernels.expansion_coefficients(
+            g, n_levels, tol, out=buffer[: len(g)], terms=terms
+        )
+        rho *= rho
+        np.sum(rho, axis=1, out=captured[block])
+        rho *= n
+        rho *= n
+        np.sum(rho, axis=1, out=raw[block])
+        raw[block] /= g * g
     if not (captured > 0.0).all():
         g = gammas[np.argmin(captured > 0.0)]
         raise ValueError(

@@ -170,6 +170,15 @@ class TestExitCodes:
             # (omega - omega0) ** 2 in spin.rabi_lambda raised OverflowError
             (["spin", "return-prob", "--ratio", "1e200", "--points", "3"], "got 1e+200"),
             (["spin", "ode-check", "--ratio-list", "1e200"], "got 1e+200"),
+            # tiny ratios once wrote nan rows with exit 0, warned and then
+            # failed with "math domain error", or blamed a ratio never given
+            (["spin", "omega-scan", "--ratio", "1e-320:1e-300", "--points", "3"],
+             "got [1e-320, 1e-300]"),
+            (["spin", "return-prob", "--ratio", "1e-310"], "got 1e-310"),
+            (["spin", "omega-scan", "--b0", "1e-300", "--ratio", "1:2"],
+             "Larmor frequency charge * field_strength / mass must lie in"),
+            # 20 steps per Larmor period: 2e10 RK4 steps, refused before any
+            (["spin", "ode-check", "--ratio-list", "1e-9"], "above the budget of 10000000"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -491,6 +500,40 @@ class TestWriteTable:
         )
         assert code == 0
         assert out == "gamma,E_over_E1,F_over_E1_per_Q0\n"
+
+    def test_package_import_loads_no_numpy(self):
+        # the public names resolve on first use; numpy loads with them
+        code = (
+            "import sys, quenchkit\n"
+            "assert 'numpy' not in sys.modules\n"
+            "from quenchkit import decompose, RotorConfig, integrate\n"
+            "missing = [n for n in quenchkit.__all__ if not hasattr(quenchkit, n)]\n"
+            "print(missing, 'numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert proc.stderr == b""
+        assert proc.stdout == b"[] True\n"
+
+    @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+    def test_cli_limits_openblas_threads_before_numpy_loads(self, preset, seen):
+        # `run` sets the default, then hands over to the CLI; a stand-in CLI
+        # reports what numpy would see when the real one imports it
+        code = (
+            "import os, sys, types\n"
+            "from quenchkit import __main__ as entry\n"
+            "def report():\n"
+            "    print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)\n"
+            "sys.modules['quenchkit.cli'] = types.SimpleNamespace(entrypoint=report)\n"
+            "entry.run()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert proc.stderr == b""
+        assert proc.stdout == f"{seen} False\n".encode()
 
     def test_closed_stdout_pipe_ends_quietly(self):
         # `quenchkit ... | head -1`: once the reader is gone the writer stops

@@ -142,3 +142,31 @@ def test_rk4_blocks_do_not_change_the_trajectory(monkeypatch):
     np.testing.assert_array_equal(blocked, whole)
     assert blocked_drift == whole_drift
     assert whole_drift <= 1e-13
+
+
+# One gamma of each kind the in-place blocks must reproduce: shrink; the
+# identity and its edges; exact integers, also above 37 levels; resonant
+# within the 1e-9 tolerance; generic expansions.
+SHRINK = [1e-3, 0.3, 0.5, 0.77, 0.999]
+IDENTITY = [1.0, 1.0 - 1e-10, 1.0 + 1e-10]
+EXPAND = [2.0, 3.0, 37.0, 500.0, 3.0 * (1 + 1e-12), 36.0 * (1 - 5e-10), 2.5, 5.123, 40.3]
+
+
+@pytest.mark.parametrize("n_max", [1000, 37])
+@pytest.mark.parametrize(
+    "block",
+    [SHRINK, EXPAND, IDENTITY, SHRINK + IDENTITY + EXPAND, EXPAND[::-1] + SHRINK[:1]],
+    ids=["shrink", "expand", "identity", "mixed", "expand-then-shrink"],
+)
+def test_rows_written_into_out_equal_the_allocated_rows_bitwise(n_max, block):
+    gammas = np.array(block)
+    expected = kernels.expansion_coefficients(gammas, n_max, 1e-9)
+    # stale contents must not leak into any row: nothing is zero-filled
+    out = np.full((len(block), n_max), np.nan)
+    got = kernels.expansion_coefficients(
+        gammas, n_max, 1e-9, out=out, terms=kernels.level_terms(n_max)
+    )
+    assert got is out
+    np.testing.assert_array_equal(_bits(got), _bits(expected))
+    for g, row in zip(block, got):
+        np.testing.assert_array_equal(_bits(row), _bits(per_gamma_coefficients(g, n_max, 1e-9)))

@@ -82,6 +82,26 @@ class TestConfig:
     def test_largest_accepted_drive_has_finite_precession_rate(self):
         assert math.isfinite(RotorConfig(omega=kernels.MAX_RATIO).rabi_lambda)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # 1e-310 * omega0 once went on to a nan row or "math domain error"
+            ({"ratio": 1e-310}, r"drive ratio omega / omega0 must be at least 1e-150, got 1e-310"),
+            ({"ratio": 1e-140, "mass": 1e-8}, r"omega must be at least 1e-150 rad/s"),
+            # the probe config once blamed a drive ratio of 1e+300 here
+            ({"ratio": 1.0, "field_strength": 1e-300}, r"Larmor frequency .* must lie in"),
+        ],
+    )
+    def test_tiny_frequencies_name_the_offending_value(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RotorConfig.at_ratio(**kwargs)
+
+    def test_slow_larmor_frequency_is_not_judged_by_the_default_drive(self):
+        # the default 1.72e11 rad/s drive is 1e155 Larmor frequencies here
+        cfg = RotorConfig.at_ratio(2.0, field_strength=1e-155)
+        assert cfg.omega == 2.0 * cfg.omega0
+        assert RotorConfig.at_ratio(1.0 / kernels.MAX_RATIO).omega > 0.0
+
     @settings(max_examples=60, deadline=None)
     @given(alpha=angles, ratio=ratios)
     def test_rabi_rate_triangle_bounds(self, alpha, ratio):
@@ -196,6 +216,25 @@ class TestClosedFormEvolution:
         for t, s in zip(times, states):
             expected = evolve_closed_form(t, branch, cfg).vector
             np.testing.assert_allclose(s, expected, atol=1e-8)
+
+    def test_step_budget_is_checked_before_any_step(self, monkeypatch):
+        # at least 20 steps per Larmor period: ratio 1e-9 would take 2e10
+        def no_stepping(*args):
+            raise AssertionError("stepped past the budget")
+
+        monkeypatch.setattr(kernels, "spin_rk4", no_stepping)
+        cfg = cfg_at(1e-9, math.pi / 4)
+        with pytest.raises(ValueError, match=r"ratio omega / omega0 = 1e-09 needs \d{11} steps"):
+            spin.ode_trajectory(cfg.drive_period, UPPER, cfg)
+
+    def test_step_budget_admits_exactly_its_count(self, monkeypatch):
+        # one cycle at ratio 1 takes the default 10,000 steps per period
+        cfg = cfg_at(1.0, math.pi / 4)
+        monkeypatch.setattr(spin, "MAX_RK4_STEPS", 9_999)
+        with pytest.raises(ValueError, match="needs 10000 steps, above the budget of 9999"):
+            spin.ode_trajectory(cfg.drive_period, UPPER, cfg)
+        monkeypatch.setattr(spin, "MAX_RK4_STEPS", 10_000)
+        assert spin.ode_trajectory(cfg.drive_period, UPPER, cfg)[2] <= 1e-8
 
     def test_kernel_agrees_with_generic_integrator(self):
         cfg = cfg_at(0.7, math.pi / 3)
@@ -331,6 +370,13 @@ class TestOmegaScan:
         with pytest.raises(ValueError, match=r"<= 1e\+150, got \[1.0, 1e\+308\]"):
             omega_scan(1.0, 1e308, 3, [0.5])
         (curve,) = omega_scan(1e100, 1e150, 3, [0.5])
+        assert np.all(np.isfinite(curve.probabilities))
+
+    def test_validation_rejects_tiny_ratios(self):
+        # below 1e-150 the grid once reached subnormals and wrote nan rows
+        with pytest.raises(ValueError, match=r"need 1e-150 <= ratio_min .* got \[1e-320, 1e-300\]"):
+            omega_scan(1e-320, 1e-300, 3, [0.5])
+        (curve,) = omega_scan(1e-150, 1e-149, 3, [0.5])
         assert np.all(np.isfinite(curve.probabilities))
 
 

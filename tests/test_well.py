@@ -443,6 +443,31 @@ class TestScans:
         table = well.captured_scan(0.5, 4.5, 401, 12)
         assert table[:, 1].tolist() == [decompose(g, 12).captured for g in table[:, 0]]
 
+    @pytest.mark.parametrize("n_levels", [1000, 37])
+    def test_in_place_blocks_equal_per_gamma_sums_bitwise(self, n_levels, monkeypatch):
+        # shrink-only and expansion-only runs long enough to fill whole
+        # default blocks at both level counts, with the identity and its
+        # edges, exact integers (also above n_levels), resonances within the
+        # tolerance and generic gammas mixed in between
+        specials = [0.3, 0.999, 1.0, 1.0 - 1e-10, 1.0 + 1e-10, 2.0, 37.0, 500.0,
+                    3.0 * (1 + 1e-12), 36.0 * (1 - 5e-10), 2.5, 40.3]
+        gammas = np.concatenate([
+            np.linspace(0.01, 0.99, 450), specials, np.arange(2.0, 40.0),
+            np.linspace(1.01, 60.0, 450), specials[::-1],
+        ])
+        n = np.arange(1.0, n_levels + 1.0)
+        captured, raw = [], []
+        for g in gammas.tolist():
+            rho = decompose(g, n_levels).populations
+            captured.append(np.sum(rho))
+            raw.append(np.sum(rho * n * n) / (g * g))
+        captured, raw = np.array(captured), np.array(raw)
+        for block in (1, well.ENERGY_BLOCK, 10**9):
+            monkeypatch.setattr(well, "ENERGY_BLOCK", block)
+            got = well._energies(gammas, n_levels, well.DEFAULT_RESONANCE_TOL)
+            for values, expected in zip(got, (raw / captured, raw, captured)):
+                np.testing.assert_array_equal(values.view(np.uint64), expected.view(np.uint64))
+
     def test_force_scan_omits_resonant_grid_points(self):
         profile = force_scan(1.9, 2.1, 3)
         assert profile.gamma.tolist() == [1.9, 2.1]
