@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = wsub.add_parser(
         "force-scan",
         help="wall force; columns gamma,E_over_E1,F_over_E1_per_Q0 "
-        "(integer-resonant grid points omitted)",
+        "(grid points at exact integers gamma >= 1 omitted)",
     )
     p.add_argument("--gamma", type=parse_range, default=(0.1, 5.0), metavar="MIN:MAX")
     p.add_argument("--points", type=_scan_points, default=500)

@@ -6,7 +6,6 @@ grid points), the fixed-step RK4 propagator for the driven two-level system,
 and the single-cycle return-probability curve (10^6 grid points).  Each has
 one implementation here, written on arrays; the scalar entry points in
 `quenchkit.well` and `quenchkit.spin` are thin wrappers over them.
-`resonances` is the one integer-resonance test of the well.
 """
 
 from __future__ import annotations
@@ -22,22 +21,6 @@ BACKEND = "numpy"
 MAX_RATIO = 1e150
 
 
-def resonances(gamma, resonance_tol):
-    """The integer-resonance test, for a scalar or an array of ``gamma``.
-
-    Returns ``(nearest, identity, resonant)``: the nearest integer
-    floor(gamma + 1/2); the identity quench |gamma - 1| <= tol; and an
-    expansion that sits on level k = nearest, |gamma - k| <= tol * k
-    (gamma >= 1 and not the identity).
-    """
-    nearest = np.floor(gamma + 0.5)
-    identity = np.abs(gamma - 1.0) <= resonance_tol
-    resonant = (
-        ~identity & (gamma >= 1.0) & (np.abs(gamma - nearest) <= resonance_tol * nearest)
-    )
-    return nearest, identity, resonant
-
-
 def level_terms(n_max):
     """The row operands shared by every coefficient row: ``(n, n*n, n*pi)``
     for n = 1..n_max.  A caller computing many blocks at one ``n_max`` forms
@@ -46,67 +29,78 @@ def level_terms(n_max):
     return n, n * n, n * np.pi
 
 
-def expansion_coefficients(gamma, n_max, resonance_tol, out=None, terms=None):
+def expansion_coefficients(gamma, n_max, out=None, terms=None):
     """Overlaps b_n, n = 1..n_max, of the frozen ground state with the
     post-quench levels: shape ``(n_max,)`` for a scalar ``gamma`` and
     ``(len(gamma), n_max)`` for a 1-D array.
 
     Each row is computed by its own regime's formula only: the identity
-    (b_1 = 1), shrink (gamma < 1), or expansion (gamma > 1), where the level
-    on an integer resonance gets 1/sqrt(gamma).  For a 1-D ``gamma`` the
-    rows may go into ``out``, a C-contiguous float array of the result's
-    shape, which is then returned; ``terms`` is `level_terms(n_max)`.
-    Either way every double is the same.
+    gamma == 1 (b_1 = 1), shrink (gamma < 1), or expansion (gamma > 1).
+    The one entry per row whose sine and denominator both vanish as gamma
+    nears an integer, level k = rint(gamma) of an expansion and level 1 of a
+    shrink, is computed from the exact difference to that integer, so it
+    keeps full precision next to the integer and an exact integer gamma = k
+    gives b_k = 1/sqrt(k): resonance needs no test and no tolerance window.
+    Every other entry is the plain formula.  For a 1-D ``gamma`` the rows
+    may go into ``out``, a C-contiguous float array of the result's shape,
+    which is then returned; ``terms`` is `level_terms(n_max)`.  Either way
+    every double is the same.
     """
     g = np.asarray(gamma, dtype=float)
     rows = np.atleast_1d(g)
     n, nn, npi = level_terms(n_max) if terms is None else terms
     b = np.empty((rows.size, n_max)) if out is None else out
-    nearest, identity, resonant = resonances(rows, resonance_tol)
-    shrink = ~identity & (rows < 1.0)
-    expand = ~identity & (rows >= 1.0)
+    shrink = rows < 1.0
+    expand = rows > 1.0
     if shrink.all():
         _shrink_rows(rows, n, nn, b)
     elif expand.all():
-        _expand_rows(rows, nearest, resonant, nn, npi, b)
+        _expand_rows(rows, nn, npi, b)
     else:  # a mixed block: each regime's rows through a block of their own
+        identity = rows == 1.0
         b[identity] = 0.0
         b[identity, 0] = 1.0
         if shrink.any():
             b[shrink] = _shrink_rows(rows[shrink], n, nn, None)
         if expand.any():
-            b[expand] = _expand_rows(
-                rows[expand], nearest[expand], resonant[expand], nn, npi, None
-            )
+            b[expand] = _expand_rows(rows[expand], nn, npi, None)
     return b[0] if g.ndim == 0 else b
 
 
 def _shrink_rows(gamma, n, nn, out):
-    # (-1)^n 2 sqrt(g) sin(pi g) n / (pi (g^2 - n^2)) for each g < 1, into out
+    # (-1)^n 2 sqrt(g) sin(pi g) n / (pi (g^2 - n^2)) for each g < 1, into
+    # out, with sin(pi g) = sin(pi (1 - g)) from the exact 1 - g for
+    # g >= 1/2 and level 1's g^2 - 1 as (g - 1)(g + 1), so that level 1 is
+    # 2 sqrt(g) sinc(1 - g) / (1 + g) without cancellation as g -> 1
     g = gamma[:, None]
     den = g * g - nn
+    den[:, 0] = (gamma - 1.0) * (gamma + 1.0)
     den *= np.pi
     sign = np.where(n % 2.0 == 1.0, -1.0, 1.0)
-    out = np.multiply(sign, 2.0 * np.sqrt(g) * np.sin(np.pi * g), out=out)
+    sine = np.sin(np.pi * np.minimum(g, 1.0 - g))
+    out = np.multiply(sign, 2.0 * np.sqrt(g) * sine, out=out)
     out *= n
     out /= den
     return out
 
 
-def _expand_rows(gamma, nearest, resonant, nn, npi, out):
-    # 2 g^(3/2) sin(n pi / g) / (pi (g^2 - n^2)) for each g >= 1, into out;
-    # the level on a resonance gets 1/sqrt(g) in place of 0/0
+def _expand_rows(gamma, nn, npi, out):
+    # 2 g^(3/2) sin(n pi / g) / (pi (g^2 - n^2)) for each g > 1, into out;
+    # level k = rint(g) is sinc(d / g) / sqrt(g) * 2 g / (g + k) from the
+    # exact d = k - g, which is 1/sqrt(g) at d = 0
     g = gamma[:, None]
     den = g * g - nn
     den *= np.pi
-    res = np.flatnonzero(resonant & (nearest <= len(nn)))
-    level = nearest[res].astype(np.intp) - 1
-    den[res, level] = 1.0  # dummy, overwritten below
+    k = np.rint(gamma)
+    rows = np.flatnonzero(k <= len(nn))
+    level = k[rows].astype(np.intp) - 1
+    den[rows, level] = 1.0  # no 0/0 at an exact integer; overwritten below
     out = np.divide(npi, g, out=out)
     np.sin(out, out=out)
     out *= 2.0 * g * np.sqrt(g)
     out /= den
-    out[res, level] = 1.0 / np.sqrt(gamma[res])
+    g, k = gamma[rows], k[rows]
+    out[rows, level] = np.sinc((k - g) / g) / np.sqrt(g) * (2.0 * g / (g + k))
     return out
 
 

@@ -248,6 +248,8 @@ def ode_trajectory(
     """
     if spec is None:
         spec = OdeSpec()
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and non-negative, got {t}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     initial, lower, _, _ = instantaneous_eigenstates(0.0, cfg)
@@ -261,18 +263,17 @@ def ode_trajectory(
         return times, states, 0.0
     fastest = max(cfg.omega, cfg.omega0, cfg.rabi_lambda)
     periods = t / cfg.drive_period
-    n_steps = max(
-        math.ceil(spec.steps_per_period * periods),
-        math.ceil(20.0 * fastest * t / (2.0 * math.pi)),
-        100,
-    )
-    n_steps = math.ceil(n_steps / samples) * samples
+    # rounded up to a multiple of samples in floats, so a huge t meets the
+    # budget as inf instead of overflowing an integer conversion
+    steps = max(spec.steps_per_period * periods, 20.0 * fastest * t / (2.0 * math.pi), 100.0)
+    n_steps = np.ceil(np.ceil(steps) / samples) * samples
     if n_steps > MAX_RK4_STEPS:
         raise ValueError(
             f"RK4 over t = {t:g} s at drive ratio omega / omega0 = "
-            f"{cfg.omega / cfg.omega0:g} needs {n_steps} steps, above the budget "
+            f"{cfg.omega / cfg.omega0:g} needs {n_steps:.0f} steps, above the budget "
             f"of {MAX_RK4_STEPS}"
         )
+    n_steps = int(n_steps)
     stride = n_steps // samples
     states, drift = kernels.spin_rk4(
         cfg.alpha, cfg.omega, cfg.omega0, t, n_steps, initial.up, initial.down, stride

@@ -24,7 +24,6 @@ from quenchkit.numerics import QuadratureSpec, central_difference, integrate
 
 DEFAULT_LEVELS = 10
 DEFAULT_FORCE_STEP = 1e-4
-DEFAULT_RESONANCE_TOL = 1e-9
 
 # Elements of coefficient rows computed at once by the energy scans: bounds
 # their temporaries at a few hundred KiB (2^16 raised well-scan's peak RSS
@@ -51,10 +50,6 @@ class WellConfig:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
 
     @property
-    def hbar(self) -> float:
-        return self.planck / (2.0 * math.pi)
-
-    @property
     def ground_energy(self) -> float:
         """Ground-state energy of the initial box, h^2 / (8 m W^2), in J."""
         return self.planck**2 / (8.0 * self.mass * self.width**2)
@@ -69,27 +64,25 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class QuenchRatio:
-    """Width ratio gamma = (new width) / (initial width), with the relative
-    tolerance used to detect integer resonances gamma = n."""
+    """Width ratio gamma = (new width) / (initial width).  Resonance is exact
+    equality: gamma == 1 is the identity and an integer gamma >= 2 an
+    expansion onto level gamma; any other gamma, however close to an
+    integer, is generic."""
 
     gamma: float
-    resonance_tol: float = DEFAULT_RESONANCE_TOL
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-        if self.resonance_tol < 0.0:
-            raise ValueError(
-                f"resonance_tol must be non-negative, got {self.resonance_tol}"
-            )
 
     @property
     def regime(self) -> Regime:
-        _, identity, resonant = kernels.resonances(self.gamma, self.resonance_tol)
-        if identity:
+        if self.gamma == 1.0:
             return Regime.IDENTITY
         if self.gamma < 1.0:
             return Regime.SHRINK
-        return Regime.EXPAND_RESONANT if resonant else Regime.EXPAND_GENERIC
+        if self.gamma == math.floor(self.gamma):
+            return Regime.EXPAND_RESONANT
+        return Regime.EXPAND_GENERIC
 
     def new_width(self, cfg: WellConfig) -> float:
         return self.gamma * cfg.width
@@ -137,7 +130,8 @@ class EnergyReport:
 
 @dataclass(frozen=True)
 class ForceProfile:
-    """Energy and wall force on a gamma grid (resonant points omitted)."""
+    """Energy and wall force on a gamma grid (grid points at exact integers
+    gamma >= 1 omitted)."""
 
     gamma: np.ndarray = field(repr=False)
     energy: np.ndarray = field(repr=False)  # units of initial ground energy
@@ -154,7 +148,7 @@ def eigen_energy(n: int, width: float, cfg: WellConfig | None = None) -> float:
         raise ValueError(f"level index must be >= 1, got {n}")
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width}")
-    return (cfg.hbar * math.pi * n) ** 2 / (2.0 * cfg.mass * width**2)
+    return (cfg.planck * n) ** 2 / (8.0 * cfg.mass * width**2)
 
 
 def eigen_wavefunction(n, width: float, q):
@@ -175,16 +169,16 @@ def eigen_wavefunction(n, width: float, q):
 def expansion_coefficient(n: int, gamma) -> float:
     """Overlap of the frozen initial ground state with post-quench level ``n``.
 
-    Three closed-form cases (see `kernels.expansion_coefficients`): a shrink
-    formula for gamma < 1, a generic expansion formula for gamma > 1, and
-    1/sqrt(gamma) at integer resonance gamma = n, where the new level
-    reproduces the old state exactly.  The identity case gamma = 1 gives 1
-    for n = 1 and 0 otherwise.
+    Closed forms from `kernels.expansion_coefficients`: a shrink formula for
+    gamma < 1 and an expansion formula for gamma > 1, which gives exactly
+    1/sqrt(gamma) at an integer gamma = n, where the new level reproduces
+    the old state.  The identity case gamma = 1 gives 1 for n = 1 and 0
+    otherwise.
     """
     if n < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
     r = _as_ratio(gamma)
-    return float(kernels.expansion_coefficients(r.gamma, n, r.resonance_tol)[n - 1])
+    return float(kernels.expansion_coefficients(r.gamma, n)[n - 1])
 
 
 def population(n: int, gamma) -> float:
@@ -248,7 +242,7 @@ def decompose(gamma, n_levels: int = DEFAULT_LEVELS) -> SpectralDecomposition:
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     r = _as_ratio(gamma)
-    b = kernels.expansion_coefficients(r.gamma, n_levels, r.resonance_tol)
+    b = kernels.expansion_coefficients(r.gamma, n_levels)
     rho = b * b
     return SpectralDecomposition(
         ratio=r,
@@ -259,7 +253,7 @@ def decompose(gamma, n_levels: int = DEFAULT_LEVELS) -> SpectralDecomposition:
     )
 
 
-def _energies(gammas: np.ndarray, n_levels: int, tol: float):
+def _energies(gammas: np.ndarray, n_levels: int):
     """Renormalized, raw and captured energies at each of ``gammas``.
 
     The coefficient rows are computed a block of about `ENERGY_BLOCK`
@@ -281,7 +275,7 @@ def _energies(gammas: np.ndarray, n_levels: int, tol: float):
         block = slice(start, start + rows)
         g = gammas[block]
         rho = kernels.expansion_coefficients(
-            g, n_levels, tol, out=buffer[: len(g)], terms=terms
+            g, n_levels, out=buffer[: len(g)], terms=terms
         )
         rho *= rho
         np.sum(rho, axis=1, out=captured[block])
@@ -302,7 +296,7 @@ def quench_energy(gamma, n_levels: int = DEFAULT_LEVELS) -> EnergyReport:
     """Truncated post-quench energy in units of the initial ground energy."""
     r = _as_ratio(gamma)
     renormalized, raw, captured = (
-        float(v[0]) for v in _energies(np.array([r.gamma]), n_levels, r.resonance_tol)
+        float(v[0]) for v in _energies(np.array([r.gamma]), n_levels)
     )
     return EnergyReport(
         ratio=r,
@@ -313,14 +307,14 @@ def quench_energy(gamma, n_levels: int = DEFAULT_LEVELS) -> EnergyReport:
     )
 
 
-def _forces(gammas: np.ndarray, n_levels: int, step: float, tol: float) -> np.ndarray:
+def _forces(gammas: np.ndarray, n_levels: int, step: float) -> np.ndarray:
     # `matter_wave_force` at each of ``gammas``, every stencil as arrays
     if not (gammas - step > 0.0).all():
         g = gammas[np.argmin(gammas - step > 0.0)]
         raise ValueError(f"gamma - step must stay positive, got gamma={g}, step={step}")
 
     def energy(x):
-        return _energies(x, n_levels, tol)[0]
+        return _energies(x, n_levels)[0]
 
     k = np.floor(gammas + 0.5)
     one_sided = (k >= 1.0) & (np.abs(gammas - k) < 2.0 * step)
@@ -352,7 +346,7 @@ def matter_wave_force(
     integer replaces the central one.
     """
     r = _as_ratio(gamma)
-    return float(_forces(np.array([r.gamma]), n_levels, step, r.resonance_tol)[0])
+    return float(_forces(np.array([r.gamma]), n_levels, step)[0])
 
 
 def population_scan(gamma, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:
@@ -378,7 +372,7 @@ def energy_scan(
 ) -> np.ndarray:
     """Table of (gamma, renormalized energy) on a uniform grid."""
     grid = _gamma_grid(gamma_min, gamma_max, points)
-    energy = _energies(grid, n_levels, DEFAULT_RESONANCE_TOL)[0]
+    energy = _energies(grid, n_levels)[0]
     return np.column_stack([grid, energy])
 
 
@@ -387,7 +381,7 @@ def captured_scan(
 ) -> np.ndarray:
     """Table of (gamma, probability captured by n_levels) on a uniform grid."""
     grid = _gamma_grid(gamma_min, gamma_max, points)
-    captured = _energies(grid, n_levels, DEFAULT_RESONANCE_TOL)[2]
+    captured = _energies(grid, n_levels)[2]
     return np.column_stack([grid, captured])
 
 
@@ -400,16 +394,16 @@ def force_scan(
 ) -> ForceProfile:
     """Energy and force over a gamma grid.
 
-    Grid points sitting exactly on an integer resonance are omitted: the
-    energy has a kink there and no two-sided derivative exists.
+    Grid points at exact integers gamma >= 1 are omitted: the energy has a
+    kink candidate there and no two-sided derivative is taken.  A point next
+    to an integer, however close, keeps its row.
     """
     grid = _gamma_grid(gamma_min, gamma_max, points)
-    _, identity, resonant = kernels.resonances(grid, DEFAULT_RESONANCE_TOL)
-    kept = grid[~(identity | resonant)]
+    kept = grid[(grid < 1.0) | (grid != np.floor(grid))]
     return ForceProfile(
         gamma=kept,
-        energy=_energies(kept, n_levels, DEFAULT_RESONANCE_TOL)[0],
-        force=_forces(kept, n_levels, step, DEFAULT_RESONANCE_TOL),
+        energy=_energies(kept, n_levels)[0],
+        force=_forces(kept, n_levels, step),
         step=step,
         n_levels=n_levels,
     )

@@ -4,35 +4,40 @@ generic integrator in `numerics`."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quenchkit import kernels
+from quenchkit import kernels, well
 from quenchkit.numerics import OdeSpec, ode_evolve
 
 
-def per_gamma_coefficients(gamma, n_max, resonance_tol):
+def per_gamma_coefficients(gamma, n_max):
     """The one-gamma NumPy kernel that `kernels.expansion_coefficients`
-    replaced; the bit-for-bit reference for its rows."""
-    if abs(gamma - 1.0) <= resonance_tol:
+    replaced, with its closed-form entry at the nearest integer; the
+    bit-for-bit reference for its rows."""
+    if gamma == 1.0:
         b = np.zeros(n_max)
         b[0] = 1.0
         return b
     n = np.arange(1.0, n_max + 1.0)
     if gamma < 1.0:
         sign = np.where(n % 2.0 == 1.0, -1.0, 1.0)
-        pref = 2.0 * math.sqrt(gamma) * math.sin(math.pi * gamma)
-        return sign * pref * n / (np.pi * (gamma * gamma - n * n))
-    nearest = int(math.floor(gamma + 0.5))
-    resonant = 1 <= nearest <= n_max and abs(gamma - nearest) <= resonance_tol * nearest
+        pref = 2.0 * math.sqrt(gamma) * math.sin(math.pi * min(gamma, 1.0 - gamma))
+        den = gamma * gamma - n * n
+        den[0] = (gamma - 1.0) * (gamma + 1.0)
+        return sign * pref * n / (np.pi * den)
+    k = int(np.rint(gamma))
     den = np.pi * (gamma * gamma - n * n)
-    if resonant:
-        den[nearest - 1] = 1.0
+    if k <= n_max:
+        den[k - 1] = 1.0
     b = 2.0 * gamma * math.sqrt(gamma) * np.sin(n * np.pi / gamma) / den
-    if resonant:
-        b[nearest - 1] = 1.0 / math.sqrt(gamma)
+    if k <= n_max:
+        b[k - 1] = np.sinc((k - gamma) / gamma) / math.sqrt(gamma) * (
+            2.0 * gamma / (gamma + k)
+        )
     return b
 
 
@@ -57,43 +62,78 @@ def _bits(a):
 @given(
     gammas=st.lists(_GAMMAS, min_size=1, max_size=12),
     n_max=st.sampled_from([1, 7, 1000]) | st.integers(1, 80),
-    tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6]),
 )
-def test_array_rows_equal_the_per_gamma_formula_bitwise(gammas, n_max, tol):
-    table = kernels.expansion_coefficients(np.array(gammas), n_max, tol)
+def test_array_rows_equal_the_per_gamma_formula_bitwise(gammas, n_max):
+    table = kernels.expansion_coefficients(np.array(gammas), n_max)
     assert table.shape == (len(gammas), n_max)
     for g, row in zip(gammas, table):
-        expected = per_gamma_coefficients(g, n_max, tol)
+        expected = per_gamma_coefficients(g, n_max)
         np.testing.assert_array_equal(_bits(row), _bits(expected))
         np.testing.assert_array_equal(
-            _bits(kernels.expansion_coefficients(g, n_max, tol)), _bits(expected)
+            _bits(kernels.expansion_coefficients(g, n_max)), _bits(expected)
         )
 
 
 def test_rows_are_finite_next_to_every_integer_without_tolerance():
-    # With tol = 0 only exact integers are resonant; one ulp away the
-    # denominator gamma^2 - k^2 must not round to zero.  (The values there
-    # are finite but lose their digits to cancellation: ROADMAP item 2.)
+    # Only exact integers are resonant; one ulp away the denominator
+    # gamma^2 - k^2 must not round to zero.  (The accuracy there is
+    # `test_rows_match_mpmath_next_to_the_integers`.)
     for first in range(1, 2001, 100):
         k = np.arange(first, first + 100, dtype=float)
         gammas = np.concatenate([np.nextafter(k, -np.inf), np.nextafter(k, np.inf), k])
-        table = kernels.expansion_coefficients(gammas, first + 100, 0.0)
+        table = kernels.expansion_coefficients(gammas, first + 100)
         assert np.all(np.isfinite(table))
         on_level = table[np.arange(len(gammas)), np.tile(k.astype(np.intp) - 1, 3)]
         np.testing.assert_array_equal(on_level[-len(k):], 1.0 / np.sqrt(k))
 
 
-@pytest.mark.parametrize(
-    "gamma, expected",
-    [(1.0, (True, False)), (0.5, (False, False)), (3.0 + 1e-12, (False, True)),
-     (2.5, (False, False)), (1.0 + 5e-10, (True, False))],
+def mp_coefficients(gamma, levels):
+    """b_n at the exact double ``gamma``, to 50 digits, for each of ``levels``."""
+    with mpmath.workdps(50):
+        g = mpmath.mpf(gamma)
+        root = mpmath.sqrt(g)
+        out = []
+        for n in levels:
+            if g == 1:
+                out.append(mpmath.mpf(n == 1))
+            elif g < 1:
+                sign = -1 if n % 2 else 1
+                out.append(sign * 2 * n * root * mpmath.sinpi(g) / (mpmath.pi * (g * g - n * n)))
+            elif g == n:
+                out.append(1 / root)
+            else:
+                out.append(
+                    2 * g * root * mpmath.sin(n * mpmath.pi / g) / (mpmath.pi * (g * g - n * n))
+                )
+        return out
+
+
+_SIDE = st.sampled_from([-1.0, 1.0])
+_NEAR_K = st.integers(1, 60) | st.sampled_from([100, 1000, 12345])
+_NEAR_INTEGERS = st.one_of(
+    # expansions (and for k = 1 shrinks) next to k: k (1 +- 10^-e), or one ulp away
+    st.builds(lambda k, e, s: k * (1 + s * 10.0**-e), _NEAR_K, st.integers(3, 16), _SIDE),
+    st.builds(lambda k, s: math.nextafter(k, s * math.inf), _NEAR_K, _SIDE),
+    # shrinks next to 0, 1/2 and 1
+    st.builds(
+        lambda c, e, s: c + s * 10.0**-e, st.sampled_from([0.0, 0.5, 1.0]), st.integers(1, 16), _SIDE
+    ).filter(lambda g: 0.0 < g < 1.0),
 )
-def test_resonances_on_scalars_and_arrays(gamma, expected):
-    _, identity, resonant = kernels.resonances(gamma, 1e-9)
-    assert (bool(identity), bool(resonant)) == expected
-    _, identity, resonant = kernels.resonances(np.array([gamma, gamma]), 1e-9)
-    assert identity.tolist() == [expected[0]] * 2
-    assert resonant.tolist() == [expected[1]] * 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma=_NEAR_INTEGERS, extra=st.integers(0, 40))
+def test_rows_match_mpmath_next_to_the_integers(gamma, extra):
+    # the entry whose sine and denominator both vanish is the closed-form one
+    k = max(1, int(np.rint(gamma)))
+    n_max = k + extra
+    b = kernels.expansion_coefficients(gamma, n_max)
+    ref = float(mp_coefficients(gamma, [k])[0])
+    assert abs(b[k - 1] - ref) <= 2e-15 * abs(ref)
+    if k <= 50:
+        ref = np.array([float(x) for x in mp_coefficients(gamma, range(1, n_max + 1))])
+        assert np.max(np.abs(b - ref)) <= 2e-14 * np.max(np.abs(ref))
+    assert well.decompose(gamma, n_max).captured <= 1.0 + 1e-15
 
 
 def test_numpy_rk4_preserves_norm():
@@ -145,8 +185,8 @@ def test_rk4_blocks_do_not_change_the_trajectory(monkeypatch):
 
 
 # One gamma of each kind the in-place blocks must reproduce: shrink; the
-# identity and its edges; exact integers, also above 37 levels; resonant
-# within the 1e-9 tolerance; generic expansions.
+# identity and its edges; exact integers, also above 37 levels; next to an
+# integer; generic expansions.
 SHRINK = [1e-3, 0.3, 0.5, 0.77, 0.999]
 IDENTITY = [1.0, 1.0 - 1e-10, 1.0 + 1e-10]
 EXPAND = [2.0, 3.0, 37.0, 500.0, 3.0 * (1 + 1e-12), 36.0 * (1 - 5e-10), 2.5, 5.123, 40.3]
@@ -160,13 +200,13 @@ EXPAND = [2.0, 3.0, 37.0, 500.0, 3.0 * (1 + 1e-12), 36.0 * (1 - 5e-10), 2.5, 5.1
 )
 def test_rows_written_into_out_equal_the_allocated_rows_bitwise(n_max, block):
     gammas = np.array(block)
-    expected = kernels.expansion_coefficients(gammas, n_max, 1e-9)
+    expected = kernels.expansion_coefficients(gammas, n_max)
     # stale contents must not leak into any row: nothing is zero-filled
     out = np.full((len(block), n_max), np.nan)
     got = kernels.expansion_coefficients(
-        gammas, n_max, 1e-9, out=out, terms=kernels.level_terms(n_max)
+        gammas, n_max, out=out, terms=kernels.level_terms(n_max)
     )
     assert got is out
     np.testing.assert_array_equal(_bits(got), _bits(expected))
     for g, row in zip(block, got):
-        np.testing.assert_array_equal(_bits(row), _bits(per_gamma_coefficients(g, n_max, 1e-9)))
+        np.testing.assert_array_equal(_bits(row), _bits(per_gamma_coefficients(g, n_max)))

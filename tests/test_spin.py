@@ -236,6 +236,21 @@ class TestClosedFormEvolution:
         monkeypatch.setattr(spin, "MAX_RK4_STEPS", 10_000)
         assert spin.ode_trajectory(cfg.drive_period, UPPER, cfg)[2] <= 1e-8
 
+    @pytest.mark.parametrize("t", [-1.0, -5e-324, math.inf, -math.inf, math.nan])
+    def test_time_must_be_finite_and_non_negative(self, t, monkeypatch):
+        def no_stepping(*args):
+            raise AssertionError("stepped with an invalid t")
+
+        monkeypatch.setattr(kernels, "spin_rk4", no_stepping)
+        with pytest.raises(ValueError, match=f"t must be finite and non-negative, got {t}"):
+            spin.ode_trajectory(t, UPPER, cfg_at(1.0, math.pi / 4))
+
+    def test_huge_time_meets_the_step_budget(self, monkeypatch):
+        # 1e308 s overflows the step count to inf, which the budget names
+        monkeypatch.setattr(kernels, "spin_rk4", None)
+        with pytest.raises(ValueError, match="needs inf steps, above the budget of 10000000"):
+            spin.ode_trajectory(1e308, UPPER, cfg_at(1.0, math.pi / 4))
+
     def test_kernel_agrees_with_generic_integrator(self):
         cfg = cfg_at(0.7, math.pi / 3)
         w, w0, a = cfg.omega, cfg.omega0, cfg.alpha

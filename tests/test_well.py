@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -70,8 +71,6 @@ class TestConfigAndRatio:
     def test_ratio_validation(self):
         with pytest.raises(ValueError):
             QuenchRatio(0.0)
-        with pytest.raises(ValueError):
-            QuenchRatio(1.0, resonance_tol=-1e-9)
 
     @pytest.mark.parametrize("name", ["mass", "planck", "width"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -99,16 +98,24 @@ class TestConfigAndRatio:
         "gamma,regime",
         [
             (0.5, Regime.SHRINK),
+            (math.nextafter(1.0, 0.0), Regime.SHRINK),
             (1.0, Regime.IDENTITY),
-            (1.0 + 5e-10, Regime.IDENTITY),
+            (math.nextafter(1.0, 2.0), Regime.EXPAND_GENERIC),
+            (1.0 + 5e-10, Regime.EXPAND_GENERIC),
             (2.0, Regime.EXPAND_RESONANT),
-            (3.0 + 1e-12, Regime.EXPAND_RESONANT),
+            (3.0, Regime.EXPAND_RESONANT),
+            (3.0 + 1e-12, Regime.EXPAND_GENERIC),
             (2.5, Regime.EXPAND_GENERIC),
             (4.9, Regime.EXPAND_GENERIC),
+            (1e150, Regime.EXPAND_RESONANT),
         ],
     )
     def test_regime_classification(self, gamma, regime):
+        # resonance is exact equality: no window around the integers
         assert QuenchRatio(gamma).regime is regime
+
+    def test_ratio_has_the_width_ratio_only(self):
+        assert [f.name for f in dataclasses.fields(QuenchRatio)] == ["gamma"]
 
 
 class TestEigenstates:
@@ -120,6 +127,10 @@ class TestEigenstates:
 
     def test_energy_width_scaling_exact(self):
         assert eigen_energy(1, 2e-9) == eigen_energy(1, 1e-9) / 4.0
+
+    def test_ground_level_is_the_ground_energy_bitwise(self):
+        for cfg in (WellConfig(), ALT_CONFIG):
+            assert eigen_energy(1, cfg.width, cfg) == cfg.ground_energy
 
     def test_energy_domain_errors(self):
         with pytest.raises(ValueError):
@@ -447,8 +458,8 @@ class TestScans:
     def test_in_place_blocks_equal_per_gamma_sums_bitwise(self, n_levels, monkeypatch):
         # shrink-only and expansion-only runs long enough to fill whole
         # default blocks at both level counts, with the identity and its
-        # edges, exact integers (also above n_levels), resonances within the
-        # tolerance and generic gammas mixed in between
+        # edges, exact integers (also above n_levels), gammas next to an
+        # integer and generic gammas mixed in between
         specials = [0.3, 0.999, 1.0, 1.0 - 1e-10, 1.0 + 1e-10, 2.0, 37.0, 500.0,
                     3.0 * (1 + 1e-12), 36.0 * (1 - 5e-10), 2.5, 40.3]
         gammas = np.concatenate([
@@ -464,7 +475,7 @@ class TestScans:
         captured, raw = np.array(captured), np.array(raw)
         for block in (1, well.ENERGY_BLOCK, 10**9):
             monkeypatch.setattr(well, "ENERGY_BLOCK", block)
-            got = well._energies(gammas, n_levels, well.DEFAULT_RESONANCE_TOL)
+            got = well._energies(gammas, n_levels)
             for values, expected in zip(got, (raw / captured, raw, captured)):
                 np.testing.assert_array_equal(values.view(np.uint64), expected.view(np.uint64))
 
@@ -472,6 +483,16 @@ class TestScans:
         profile = force_scan(1.9, 2.1, 3)
         assert profile.gamma.tolist() == [1.9, 2.1]
         assert np.all(np.isfinite(profile.force))
+
+    def test_force_scan_omits_exact_integers_only(self):
+        # 1 (the identity) and 2, 3 are dropped; 0.5 and 1.5 are kept
+        assert force_scan(0.5, 3.0, 6).gamma.tolist() == [0.5, 1.5, 2.5]
+        # next to an integer, however close, a point keeps its row
+        near = [math.nextafter(1.0, 2.0), 1.0 + 5e-10, 3.0 * (1 + 1e-12)]
+        for g in near:
+            profile = force_scan(g, 3.5, 2)
+            assert profile.gamma.tolist() == [g, 3.5]
+            assert np.all(np.isfinite(profile.force))
 
     def test_force_rows_anticorrelate_with_energy_secant(self):
         profile = force_scan(2.5, 3.5, 41)
