@@ -34,6 +34,11 @@ class CheckFailure(Exception):
     """A cross-check exceeded its tolerance."""
 
 
+def _gate(what: str, worst: float, tol: float) -> None:
+    if worst > tol:
+        raise CheckFailure(f"{what} {worst:.3e} exceeds {tol:.3e}")
+
+
 def parse_real(text: str) -> float:
     """A finite decimal.  nan and inf are refused at the door: they slip past
     ``> 0`` and interval checks or overflow deep inside a kernel."""
@@ -91,9 +96,10 @@ def parse_range(text: str) -> tuple[float, float]:
 
 
 # Largest value of a size flag (--levels, --points, --max-level, --samples,
-# --draws).  The largest array a command holds is a few times one of these
-# sizes (energy scans go in blocks), so 10^7 keeps each under a few hundred
-# MiB; the benchmark's largest size is 10^6 points.
+# --draws) and of the quadrature panels of oracle-check, up to L (L + 1) / 2
+# per gamma at --max-level L.  The largest array a command holds is a few
+# times one of these sizes (scans go in blocks), so 10^7 keeps each under a
+# few hundred MiB; the benchmark's largest size is 10^6 points.
 MAX_ELEMENTS = 10_000_000
 
 
@@ -353,12 +359,6 @@ def _add_spin_constants(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "-o", "--output", default=None, help="output CSV path (default: stdout)"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quenchkit",
@@ -374,12 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--gamma", type=parse_real, default=4.9, help="width ratio")
     p.add_argument("--levels", type=_positive_int, default=10)
-    _add_output(p)
 
     p = wsub.add_parser("pop-scan", help="level populations; columns n,rho_n")
     p.add_argument("--gamma", type=parse_real, default=4.9, help="width ratio")
     p.add_argument("--levels", type=_positive_int, default=10)
-    _add_output(p)
 
     p = wsub.add_parser(
         "captured",
@@ -388,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=parse_range, default=(0.05, 5.0), metavar="MIN:MAX")
     p.add_argument("--points", type=_scan_points, default=500)
     p.add_argument("--levels", type=_positive_int, default=10)
-    _add_output(p)
 
     p = wsub.add_parser(
         "energy-scan", help="post-quench energy; columns gamma,E_over_E1"
@@ -396,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=parse_range, default=(0.1, 5.0), metavar="MIN:MAX")
     p.add_argument("--points", type=_scan_points, default=500)
     p.add_argument("--levels", type=_positive_int, default=10)
-    _add_output(p)
 
     p = wsub.add_parser(
         "force-scan",
@@ -407,7 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=_scan_points, default=500)
     p.add_argument("--levels", type=_positive_int, default=10)
     p.add_argument("--step", type=parse_real, default=well.DEFAULT_FORCE_STEP)
-    _add_output(p)
 
     p = wsub.add_parser(
         "oracle-check",
@@ -423,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=_positive_int, default=20)
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--quad-tol", type=_tolerance, default=1e-10)
-    _add_output(p)
 
     spin_group = top.add_parser("spin", help="spin-1/2 in a rotating field")
     ssub = spin_group.add_subparsers(dest="command", required=True)
@@ -435,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=parse_angle, default=math.pi / 4)
     p.add_argument("--ratio", type=parse_real, default=1.0, help="drive/Larmor ratio")
     p.add_argument("--points", type=_scan_points, default=1000)
-    _add_spin_constants(p)
-    _add_output(p)
 
     p = ssub.add_parser(
         "omega-scan",
@@ -446,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=parse_angle_list, default=[math.pi / 4])
     p.add_argument("--ratio", type=parse_range, default=(0.05, 20.0), metavar="MIN:MAX")
     p.add_argument("--points", type=_scan_points, default=10000)
-    _add_spin_constants(p)
-    _add_output(p)
 
     p = ssub.add_parser(
         "threshold",
@@ -458,8 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=parse_real, default=0.02)
     p.add_argument("--ratio", type=parse_range, default=(0.05, 20.0), metavar="MIN:MAX")
     p.add_argument("--points", type=_scan_points, default=10000)
-    _add_spin_constants(p)
-    _add_output(p)
 
     p = ssub.add_parser(
         "ode-check",
@@ -475,8 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=_positive_int, default=16)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
-    _add_spin_constants(p)
-    _add_output(p)
 
     p = ssub.add_parser(
         "symmetry-check",
@@ -486,9 +472,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=20260810)
     p.add_argument("--tol", type=_tolerance, default=1e-12)
-    _add_spin_constants(p)
-    _add_output(p)
 
+    # every spin command takes the physical constants, and every command -o
+    for p in ssub.choices.values():
+        _add_spin_constants(p)
+    for p in (*wsub.choices.values(), *ssub.choices.values()):
+        p.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
     return parser
 
 
@@ -515,24 +504,24 @@ def _run_well(args) -> int:
         table = np.column_stack((profile.gamma, profile.energy, profile.force))
         write_table(["gamma", "E_over_E1", "F_over_E1_per_Q0"], table, args.output)
     elif args.command == "oracle-check":
+        top = args.max_level
+        panels = len(args.gamma_list) * top * (top + 1) // 2
+        if panels > MAX_ELEMENTS:
+            raise ValueError(
+                f"--gamma-list and --max-level {top} make up to {panels} "
+                f"quadrature panels, above the size budget of {MAX_ELEMENTS}"
+            )
         qspec = well.QuadratureSpec(tolerance=args.quad_tol)
         rows = []
-        worst = 0.0
         levels = np.arange(1, args.max_level + 1)
         for g in args.gamma_list:
             oracles = well.overlap_oracle(levels, g, spec=qspec).tolist()
-            closed_row = well.decompose(g, args.max_level).coefficients.tolist()
-            for n, closed, oracle in zip(levels.tolist(), closed_row, oracles):
-                diff = abs(closed - oracle)
-                worst = max(worst, diff)
-                rows.append((n, g, closed, oracle, diff))
+            closed = well.decompose(g, args.max_level).coefficients.tolist()
+            rows += [(n, g, c, o, abs(c - o)) for n, c, o in zip(levels.tolist(), closed, oracles)]
         write_table(
             ["n", "gamma", "b_closed", "b_oracle", "abs_diff"], rows, args.output
         )
-        if worst > args.tol:
-            raise CheckFailure(
-                f"coefficient oracle disagreement {worst:.3e} exceeds {args.tol:.3e}"
-            )
+        _gate("coefficient oracle disagreement", max(row[4] for row in rows), args.tol)
     return 0
 
 
@@ -540,10 +529,12 @@ def _run_spin(args) -> int:
     if args.command == "return-prob":
         cfg = _rotor_config(args, args.alpha, args.ratio)
         fractions = np.linspace(0.0, 1.0, args.points)
-        rho = [spin.return_probability(f * cfg.drive_period, spin.UPPER, cfg)
-               for f in fractions]
-        write_table(["t_over_period", "rho1"], np.column_stack((fractions, rho)),
-                    args.output)
+        # one block of rows per chunk keeps the temporaries small
+        blocks = (
+            np.column_stack((f, spin.return_probability(f * cfg.drive_period, spin.UPPER, cfg)))
+            for f in np.split(fractions, range(EMIT_CHUNK_ROWS, args.points, EMIT_CHUNK_ROWS))
+        )
+        write_table(["t_over_period", "rho1"], blocks, args.output)
     elif args.command == "omega-scan":
         cfg = _rotor_config(args, args.alpha[0], 1.0)
         lo, hi = args.ratio
@@ -574,54 +565,40 @@ def _run_spin(args) -> int:
             )
     elif args.command == "ode-check":
         rows = []
-        worst = 0.0
         for alpha in args.alpha:
             for ratio in args.ratio_list:
                 cfg = _rotor_config(args, alpha, ratio)
                 times, states, drift = spin.ode_trajectory(
                     cfg.drive_period, spin.UPPER, cfg, samples=args.samples
                 )
-                diff = max(
-                    np.max(np.abs(spin.evolve_closed_form(t, spin.UPPER, cfg).vector - s))
-                    for t, s in zip(times, states)
-                )
-                worst = max(worst, diff)
-                rows.append((alpha, ratio, diff, drift))
+                closed = spin.evolve_closed_form(times, spin.UPPER, cfg)
+                rows.append((alpha, ratio, np.max(np.abs(closed - states)), drift))
         write_table(
             ["alpha_rad", "omega_over_omega0", "max_abs_diff", "norm_drift"],
             rows,
             args.output,
         )
-        if worst > args.tol:
-            raise CheckFailure(
-                f"closed form vs RK4 disagreement {worst:.3e} exceeds {args.tol:.3e}"
-            )
+        _gate("closed form vs RK4 disagreement", max(row[2] for row in rows), args.tol)
     elif args.command == "symmetry-check":
         rng = np.random.default_rng(args.seed)
-        worst_sym = 0.0
-        worst_cycle = 0.0
+        worst_sym = worst_cycle = 0.0
         for _ in range(args.draws):
             alpha = rng.uniform(0.0, math.pi)
             ratio = rng.uniform(0.05, 20.0)
             cfg = _rotor_config(args, alpha, ratio)
             t = rng.uniform(0.0, 1.0) * cfg.drive_period
-            _, _, gap = spin.branch_symmetry_check(t, cfg)
-            worst_sym = max(worst_sym, gap)
-            cycle_gap = abs(
-                spin.return_probability(cfg.drive_period, spin.UPPER, cfg)
-                - spin.return_probability_cycle(cfg.omega, cfg)
+            # t and the period in one call; the branch gap is the one at t
+            p_upper, _, gap = spin.branch_symmetry_check(
+                np.array([t, cfg.drive_period]), cfg
             )
-            worst_cycle = max(worst_cycle, cycle_gap)
+            worst_sym = max(worst_sym, gap[0])
+            worst_cycle = max(worst_cycle, abs(p_upper[1] - spin.return_probability_cycle(cfg)))
         write_table(
             ["draws", "max_branch_gap", "max_cycle_gap"],
             [(args.draws, worst_sym, worst_cycle)],
             args.output,
         )
-        if max(worst_sym, worst_cycle) > args.tol:
-            raise CheckFailure(
-                f"symmetry/cycle gap {max(worst_sym, worst_cycle):.3e} "
-                f"exceeds {args.tol:.3e}"
-            )
+        _gate("symmetry/cycle gap", max(worst_sym, worst_cycle), args.tol)
     return 0
 
 

@@ -178,21 +178,28 @@ def spin_rk4(alpha, omega, omega0, t_end, n_steps, up0, dn0, stride):
     return states, drift
 
 
+def rabi_rate(omega, omega0, alpha):
+    """Generalized precession rate sqrt(w^2 + w0^2 - 2 w w0 cos(alpha)), as
+    sqrt((w - w0)^2 + 4 w w0 sin^2(alpha/2)): no cancellation, and >= |w - w0|
+    down to rounding.  ``omega`` may be an array."""
+    s = math.sin(0.5 * alpha)
+    d = omega - omega0
+    return np.sqrt(d * d + 4.0 * omega * omega0 * s * s)
+
+
 def cycle_return_curve(ratios, alpha):
     """Return probability after one full drive cycle against x = omega/omega0.
 
-    mu^2 = x^2 + 1 - 2 x cos(alpha) in the cancellation-free form; the
-    degenerate x = 1, alpha = 0 (mu = 0) pins the state at probability 1.
+    mu = `rabi_rate` (x, 1, alpha); the degenerate x = 1, alpha = 0
+    (mu = 0) pins the state at probability 1.
     """
     x = np.asarray(ratios, dtype=float)
     ca = math.cos(alpha)
-    sh = math.sin(0.5 * alpha)
-    mu2 = (x - 1.0) * (x - 1.0) + 4.0 * x * sh * sh
-    safe = np.where(mu2 > 0.0, mu2, 1.0)
-    mu = np.sqrt(safe)
-    phase = np.pi * mu / x
-    coef = (1.0 - x * ca) / mu
+    mu = rabi_rate(x, 1.0, alpha)
+    safe = np.where(mu > 0.0, mu, 1.0)
+    phase = np.pi * safe / x
+    coef = (1.0 - x * ca) / safe
     c = np.cos(phase)
     s = np.sin(phase)
     rho = c * c + coef * coef * s * s
-    return np.where(mu2 > 0.0, rho, 1.0)
+    return np.where(mu > 0.0, rho, 1.0)

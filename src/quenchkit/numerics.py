@@ -148,7 +148,9 @@ def integrate(
         If some subinterval hits the subdivision budget before meeting its
         share of the tolerance.  The message names the first such interval;
         ``best_estimate`` holds the estimate (a float for scalar bounds, an
-        array of every interval's estimate otherwise).
+        array of every interval's estimate otherwise).  Also on the first
+        level whose integrand values or Simpson sums are not finite, which no
+        bisection can resolve; ``best_estimate`` is then nan.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -175,15 +177,18 @@ def integrate(
     values = np.zeros(lo.size)
     failed = np.zeros(lo.size, dtype=bool)
     work = np.flatnonzero(lo < hi)  # a == b integrates to exactly zero
-    for start in range(0, work.size, ROOT_BATCH):
-        roots = work[start:start + ROOT_BATCH]
-        a, b = lo[roots], hi[roots]
-        m = 0.5 * (a + b)
-        fa, fm, fb = f(Nodes(np.concatenate([a, m, b]), np.tile(roots, 3))).reshape(3, -1)
-        whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-        values[roots], failed[roots] = _simpson_levels(
-            f, roots, a, b, fa, fm, fb, whole, tol[roots], spec.max_subdivisions
-        )
+    # a value that is not finite raises in _simpson_levels; numpy's warnings
+    # on the way to it would only repeat the error
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, work.size, ROOT_BATCH):
+            roots = work[start:start + ROOT_BATCH]
+            a, b = lo[roots], hi[roots]
+            m = 0.5 * (a + b)
+            fa, fm, fb = f(Nodes(np.concatenate([a, m, b]), np.tile(roots, 3))).reshape(3, -1)
+            whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+            values[roots], failed[roots] = _simpson_levels(
+                f, roots, a, b, fa, fm, fb, whole, tol[roots], spec.max_subdivisions
+            )
     result = float(values[0]) if shape == () else values.reshape(shape)
     if failed.any():
         i = int(np.argmax(failed))
@@ -214,6 +219,14 @@ def _simpson_levels(f, root, a, b, fa, fm, fb, whole, tol, depth):
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
+        finite = np.isfinite(delta)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise QuadratureConvergenceError(
+                f"quadrature on [{a[i]}, {b[i]}] met an integrand value or a "
+                f"Simpson sum that is not finite",
+                best_estimate=np.nan,
+            )
         # 15 = 2^4 - 1: Richardson factor for Simpson's O(h^4) error
         value = left + right + delta / 15.0
         split = ~(np.abs(delta) <= 15.0 * tol)

@@ -11,12 +11,13 @@ the drive ratio where that happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from quenchkit import kernels
-from quenchkit.numerics import OdeDivergenceError, OdeResult, OdeSpec
+from quenchkit.numerics import OdeDivergenceError, OdeSpec
 
 HBAR = 1.054571817e-34  # J s
 
@@ -52,12 +53,11 @@ class RotorConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not 0.0 <= self.alpha <= math.pi:
-            raise ValueError(f"alpha must lie in [0, pi], got {self.alpha}")
-        # rabi_lambda squares the frequencies as Python floats, which raise
-        # OverflowError past sqrt(DBL_MAX) instead of returning inf; below
-        # 1 / MAX_RATIO a ratio or a period leaves the range of a double.
-        # The Larmor frequency comes first, as every ratio divides by it.
+        _check_alpha(self.alpha)
+        # kernels.rabi_rate squares the frequencies, which overflow past
+        # sqrt(DBL_MAX); below 1 / MAX_RATIO a ratio or a period leaves the
+        # range of a double.  The Larmor frequency comes first, as every
+        # ratio divides by it.
         top = kernels.MAX_RATIO
         omega0 = self.omega0
         if not 1.0 / top <= omega0 <= top:
@@ -76,7 +76,7 @@ class RotorConfig:
     @property
     def rabi_lambda(self) -> float:
         """Generalized precession rate sqrt(w^2 + w0^2 - 2 w w0 cos(alpha))."""
-        return rabi_lambda(self.omega, self.omega0, self.alpha)
+        return float(kernels.rabi_rate(self.omega, self.omega0, self.alpha))
 
     @property
     def drive_period(self) -> float:
@@ -88,13 +88,12 @@ class RotorConfig:
         # only the probe's Larmor frequency is read; its 1 rad/s drive meets
         # every ratio bound whenever that frequency is valid
         probe = cls(alpha=alpha, omega=1.0, **kwargs)
-        return cls(
-            field_strength=probe.field_strength,
-            charge=probe.charge,
-            mass=probe.mass,
-            alpha=alpha,
-            omega=ratio * probe.omega0,
-        )
+        return replace(probe, omega=ratio * probe.omega0)
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= math.pi:
+        raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
 
 
 def _check_bounded(name: str, value: float, unit: str) -> None:
@@ -103,13 +102,6 @@ def _check_bounded(name: str, value: float, unit: str) -> None:
         raise ValueError(f"{name} must be at most {top:g}{unit}, got {value:g}")
     if not value >= 1.0 / top:
         raise ValueError(f"{name} must be at least {1.0 / top:g}{unit}, got {value:g}")
-
-
-def rabi_lambda(omega: float, omega0: float, alpha: float) -> float:
-    # cancellation-free rearrangement of sqrt(w^2 + w0^2 - 2 w w0 cos a),
-    # keeping lambda >= |w - w0| down to rounding
-    s = math.sin(0.5 * alpha)
-    return math.sqrt((omega - omega0) ** 2 + 4.0 * omega * omega0 * s * s)
 
 
 @dataclass(frozen=True)
@@ -192,47 +184,55 @@ def instantaneous_eigenstates(
     return upper, lower, e, -e
 
 
-def _sin_halfangle_over_lambda(lam: float, t: float) -> float:
-    # sin(lam*t/2)/lam with the removable lam -> 0 singularity handled by series
-    x = lam * t
-    if abs(x) < 1e-8:
-        return 0.5 * t * (1.0 - x * x / 24.0)
-    return math.sin(0.5 * x) / lam
+def _check_time(t, rate: float = 0.0) -> np.ndarray:
+    """``t`` as a float array, once every element is finite and non-negative
+    and, for a ``rate`` in rad/s, keeps the phase ``rate * t`` finite."""
+    t = np.asarray(t, dtype=float)
+    ok = (t >= 0.0) & (t < (sys.float_info.max / rate if rate else math.inf))
+    if np.count_nonzero(ok) < ok.size:
+        bad = t[~ok][0]
+        if 0.0 <= bad < math.inf:
+            raise ValueError(f"t = {bad:g} s overflows the phase {rate:g} rad/s * t")
+        raise ValueError(f"t must be finite and non-negative, got {bad}")
+    return t
 
 
-def evolve_closed_form(t: float, branch: str, cfg: RotorConfig) -> SpinState:
-    """Exact state at time ``t`` starting from an instantaneous eigenstate.
+def _closed_form(t, branches, cfg: RotorConfig):
+    """The exact states at ``t`` from the eigenstates a of ``branches``, shape
+    ``np.shape(t) + (len(branches), 2)``, and the a, which are real.
 
-    ``branch`` selects the initial eigenstate: "upper" or "lower".  At t = 0
-    the returned state reproduces that eigenstate exactly.
+    In the frame rotating with the drive the state is (c - i s K) a, with
+    c = cos(lam t/2), s = sin(lam t/2)/lam and K a = -h a componentwise for K
+    twice the generator there; back in the lab frame up turns by
+    exp(-i w t/2) and down by exp(i w t/2).  The arithmetic is real and
+    rounds as the complex form does, down to the phases 0.5 (lam t) and
+    (0.5 w) t; numpy's complex multiply may round differently.
     """
-    lam = cfg.rabi_lambda
-    c = math.cos(0.5 * lam * t)
-    s_over = _sin_halfangle_over_lambda(lam, t)
-    half = 0.5 * cfg.alpha
-    rot = complex(math.cos(0.5 * cfg.omega * t), -math.sin(0.5 * cfg.omega * t))
-    if branch == UPPER:
-        up = (c - 1j * (cfg.omega0 - cfg.omega) * s_over) * math.cos(half) * rot
-        down = (c - 1j * (cfg.omega0 + cfg.omega) * s_over) * math.sin(half) * rot.conjugate()
-    elif branch == LOWER:
-        up = (c + 1j * (cfg.omega0 + cfg.omega) * s_over) * math.sin(half) * rot
-        down = -(c + 1j * (cfg.omega0 - cfg.omega) * s_over) * math.cos(half) * rot.conjugate()
-    else:
-        raise ValueError(f"branch must be '{UPPER}' or '{LOWER}', got {branch!r}")
-    return SpinState(up, down)
+    w, w0, lam = cfg.omega, cfg.omega0, cfg.rabi_lambda
+    t = _check_time(t, max(w, lam))[..., None, None]
+    ch, sh = math.cos(0.5 * cfg.alpha), math.sin(0.5 * cfg.alpha)
+    terms = {UPPER: ((ch, sh), (w - w0, -(w0 + w))), LOWER: ((sh, -ch), (w0 + w, w0 - w))}
+    unknown = [b for b in branches if b not in terms]
+    if unknown:
+        raise ValueError(f"branch must be '{UPPER}' or '{LOWER}', got {unknown[0]!r}")
+    a, h = np.array([terms[b] for b in branches]).transpose(1, 0, 2)
+    phase = t * np.array([lam, 0.5 * w]) * np.array([0.5, 1.0])
+    cos, sin = np.cos(phase), np.sin(phase)
+    c, cr, sr = cos[..., :1], cos[..., 1:], sin[..., 1:] * np.array([-1.0, 1.0])
+    # sin(lam t/2)/lam, whose only 0/0 is lam == 0 (alpha = 0 at resonance)
+    s = 0.5 * t if lam == 0.0 else sin[..., :1] / lam
+    p, q = c * a, s * h * a
+    psi = np.empty(p.shape, complex)
+    psi.real, psi.imag = p * cr - q * sr, p * sr + q * cr
+    return psi, a
 
 
-def evolve_ode(
-    t: float, branch: str, cfg: RotorConfig, spec: OdeSpec | None = None
-) -> OdeResult:
-    """RK4 oracle for `evolve_closed_form`, via the shared fixed-step kernel.
-
-    The step count from ``spec`` is per drive period and is scaled up when
-    the window spans several periods or when the Larmor/precession frequency
-    exceeds the drive.
-    """
-    _, states, drift = ode_trajectory(t, branch, cfg, spec, samples=1)
-    return OdeResult(states[-1], drift)
+def evolve_closed_form(t, branch: str, cfg: RotorConfig) -> np.ndarray:
+    """Exact state at time ``t`` from the instantaneous eigenstate ``branch``
+    ("upper" or "lower"), which it reproduces exactly at t = 0.  ``t`` is a
+    float or an array; the complex amplitudes (up, down) are on the last
+    axis, shape ``np.shape(t) + (2,)``."""
+    return _closed_form(t, [branch], cfg)[0][..., 0, :]
 
 
 def ode_trajectory(
@@ -242,14 +242,14 @@ def ode_trajectory(
     spec: OdeSpec | None = None,
     samples: int = 16,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """States at ``samples + 1`` equispaced times in [0, t] from the RK4 kernel.
+    """RK4 oracle for `evolve_closed_form`: the states at ``samples + 1``
+    equispaced times in [0, t] from the fixed-step kernel.
 
     Returns (times, states, norm_drift).
     """
     if spec is None:
         spec = OdeSpec()
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and non-negative, got {t}")
+    _check_time(t)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     initial, lower, _, _ = instantaneous_eigenstates(0.0, cfg)
@@ -284,34 +284,35 @@ def ode_trajectory(
     return times, states, drift
 
 
-def return_probability(t: float, branch: str, cfg: RotorConfig) -> float:
-    """Probability of finding the evolved state back in its initial eigenstate."""
-    initial, lower, _, _ = instantaneous_eigenstates(0.0, cfg)
-    if branch == LOWER:
-        initial = lower
-    evolved = evolve_closed_form(t, branch, cfg)
-    amp = evolved.overlap(initial)
-    return abs(amp) ** 2
+def _return_probabilities(t, branches, cfg: RotorConfig) -> np.ndarray:
+    # |<a|psi(t)>|^2 for each branch on the last axis, squared by pow like
+    # abs(z) ** 2 of a Python complex (x * x differs in ~0.1% of last bits)
+    psi, a = _closed_form(t, branches, cfg)
+    re, im = psi.real * a, psi.imag * a
+    return np.float_power(np.hypot(re[..., 0] + re[..., 1], im[..., 0] + im[..., 1]), 2.0)
 
 
-def return_probability_cycle(omega: float, cfg: RotorConfig) -> float:
-    """Return probability after exactly one field cycle, as a closed form in
-    the drive frequency ``omega`` (the drive stored in ``cfg`` is ignored)."""
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    ratio = np.array([omega / cfg.omega0])
+def return_probability(t, branch: str, cfg: RotorConfig):
+    """Probability of finding the evolved state back in its initial
+    eigenstate: a float for a float ``t``, an array for an array ``t``."""
+    p = _return_probabilities(t, [branch], cfg)[..., 0]
+    return float(p) if p.ndim == 0 else p
+
+
+def return_probability_cycle(cfg: RotorConfig) -> float:
+    """Return probability after exactly one drive cycle, as a closed form in
+    the drive ratio ``cfg.omega / cfg.omega0``."""
+    ratio = np.array([cfg.omega / cfg.omega0])
     return float(kernels.cycle_return_curve(ratio, cfg.alpha)[0])
 
 
-def branch_symmetry_check(t: float, cfg: RotorConfig) -> tuple[float, float, float]:
-    """Return probabilities of both branches at time ``t`` and their gap.
-
-    The two branches give identical return probabilities; the gap measures
-    only rounding.
-    """
-    p_upper = return_probability(t, UPPER, cfg)
-    p_lower = return_probability(t, LOWER, cfg)
-    return p_upper, p_lower, abs(p_upper - p_lower)
+def branch_symmetry_check(t, cfg: RotorConfig):
+    """Return probabilities of both branches at time ``t`` and their gap,
+    which measures only rounding: floats for a float ``t``, arrays for an
+    array ``t``."""
+    p = _return_probabilities(t, [UPPER, LOWER], cfg)
+    p = (p[..., 0], p[..., 1], abs(p[..., 0] - p[..., 1]))
+    return tuple(map(float, p)) if p[2].ndim == 0 else p
 
 
 def omega_scan(
@@ -335,6 +336,7 @@ def omega_scan(
     ratios = np.linspace(ratio_min, ratio_max, points)
     curves = []
     for alpha in np.atleast_1d(np.asarray(alphas, dtype=float)):
+        _check_alpha(alpha)
         rho = kernels.cycle_return_curve(ratios, float(alpha))
         curves.append(ReturnCurve(alpha=float(alpha), ratios=ratios, probabilities=rho))
     return curves

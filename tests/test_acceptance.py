@@ -146,7 +146,7 @@ def test_criterion_08_spin_oracle_equivalence():
                 cfg.drive_period, spin.UPPER, cfg, samples=16
             )
             for t, state in zip(times, states):
-                expected = spin.evolve_closed_form(t, spin.UPPER, cfg).vector
+                expected = spin.evolve_closed_form(t, spin.UPPER, cfg)
                 worst = max(worst, float(np.max(np.abs(state - expected))))
     check(8, "closed-form evolution matches RK4 within 1e-6 over one cycle",
           worst <= 1e-6, f"worst componentwise diff = {worst:.2e}")
@@ -164,7 +164,7 @@ def test_criterion_09_cycle_consistency_and_branch_symmetry():
             worst_cycle,
             abs(
                 spin.return_probability(cfg.drive_period, spin.UPPER, cfg)
-                - spin.return_probability_cycle(cfg.omega, cfg)
+                - spin.return_probability_cycle(cfg)
             ),
         )
         t = rng.uniform(0.0, 1.0) * cfg.drive_period
@@ -180,7 +180,7 @@ def test_criterion_10_anti_adiabatic_threshold():
     onset_ok = abs(report.monotone_onset - 1.442) <= 0.05
     cfg0 = spin.RotorConfig(alpha=math.pi / 4)
     frozen_ok = all(
-        spin.return_probability_cycle(15.0 * cfg0.omega0, spin.RotorConfig(alpha=a)) >= 0.98
+        spin.return_probability_cycle(spin.RotorConfig.at_ratio(15.0, alpha=a)) >= 0.98
         for a in (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3)
     )
     (flat,) = spin.omega_scan(0.05, 20.0, 10_000, [0.0])

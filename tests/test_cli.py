@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quenchkit import cli, kernels, well
+from quenchkit import cli, kernels, spin, well
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +179,8 @@ class TestExitCodes:
              "Larmor frequency charge * field_strength / mass must lie in"),
             # 20 steps per Larmor period: 2e10 RK4 steps, refused before any
             (["spin", "ode-check", "--ratio-list", "1e-9"], "above the budget of 10000000"),
+            # only the first angle was checked; -7 wrote a curve with exit 0
+            (["spin", "omega-scan", "--alpha=pi/4,-7", "--points", "3"], "got -7.0"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -318,6 +320,32 @@ class TestWellCommands:
         )
         assert code == 1
 
+    def test_oracle_check_refuses_more_panels_than_the_budget(self, capsys):
+        # 10^5 levels passed the size check and then built ~5e9 panels
+        with pytest.raises(SystemExit) as err:
+            cli.main(["well", "oracle-check", "--max-level", "100000"])
+        assert err.value.code == 2
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        assert "make up to 50000500000 quadrature panels, above the size budget" in stderr
+        # ten gammas at 1414 levels are just above it
+        gammas = ",".join(["0.5"] * 10)
+        with pytest.raises(SystemExit):
+            cli.main(["well", "oracle-check", "--gamma-list", gammas, "--max-level", "1414"])
+        assert "make up to 10004050 quadrature panels" in capsys.readouterr().err
+
+    def test_oracle_check_stops_at_a_non_finite_integrand(self, capsys):
+        # at a width of 1e-309 sqrt(2 / W) is inf; every panel once split
+        # down to the depth budget
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["well", "oracle-check", "--gamma-list", "1e-300"])
+        assert code == 1
+        out, stderr = capsys.readouterr()
+        assert out == ""
+        assert stderr.startswith("quenchkit: quadrature on [0.0, ")
+        assert stderr.endswith(" met an integrand value or a Simpson sum that is not finite\n")
+
 
 class TestSpinCommands:
     def test_return_prob_starts_at_one(self, capsys):
@@ -329,6 +357,20 @@ class TestSpinCommands:
         assert lines[0] == "t_over_period,rho1"
         first = lines[1].split(",")
         assert float(first[0]) == 0.0 and float(first[1]) == 1.0
+
+    def test_return_prob_blocks_give_the_whole_grid(self, capsys):
+        # rows go out in blocks of EMIT_CHUNK_ROWS; the last one is short
+        points = 2 * cli.EMIT_CHUNK_ROWS + 3
+        code, out = run_cli(
+            capsys, "spin", "return-prob", "--alpha", "0.3", "--ratio", "2.5",
+            "--points", str(points),
+        )
+        assert code == 0
+        table = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        fractions = np.linspace(0.0, 1.0, points)
+        cfg = spin.RotorConfig.at_ratio(2.5, alpha=0.3)
+        rho = spin.return_probability(fractions * cfg.drive_period, spin.UPPER, cfg)
+        np.testing.assert_array_equal(table, np.column_stack((fractions, rho)))
 
     def test_omega_scan_single_alpha(self, capsys):
         code, out = run_cli(
@@ -380,6 +422,76 @@ class TestSpinCommands:
         assert lines[0] == "draws,max_branch_gap,max_cycle_gap"
         _, sym, cyc = lines[1].split(",")
         assert float(sym) <= 1e-12 and float(cyc) <= 1e-12
+
+
+# Edge values for every real, angle, list and range flag of the spin
+# commands: zero, the smallest subnormal, both sides of the ratio bounds
+# 1e-150 and 1e150, the largest decade and pi, and the negatives of each.
+_EDGES = [
+    0.0, 5e-324, np.nextafter(1e-150, 0.0), 1e-150, np.nextafter(1e-150, 1.0),
+    np.nextafter(1e150, 0.0), 1e150, np.nextafter(1e150, math.inf), 1e308, math.pi,
+]
+_EDGES += [-x for x in _EDGES[1:]]
+_real = st.sampled_from(_EDGES) | st.floats(0.002, 100.0)
+_text = _real.map(repr)
+_angle = st.sampled_from(["pi", "pi/4"]) | _text
+_size = st.integers(-1, 64).map(str)
+
+
+def _listed(values, most=3):
+    return st.lists(values, min_size=1, max_size=most).map(",".join)
+
+
+_range = st.tuples(_text, _text).map(":".join)
+_constants = {"b0": _text, "charge": _text, "mass": _text}
+# RK4 takes 20 / ratio steps below a ratio of 0.002: every drawn ratio is
+# either >= 0.002 or so small that the step budget refuses it at once
+_SPIN_FLAGS = {
+    "return-prob": {"alpha": _angle, "ratio": _text, "points": _size, **_constants},
+    "omega-scan": {"alpha": _listed(_angle), "ratio": _range, "points": _size, **_constants},
+    "threshold": {"alpha": _angle, "epsilon": _text, "ratio": _range, "points": _size,
+                  **_constants},
+    "ode-check": {"alpha": _listed(_angle, 2), "ratio-list": _listed(_text, 2),
+                  "samples": _size, "tol": _text, **_constants},
+    "symmetry-check": {"draws": _size, "seed": st.integers(-1, 2**64).map(str),
+                       "tol": _text, **_constants},
+}
+_SPIN_HEADERS = {
+    "return-prob": ["t_over_period,rho1"],
+    "omega-scan": ["omega_over_omega0,rho1", "alpha_rad,omega_over_omega0,rho1"],
+    "threshold": ["monotone_onset_ratio,frozen_ratio,max_rho1"],
+    "ode-check": ["alpha_rad,omega_over_omega0,max_abs_diff,norm_drift"],
+    "symmetry-check": ["draws,max_branch_gap,max_cycle_gap"],
+}
+
+
+class TestSpinInputFuzz:
+    @pytest.mark.parametrize("command", list(_SPIN_FLAGS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_input_gives_rows_or_a_clean_exit(self, command, data):
+        flags = data.draw(st.fixed_dictionaries({}, optional=_SPIN_FLAGS[command]))
+        argv = ["spin", command, *(f"--{k}={v}" for k, v in flags.items())]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        if code == 0:
+            header, *rows = out.splitlines()
+            assert header in _SPIN_HEADERS[command] and rows and err == ""
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+        elif code == 2:
+            assert out == ""
+            assert any("error:" in line for line in err.splitlines())
+        else:
+            assert code == 1 and command in ("threshold", "ode-check", "symmetry-check")
+            assert err.startswith("quenchkit: ")
 
 
 class TestOutputContract:

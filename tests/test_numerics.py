@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -66,6 +67,35 @@ class TestIntegrate:
         assert integrate(f, 0.0, 10.0, QuadratureSpec(tolerance=1e-11)) == pytest.approx(
             exact, abs=1e-10
         )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_integrand_raises_at_once(self, bad):
+        # a nan integrand once split every panel down to the depth budget
+        calls = []
+
+        def f(nodes):
+            calls.append(nodes.x.size)
+            return np.where(nodes.x > 0.5, bad, nodes.x)
+
+        with pytest.raises(QuadratureConvergenceError, match=r"on \[0.0, 1.0\] .* not finite"):
+            integrate(f, np.array([0.25, 0.0]), np.array([0.5, 1.0]))
+        # the root points, then one level of midpoints
+        assert len(calls) == 2
+        with pytest.raises(QuadratureConvergenceError) as err:
+            integrate(lambda x: bad if x > 0.9 else x, 0.0, 1.0)
+        assert math.isnan(err.value.best_estimate)
+
+    @pytest.mark.parametrize("scale", [1e308 * 10.0, 1e308])
+    def test_warnings_give_way_to_the_error(self, scale):
+        # an inf integrand, and a finite one whose Simpson sums overflow,
+        # once split every panel down to the depth budget
+        def f(nodes):
+            return np.float64(scale) * np.cos(nodes.x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureConvergenceError, match="not finite"):
+                integrate(f, np.zeros(1), np.ones(1))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -225,7 +255,7 @@ class TestOdeEvolve:
         y0 = np.array([math.cos(a / 2), math.sin(a / 2)], dtype=complex)
         t = cfg.drive_period
         result = ode_evolve(rhs, y0, t)
-        expected = spin.evolve_closed_form(t, spin.UPPER, cfg).vector
+        expected = spin.evolve_closed_form(t, spin.UPPER, cfg)
         np.testing.assert_allclose(result.state, expected, atol=1e-8)
         assert result.norm_drift <= 1e-8
 

@@ -16,7 +16,6 @@ from quenchkit.spin import (
     anti_adiabatic_threshold,
     branch_symmetry_check,
     evolve_closed_form,
-    evolve_ode,
     hamiltonian,
     instantaneous_eigenstates,
     omega_scan,
@@ -178,31 +177,31 @@ class TestEigenstates:
 class TestClosedFormEvolution:
     def test_t0_reproduces_upper_exactly(self):
         cfg = cfg_at(1.0, math.pi / 4)
-        state = evolve_closed_form(0.0, UPPER, cfg)
-        assert state.up == math.cos(cfg.alpha / 2)
-        assert state.down == math.sin(cfg.alpha / 2)
+        up, down = evolve_closed_form(0.0, UPPER, cfg)
+        assert up == math.cos(cfg.alpha / 2)
+        assert down == math.sin(cfg.alpha / 2)
 
     def test_t0_reproduces_lower_exactly(self):
         cfg = cfg_at(1.0, math.pi / 4)
-        state = evolve_closed_form(0.0, LOWER, cfg)
-        assert state.up == math.sin(cfg.alpha / 2)
-        assert state.down == -math.cos(cfg.alpha / 2)
+        up, down = evolve_closed_form(0.0, LOWER, cfg)
+        assert up == math.sin(cfg.alpha / 2)
+        assert down == -math.cos(cfg.alpha / 2)
 
     @settings(max_examples=50, deadline=None)
     @given(alpha=angles, ratio=ratios, frac=phases)
     def test_unitary(self, alpha, ratio, frac):
         cfg = cfg_at(ratio, alpha)
-        state = evolve_closed_form(frac * cfg.drive_period, UPPER, cfg)
-        norm = abs(state.up) ** 2 + abs(state.down) ** 2
+        up, down = evolve_closed_form(frac * cfg.drive_period, UPPER, cfg)
+        norm = abs(up) ** 2 + abs(down) ** 2
         assert abs(norm - 1.0) <= 1e-12
 
     def test_degenerate_rabi_rate_limit(self):
         # alpha = 0 at resonance: lambda = 0, state only picks up a phase
         cfg = RotorConfig(alpha=0.0)
         t = 0.4 * cfg.drive_period
-        state = evolve_closed_form(t, UPPER, cfg)
-        assert state.up == pytest.approx(np.exp(-0.5j * cfg.omega * t), abs=1e-12)
-        assert state.down == 0.0
+        up, down = evolve_closed_form(t, UPPER, cfg)
+        assert up == pytest.approx(np.exp(-0.5j * cfg.omega * t), abs=1e-12)
+        assert down == 0.0
 
     def test_unknown_branch_rejected(self):
         with pytest.raises(ValueError):
@@ -214,7 +213,7 @@ class TestClosedFormEvolution:
         times, states, drift = spin.ode_trajectory(cfg.drive_period, branch, cfg, samples=8)
         assert drift <= 1e-8
         for t, s in zip(times, states):
-            expected = evolve_closed_form(t, branch, cfg).vector
+            expected = evolve_closed_form(t, branch, cfg)
             np.testing.assert_allclose(s, expected, atol=1e-8)
 
     def test_step_budget_is_checked_before_any_step(self, monkeypatch):
@@ -265,8 +264,100 @@ class TestClosedFormEvolution:
         t = cfg.drive_period
         spec = OdeSpec(steps_per_period=2000)
         generic = ode_evolve(rhs, np.array([math.cos(a / 2), math.sin(a / 2)]), t, spec)
-        kernel = evolve_ode(t, UPPER, cfg, spec)
-        np.testing.assert_allclose(kernel.state, generic.state, atol=1e-12)
+        _, kernel, _ = spin.ode_trajectory(t, UPPER, cfg, spec, samples=1)
+        np.testing.assert_allclose(kernel[-1], generic.state, atol=1e-12)
+
+
+def bits(x):
+    """The raw bits of a float or complex array, so equality is bit for bit."""
+    return np.asarray(x).view(np.uint64)
+
+
+def complex_closed_form(t, branch, cfg):
+    """The exact state at one time in Python complex arithmetic, and the
+    real initial eigenstate: the per-time reference of the array form."""
+    lam, w, w0 = cfg.rabi_lambda, cfg.omega, cfg.omega0
+    c = math.cos(0.5 * lam * t)
+    s = 0.5 * t if lam == 0.0 else math.sin(0.5 * (lam * t)) / lam
+    ch, sh = math.cos(0.5 * cfg.alpha), math.sin(0.5 * cfg.alpha)
+    rot = complex(math.cos(0.5 * w * t), -math.sin(0.5 * w * t))
+    if branch == UPPER:
+        up = (c - 1j * (w0 - w) * s) * ch * rot
+        return (up, (c - 1j * (w0 + w) * s) * sh * rot.conjugate()), (ch, sh)
+    up = (c + 1j * (w0 + w) * s) * sh * rot
+    return (up, -(c + 1j * (w0 - w) * s) * ch * rot.conjugate()), (sh, -ch)
+
+
+class TestClosedFormOnArrays:
+    # lambda == 0 (alpha = 0 at resonance) takes sin(lam t/2)/lam = t/2
+    CONFIGS = [RotorConfig(alpha=0.0), cfg_at(1.0, math.pi / 4), cfg_at(0.07, 3.0),
+               cfg_at(13.0, 0.2)]
+
+    @pytest.mark.parametrize("branch", [UPPER, LOWER])
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    def test_array_t_gives_the_scalar_values_bit_for_bit(self, branch, cfg):
+        t = np.random.default_rng(3).uniform(0.0, 3.0, (3, 4)) * cfg.drive_period
+        t[0, 0] = 0.0
+        psi = evolve_closed_form(t, branch, cfg)
+        rho = return_probability(t, branch, cfg)
+        sym = branch_symmetry_check(t, cfg)
+        assert psi.shape == (3, 4, 2) and psi.dtype == complex
+        assert rho.shape == (3, 4) and all(v.shape == (3, 4) for v in sym)
+        scalar = [float(x) for x in t.ravel()]
+        np.testing.assert_array_equal(
+            bits(psi.reshape(-1, 2)),
+            bits([evolve_closed_form(x, branch, cfg) for x in scalar]),
+        )
+        np.testing.assert_array_equal(
+            bits(rho.ravel()), bits([return_probability(x, branch, cfg) for x in scalar])
+        )
+        for got, want in zip(sym, zip(*(branch_symmetry_check(x, cfg) for x in scalar))):
+            np.testing.assert_array_equal(bits(got.ravel()), bits(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=angles, ratio=ratios, frac=st.floats(0.0, 3.0),
+           branch=st.sampled_from([UPPER, LOWER]))
+    def test_same_doubles_as_complex_arithmetic(self, alpha, ratio, frac, branch):
+        # == rather than bits: the two forms may differ in the sign of a zero
+        cfg = cfg_at(ratio, alpha)
+        t = frac * cfg.drive_period
+        (up, down), (a0, a1) = complex_closed_form(t, branch, cfg)
+        np.testing.assert_array_equal(evolve_closed_form(t, branch, cfg), [up, down])
+        overlap = up.conjugate() * a0 + down.conjugate() * a1
+        assert return_probability(t, branch, cfg) == abs(overlap) ** 2
+
+    def test_float_t_gives_floats_and_one_state(self):
+        cfg = cfg_at(1.3, 0.4)
+        assert evolve_closed_form(0.3 * cfg.drive_period, UPPER, cfg).shape == (2,)
+        assert type(return_probability(0.3 * cfg.drive_period, UPPER, cfg)) is float
+        assert all(type(v) is float for v in branch_symmetry_check(1e-12, cfg))
+        assert evolve_closed_form(np.empty(0), LOWER, cfg).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda t, cfg: evolve_closed_form(t, UPPER, cfg),
+            lambda t, cfg: return_probability(t, LOWER, cfg),
+            branch_symmetry_check,
+        ],
+        ids=["evolve_closed_form", "return_probability", "branch_symmetry_check"],
+    )
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+    def test_time_must_be_finite_and_non_negative(self, call, t):
+        # nan once came back as a nan probability, inf as "math domain error"
+        cfg = cfg_at(1.0, math.pi / 4)
+        for arg in (t, np.array([0.0, t])):
+            with pytest.raises(ValueError, match=f"t must be finite and non-negative, got {t}"):
+                call(arg, cfg)
+
+    @pytest.mark.parametrize("branch", [UPPER, LOWER])
+    def test_time_whose_phase_overflows_is_named(self, branch):
+        cfg = cfg_at(1.0, math.pi / 4)
+        message = r"t = 1e\+300 s overflows the phase 1.72\d+e\+11 rad/s \* t"
+        with pytest.raises(ValueError, match=message):
+            return_probability(np.array([0.0, 1e300]), branch, cfg)
+        # a phase of 1.7e301 rad is still a phase
+        assert 0.0 <= return_probability(1e290, branch, cfg) <= 1.0
 
 
 class TestReturnProbability:
@@ -284,7 +375,7 @@ class TestReturnProbability:
         cfg = cfg_at(1.0, math.pi / 4)
         t = cfg.drive_period
         initial, _, _, _ = instantaneous_eigenstates(0.0, cfg)
-        state = evolve_ode(t, UPPER, cfg).state
+        state = spin.ode_trajectory(t, UPPER, cfg, samples=1)[1][-1]
         amp = np.vdot(state, initial.vector)
         assert return_probability(t, UPPER, cfg) == pytest.approx(abs(amp) ** 2, abs=1e-8)
 
@@ -298,33 +389,26 @@ class TestReturnProbability:
 
 class TestCycleProbability:
     def test_aligned_field(self):
-        cfg = RotorConfig(alpha=0.0)
         for ratio in (0.3, 1.0, 4.2):
-            assert return_probability_cycle(ratio * cfg.omega0, cfg) == pytest.approx(
-                1.0, abs=1e-12
-            )
+            cfg = RotorConfig.at_ratio(ratio, alpha=0.0)
+            assert return_probability_cycle(cfg) == pytest.approx(1.0, abs=1e-12)
 
     def test_resonant_quarter_cone(self):
-        cfg = RotorConfig(alpha=math.pi / 4)
-        value = return_probability_cycle(cfg.omega0, cfg)
+        value = return_probability_cycle(RotorConfig.at_ratio(1.0, alpha=math.pi / 4))
         assert value == pytest.approx(RHO_CYCLE_RESONANT, abs=1e-12)
         assert value == pytest.approx(0.6149, abs=1e-3)
 
     def test_fast_drive_nearly_frozen(self):
-        cfg = RotorConfig(alpha=math.pi / 4)
-        assert return_probability_cycle(15.0 * cfg.omega0, cfg) >= 0.98
+        cfg = RotorConfig.at_ratio(15.0, alpha=math.pi / 4)
+        assert return_probability_cycle(cfg) >= 0.98
 
     @settings(max_examples=80, deadline=None)
     @given(alpha=angles, ratio=ratios)
     def test_consistent_with_time_domain_form(self, alpha, ratio):
         cfg = cfg_at(ratio, alpha)
         lhs = return_probability(cfg.drive_period, UPPER, cfg)
-        rhs = return_probability_cycle(cfg.omega, cfg)
+        rhs = return_probability_cycle(cfg)
         assert abs(lhs - rhs) <= 1e-12
-
-    def test_nonpositive_omega_rejected(self):
-        with pytest.raises(ValueError):
-            return_probability_cycle(0.0, RotorConfig())
 
 
 class TestBranchSymmetry:
@@ -373,6 +457,8 @@ class TestOmegaScan:
             omega_scan(2.0, 1.0, 10, [0.5])
         with pytest.raises(ValueError):
             omega_scan(0.5, 2.0, 1, [0.5])
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, pi\], got 3.2"):
+            omega_scan(0.5, 2.0, 10, [0.5, 3.2])
 
     @pytest.mark.parametrize("bounds", [(1.0, math.inf), (math.nan, 2.0)])
     def test_validation_rejects_non_finite(self, bounds):
@@ -432,7 +518,6 @@ class TestThreshold:
 class TestHighFrequencyLimit:
     @pytest.mark.parametrize("alpha", [math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3])
     def test_probability_deficit_shrinks_quadratically(self, alpha):
-        cfg = RotorConfig(alpha=alpha)
         for ratio in (50.0, 80.0, 120.0):
-            rho = return_probability_cycle(ratio * cfg.omega0, cfg)
+            rho = return_probability_cycle(RotorConfig.at_ratio(ratio, alpha=alpha))
             assert rho >= 1.0 - 10.0 / ratio**2
