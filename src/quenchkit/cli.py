@@ -339,26 +339,6 @@ def _decimal_rows(block, row_format: str) -> str:
     return "".join(parts)
 
 
-def _rotor_config(args, alpha: float, ratio: float) -> spin.RotorConfig:
-    return spin.RotorConfig.at_ratio(
-        ratio,
-        alpha=alpha,
-        field_strength=args.b0,
-        charge=args.charge,
-        mass=args.mass,
-    )
-
-
-def _add_spin_constants(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--b0", type=parse_real, default=1.0, help="field strength in T")
-    parser.add_argument(
-        "--charge", type=parse_real, default=1.6e-19, help="charge magnitude in C"
-    )
-    parser.add_argument(
-        "--mass", type=parse_real, default=9.3e-31, help="particle mass in kg"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quenchkit",
@@ -473,9 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20260810)
     p.add_argument("--tol", type=_tolerance, default=1e-12)
 
-    # every spin command takes the physical constants, and every command -o
-    for p in ssub.choices.values():
-        _add_spin_constants(p)
     for p in (*wsub.choices.values(), *ssub.choices.values()):
         p.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
     return parser
@@ -527,7 +504,7 @@ def _run_well(args) -> int:
 
 def _run_spin(args) -> int:
     if args.command == "return-prob":
-        cfg = _rotor_config(args, args.alpha, args.ratio)
+        cfg = spin.RotorConfig.at_ratio(args.ratio, alpha=args.alpha)
         fractions = np.linspace(0.0, 1.0, args.points)
         # one block of rows per chunk keeps the temporaries small
         blocks = (
@@ -536,9 +513,8 @@ def _run_spin(args) -> int:
         )
         write_table(["t_over_period", "rho1"], blocks, args.output)
     elif args.command == "omega-scan":
-        cfg = _rotor_config(args, args.alpha[0], 1.0)
         lo, hi = args.ratio
-        curves = spin.omega_scan(lo, hi, args.points, args.alpha, cfg)
+        curves = spin.omega_scan(lo, hi, args.points, args.alpha)
         if len(curves) == 1:
             table = np.column_stack((curves[0].ratios, curves[0].probabilities))
             write_table(["omega_over_omega0", "rho1"], table, args.output)
@@ -549,9 +525,8 @@ def _run_spin(args) -> int:
             )
             write_table(["alpha_rad", "omega_over_omega0", "rho1"], blocks, args.output)
     elif args.command == "threshold":
-        cfg = _rotor_config(args, args.alpha, 1.0)
         lo, hi = args.ratio
-        report = spin.anti_adiabatic_threshold(args.epsilon, cfg, lo, hi, args.points)
+        report = spin.anti_adiabatic_threshold(args.epsilon, args.alpha, lo, hi, args.points)
         frozen = report.frozen_onset if report.frozen_found else math.nan
         write_table(
             ["monotone_onset_ratio", "frozen_ratio", "max_rho1"],
@@ -567,7 +542,7 @@ def _run_spin(args) -> int:
         rows = []
         for alpha in args.alpha:
             for ratio in args.ratio_list:
-                cfg = _rotor_config(args, alpha, ratio)
+                cfg = spin.RotorConfig.at_ratio(ratio, alpha=alpha)
                 times, states, drift = spin.ode_trajectory(
                     cfg.drive_period, spin.UPPER, cfg, samples=args.samples
                 )
@@ -585,7 +560,7 @@ def _run_spin(args) -> int:
         for _ in range(args.draws):
             alpha = rng.uniform(0.0, math.pi)
             ratio = rng.uniform(0.05, 20.0)
-            cfg = _rotor_config(args, alpha, ratio)
+            cfg = spin.RotorConfig.at_ratio(ratio, alpha=alpha)
             t = rng.uniform(0.0, 1.0) * cfg.drive_period
             # t and the period in one call; the branch gap is the one at t
             p_upper, _, gap = spin.branch_symmetry_check(

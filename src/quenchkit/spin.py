@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,51 +27,53 @@ LOWER = "lower"  # eigenvalue -hbar*omega0/2
 DEFAULT_RATIO_RANGE = (0.05, 20.0)
 DEFAULT_SCAN_POINTS = 10_000
 
-# Most RK4 steps one trajectory may take: ~10 s of the scalar step loop, far
-# above the 10^4 a cycle at a drive ratio >= 0.2 takes.  At least 20 steps
-# per Larmor period make a slow drive costly: ratio 1e-9 would need 2e10.
+# Larmor frequency, rad/s: charge 1.6e-19 C times a 1 T field over mass
+# 9.3e-31 kg.  Every spin quantity the package reports depends on the cone
+# angle and the drive ratio omega / omega0 only, so omega0 sets only the unit
+# of time.
+OMEGA0 = 1.6e-19 / 9.3e-31
+
+# Most RK4 steps one trajectory may take: ~10 s of the step loop.  A cycle
+# takes 10^4 steps at a drive ratio >= 0.064 and about 600 / r below that
+# (`ode_trajectory`), so the budget admits ratios down to about 6e-5; ratio
+# 1e-9 would need 6e11.
 MAX_RK4_STEPS = 10**7
 
 
 @dataclass(frozen=True)
 class RotorConfig:
-    """Field strength, particle charge/mass, cone angle, and drive frequency.
+    """Cone angle and drive frequency at the Larmor frequency `OMEGA0`.
 
-    ``charge`` is a magnitude; its sign is absorbed into the Larmor frequency
-    ``omega0 = charge * field_strength / mass``.  Defaults put an electron-like
-    particle (m = 9.3e-31 kg) in a 1 T field, driven at the Larmor frequency.
+    Defaults drive a 45-degree cone at the Larmor frequency.
     """
 
-    field_strength: float = 1.0  # T
-    charge: float = 1.6e-19  # C, magnitude
-    mass: float = 9.3e-31  # kg
     alpha: float = math.pi / 4  # rad, cone half-angle
-    omega: float = 1.6e-19 / 9.3e-31  # rad/s, drive frequency
+    omega: float = OMEGA0  # rad/s, drive frequency
 
     def __post_init__(self):
-        for name in ("field_strength", "charge", "mass", "omega"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.omega) and self.omega > 0.0):
+            raise ValueError(f"omega must be finite and positive, got {self.omega}")
         _check_alpha(self.alpha)
         # kernels.rabi_rate squares the frequencies, which overflow past
-        # sqrt(DBL_MAX); below 1 / MAX_RATIO a ratio or a period leaves the
-        # range of a double.  The Larmor frequency comes first, as every
-        # ratio divides by it.
+        # sqrt(DBL_MAX); below 1 / MAX_RATIO a ratio leaves the range of a
+        # double.  A ratio within the bounds keeps omega above 1e-150 rad/s.
         top = kernels.MAX_RATIO
-        omega0 = self.omega0
-        if not 1.0 / top <= omega0 <= top:
+        ratio = self.omega / OMEGA0
+        if not ratio <= top:
             raise ValueError(
-                f"Larmor frequency charge * field_strength / mass must lie in "
-                f"[{1.0 / top:g}, {top:g}] rad/s, got {omega0}"
+                f"drive ratio omega / omega0 must be at most {top:g}, got {ratio:g}"
             )
-        _check_bounded("drive ratio omega / omega0", self.omega / omega0, "")
-        _check_bounded("omega", self.omega, " rad/s")
+        if not ratio >= 1.0 / top:
+            raise ValueError(
+                f"drive ratio omega / omega0 must be at least {1.0 / top:g}, got {ratio:g}"
+            )
+        if not self.omega <= top:
+            raise ValueError(f"omega must be at most {top:g} rad/s, got {self.omega:g}")
 
     @property
     def omega0(self) -> float:
-        """Larmor frequency, rad/s (derived, never stored)."""
-        return self.charge * self.field_strength / self.mass
+        """Larmor frequency, rad/s: the constant `OMEGA0`."""
+        return OMEGA0
 
     @property
     def rabi_lambda(self) -> float:
@@ -83,25 +85,14 @@ class RotorConfig:
         return 2.0 * math.pi / self.omega
 
     @classmethod
-    def at_ratio(cls, ratio: float, alpha: float = math.pi / 4, **kwargs) -> "RotorConfig":
+    def at_ratio(cls, ratio: float, alpha: float = math.pi / 4) -> "RotorConfig":
         """Config with the drive at ``ratio`` times the Larmor frequency."""
-        # only the probe's Larmor frequency is read; its 1 rad/s drive meets
-        # every ratio bound whenever that frequency is valid
-        probe = cls(alpha=alpha, omega=1.0, **kwargs)
-        return replace(probe, omega=ratio * probe.omega0)
+        return cls(alpha=alpha, omega=ratio * OMEGA0)
 
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= math.pi:
         raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
-
-
-def _check_bounded(name: str, value: float, unit: str) -> None:
-    top = kernels.MAX_RATIO
-    if not value <= top:
-        raise ValueError(f"{name} must be at most {top:g}{unit}, got {value:g}")
-    if not value >= 1.0 / top:
-        raise ValueError(f"{name} must be at least {1.0 / top:g}{unit}, got {value:g}")
 
 
 @dataclass(frozen=True)
@@ -263,9 +254,12 @@ def ode_trajectory(
         return times, states, 0.0
     fastest = max(cfg.omega, cfg.omega0, cfg.rabi_lambda)
     periods = t / cfg.drive_period
+    # at least 600 steps per period of the fastest frequency: over P such
+    # periods the error is about 2.5 P / 600^4, 3e-7 at the slowest drive
+    # the budget admits
+    steps = max(spec.steps_per_period * periods, 600.0 * fastest * t / (2.0 * math.pi), 100.0)
     # rounded up to a multiple of samples in floats, so a huge t meets the
     # budget as inf instead of overflowing an integer conversion
-    steps = max(spec.steps_per_period * periods, 20.0 * fastest * t / (2.0 * math.pi), 100.0)
     n_steps = np.ceil(np.ceil(steps) / samples) * samples
     if n_steps > MAX_RK4_STEPS:
         raise ValueError(
@@ -320,7 +314,6 @@ def omega_scan(
     ratio_max: float,
     points: int,
     alphas,
-    cfg: RotorConfig | None = None,
 ) -> list[ReturnCurve]:
     """Single-cycle return probability curves, one per cone angle."""
     top = kernels.MAX_RATIO
@@ -331,8 +324,6 @@ def omega_scan(
         )
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    if cfg is None:
-        cfg = RotorConfig()
     ratios = np.linspace(ratio_min, ratio_max, points)
     curves = []
     for alpha in np.atleast_1d(np.asarray(alphas, dtype=float)):
@@ -344,7 +335,7 @@ def omega_scan(
 
 def anti_adiabatic_threshold(
     epsilon: float,
-    cfg: RotorConfig | None = None,
+    alpha: float = math.pi / 4,
     ratio_min: float = DEFAULT_RATIO_RANGE[0],
     ratio_max: float = DEFAULT_RATIO_RANGE[1],
     points: int = DEFAULT_SCAN_POINTS,
@@ -359,9 +350,7 @@ def anti_adiabatic_threshold(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if cfg is None:
-        cfg = RotorConfig()
-    (curve,) = omega_scan(ratio_min, ratio_max, points, [cfg.alpha], cfg)
+    (curve,) = omega_scan(ratio_min, ratio_max, points, [alpha])
     rho = curve.probabilities
     ratios = curve.ratios
     # drops below a few ulps are rounding noise on flat stretches, not dips
@@ -375,7 +364,7 @@ def anti_adiabatic_threshold(
     else:
         frozen = float(ratios[below[-1] + 1])
     return ThresholdReport(
-        alpha=cfg.alpha,
+        alpha=curve.alpha,
         epsilon=epsilon,
         monotone_onset=monotone,
         frozen_onset=frozen,

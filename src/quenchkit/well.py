@@ -84,9 +84,6 @@ class QuenchRatio:
             return Regime.EXPAND_RESONANT
         return Regime.EXPAND_GENERIC
 
-    def new_width(self, cfg: WellConfig) -> float:
-        return self.gamma * cfg.width
-
 
 def _check_gamma(gamma: float) -> None:
     if not (math.isfinite(gamma) and gamma > 0.0):
@@ -190,7 +187,6 @@ def population(n: int, gamma) -> float:
 def overlap_oracle(
     n,
     gamma,
-    cfg: WellConfig | None = None,
     spec: QuadratureSpec | None = None,
 ):
     """Quadrature cross-check of `expansion_coefficient`.
@@ -199,8 +195,8 @@ def overlap_oracle(
     eigenfunction over their common support, one panel per arch of the
     oscillating eigenfunction (otherwise level spacings commensurate with the
     bisection points can alias the integrand to zero), each panel to an equal
-    share of ``spec.tolerance``.  The result is dimensionless and independent
-    of the physical scale in ``cfg``.
+    share of ``spec.tolerance``.  The result is dimensionless, so the
+    integral runs over the reference box of `WellConfig`.
 
     ``n`` may be an array of levels: every panel of every level then goes
     through one `integrate` call, and the result is an array over ``n``.
@@ -208,13 +204,10 @@ def overlap_oracle(
     levels = np.asarray(n)
     if np.any(levels < 1):
         raise ValueError(f"level index must be >= 1, got {n}")
-    if cfg is None:
-        cfg = WellConfig()
     if spec is None:
         spec = QuadratureSpec()
-    r = _as_ratio(gamma)
-    w0 = cfg.width
-    w1 = r.new_width(cfg)
+    w0 = WellConfig().width
+    w1 = _as_ratio(gamma).gamma * w0
     upper = min(w0, w1)
 
     edges = []  # panel edges, one list per requested level
@@ -279,16 +272,16 @@ def _energies(gammas: np.ndarray, n_levels: int):
         )
         rho *= rho
         np.sum(rho, axis=1, out=captured[block])
+        # checked before dividing: below gamma ~ 2e-162 g * g is 0 as well
+        if not (captured[block] > 0.0).all():
+            raise ValueError(
+                f"captured probability underflows to zero at gamma = "
+                f"{g[np.argmin(captured[block] > 0.0)]} with {n_levels} levels"
+            )
         rho *= n
         rho *= n
         np.sum(rho, axis=1, out=raw[block])
         raw[block] /= g * g
-    if not (captured > 0.0).all():
-        g = gammas[np.argmin(captured > 0.0)]
-        raise ValueError(
-            f"captured probability underflows to zero at gamma = {g} "
-            f"with {n_levels} levels"
-        )
     return raw / captured, raw, captured
 
 
@@ -400,6 +393,11 @@ def force_scan(
     """
     grid = _gamma_grid(gamma_min, gamma_max, points)
     kept = grid[(grid < 1.0) | (grid != np.floor(grid))]
+    if kept.size == 0:
+        raise ValueError(
+            f"every grid point in [{gamma_min}, {gamma_max}] is an exact integer >= 1, "
+            f"where no force is taken"
+        )
     return ForceProfile(
         gamma=kept,
         energy=_energies(kept, n_levels)[0],

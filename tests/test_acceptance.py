@@ -176,7 +176,7 @@ def test_criterion_09_cycle_consistency_and_branch_symmetry():
 
 
 def test_criterion_10_anti_adiabatic_threshold():
-    report = spin.anti_adiabatic_threshold(0.02, spin.RotorConfig(alpha=math.pi / 4))
+    report = spin.anti_adiabatic_threshold(0.02, math.pi / 4)
     onset_ok = abs(report.monotone_onset - 1.442) <= 0.05
     cfg0 = spin.RotorConfig(alpha=math.pi / 4)
     frozen_ok = all(

@@ -62,8 +62,18 @@ _NON_FINITE_CASES = [
     (["spin", "threshold", "--alpha", "pi/nan"], "pi/nan"),
     (["spin", "threshold", "--epsilon", "nan"], "nan"),
     (["well", "force-scan", "--step", "nan"], "nan"),
-    (["spin", "omega-scan", "--charge", "inf"], "inf"),
-    (["spin", "return-prob", "--b0=-inf"], "-inf"),
+]
+
+# (group, command, flag) for each physical-constant flag the commands dropped
+_CONSTANT_FLAGS = [
+    (group, command, flag)
+    for group, commands, flags in (
+        ("well", ["energy-scan", "force-scan", "oracle-check"], ["--mass", "--planck", "--width"]),
+        ("spin", ["return-prob", "omega-scan", "threshold", "ode-check", "symmetry-check"],
+         ["--b0", "--charge", "--mass"]),
+    )
+    for flag in flags
+    for command in commands
 ]
 
 
@@ -165,6 +175,21 @@ class TestExitCodes:
             # captured probability underflows to zero below gamma ~ 1e-108
             (["well", "energy-scan", "--gamma", "1e-120:1e-110", "--points", "3"],
              "at gamma = 1e-120 "),
+            # below gamma ~ 2e-162, gamma * gamma underflows too: dividing by
+            # it first made 0/0 and a RuntimeWarning
+            (["well", "energy-scan", "--gamma", "1e-200:1e-150", "--points", "3"],
+             "at gamma = 1e-200 "),
+            (["well", "captured", "--gamma", "5e-324:1", "--points", "3"], "at gamma = 5e-324 "),
+            (["well", "force-scan", "--gamma", "5e-324:1", "--points", "3"],
+             "at gamma = 5e-324 "),
+            # every point an exact integer >= 1 (every double above 2^53 is)
+            # once wrote a header-only table with exit 0
+            (["well", "force-scan", "--gamma", "1:2", "--points", "2"],
+             "every grid point in [1.0, 2.0] is an exact integer >= 1"),
+            (["well", "force-scan", "--gamma", "1:3", "--points", "3"], "in [1.0, 3.0]"),
+            (["well", "force-scan", "--gamma", "1e16:2e16"], "in [1e+16, 2e+16]"),
+            (["well", "force-scan", "--gamma", "1e50:1e150", "--points", "42"],
+             "in [1e+50, 1e+150]"),
             (["well", "force-scan", "--gamma", "0.5:2", "--points", "11", "--step", "0.3"],
              "got -0.09999999999999998"),
             # (omega - omega0) ** 2 in spin.rabi_lambda raised OverflowError
@@ -175,9 +200,7 @@ class TestExitCodes:
             (["spin", "omega-scan", "--ratio", "1e-320:1e-300", "--points", "3"],
              "got [1e-320, 1e-300]"),
             (["spin", "return-prob", "--ratio", "1e-310"], "got 1e-310"),
-            (["spin", "omega-scan", "--b0", "1e-300", "--ratio", "1:2"],
-             "Larmor frequency charge * field_strength / mass must lie in"),
-            # 20 steps per Larmor period: 2e10 RK4 steps, refused before any
+            # 600 steps per Larmor period: 6e11 RK4 steps, refused before any
             (["spin", "ode-check", "--ratio-list", "1e-9"], "above the budget of 10000000"),
             # only the first angle was checked; -7 wrote a curve with exit 0
             (["spin", "omega-scan", "--alpha=pi/4,-7", "--points", "3"], "got -7.0"),
@@ -226,12 +249,13 @@ class TestExitCodes:
         # the budget itself parses
         assert cli.build_parser().parse_args([*argv, str(cli.MAX_ELEMENTS)])
 
-    @pytest.mark.parametrize("command", ["energy-scan", "force-scan", "oracle-check"])
-    @pytest.mark.parametrize("flag", ["--mass", "--planck", "--width"])
-    def test_well_constant_flags_are_gone(self, command, flag, capsys):
-        # the dimensionless well commands never read them
+    @pytest.mark.parametrize(
+        "group, command, flag", _CONSTANT_FLAGS, ids=[f"{f}-{c}" for _, c, f in _CONSTANT_FLAGS]
+    )
+    def test_well_constant_flags_are_gone(self, group, command, flag, capsys):
+        # the dimensionless well and spin commands never read them
         with pytest.raises(SystemExit) as err:
-            cli.main(["well", command, flag, "1"])
+            cli.main([group, command, flag, "1"])
         assert err.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
@@ -415,6 +439,15 @@ class TestSpinCommands:
         assert lines[0] == "alpha_rad,omega_over_omega0,max_abs_diff,norm_drift"
         assert float(lines[1].split(",")[2]) <= 1e-6
 
+    def test_ode_check_passes_on_slow_drives(self, capsys):
+        # 20 steps per Larmor period left 2.5e-6 at ratio 0.01 and 7e-3 at 0.002
+        code, out = run_cli(
+            capsys, "spin", "ode-check", "--alpha", "pi/12", "--ratio-list", "0.01,0.002"
+        )
+        assert code == 0
+        table = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        assert table[:, 2].max() <= 1e-6
+
     def test_symmetry_check_passes(self, capsys):
         code, out = run_cli(capsys, "spin", "symmetry-check", "--draws", "50")
         assert code == 0
@@ -443,18 +476,17 @@ def _listed(values, most=3):
 
 
 _range = st.tuples(_text, _text).map(":".join)
-_constants = {"b0": _text, "charge": _text, "mass": _text}
-# RK4 takes 20 / ratio steps below a ratio of 0.002: every drawn ratio is
-# either >= 0.002 or so small that the step budget refuses it at once
+# RK4 takes about 600 / ratio steps below a ratio of 0.064: every drawn ratio
+# is either >= 0.002 (at most 3e5 steps) or so small that the step budget
+# refuses it at once
 _SPIN_FLAGS = {
-    "return-prob": {"alpha": _angle, "ratio": _text, "points": _size, **_constants},
-    "omega-scan": {"alpha": _listed(_angle), "ratio": _range, "points": _size, **_constants},
-    "threshold": {"alpha": _angle, "epsilon": _text, "ratio": _range, "points": _size,
-                  **_constants},
+    "return-prob": {"alpha": _angle, "ratio": _text, "points": _size},
+    "omega-scan": {"alpha": _listed(_angle), "ratio": _range, "points": _size},
+    "threshold": {"alpha": _angle, "epsilon": _text, "ratio": _range, "points": _size},
     "ode-check": {"alpha": _listed(_angle, 2), "ratio-list": _listed(_text, 2),
-                  "samples": _size, "tol": _text, **_constants},
+                  "samples": _size, "tol": _text},
     "symmetry-check": {"draws": _size, "seed": st.integers(-1, 2**64).map(str),
-                       "tol": _text, **_constants},
+                       "tol": _text},
 }
 _SPIN_HEADERS = {
     "return-prob": ["t_over_period,rho1"],
@@ -605,14 +637,6 @@ class TestWriteTable:
         cli.write_table(header, iter(rows), str(path))
         assert path.read_bytes() == expected
 
-    def test_header_only_force_scan(self, capsys):
-        # every grid point of 1:2 at 2 points is resonant and omitted
-        code, out = run_cli(
-            capsys, "well", "force-scan", "--gamma", "1:2", "--points", "2"
-        )
-        assert code == 0
-        assert out == "gamma,E_over_E1,F_over_E1_per_Q0\n"
-
     def test_package_import_loads_no_numpy(self):
         # the public names resolve on first use; numpy loads with them
         code = (
@@ -672,7 +696,8 @@ class TestWriteTable:
             ["well", "captured", "--points", "7"],
             ["well", "energy-scan", "--points", "7"],
             ["well", "force-scan", "--points", "7"],
-            ["well", "force-scan", "--gamma", "1:2", "--points", "2"],
+            # both ends are exact integers and omitted: one row, at 1.5
+            ["well", "force-scan", "--gamma", "1:2", "--points", "3"],
             ["well", "oracle-check", "--gamma-list", "0.5,2", "--max-level", "3"],
             ["spin", "return-prob", "--points", "7"],
             ["spin", "omega-scan", "--points", "7"],

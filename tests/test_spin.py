@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,23 +38,25 @@ def cfg_at(ratio, alpha):
 
 class TestConfig:
     def test_larmor_frequency(self):
+        # a constant, not a field: the spin tables depend on alpha and
+        # omega / omega0 only
         cfg = RotorConfig()
-        assert cfg.omega0 == pytest.approx(1.6e-19 / 9.3e-31)
+        assert cfg.omega0 == 1.6e-19 * 1.0 / 9.3e-31
+        assert [f.name for f in dataclasses.fields(RotorConfig)] == ["alpha", "omega"]
 
     def test_at_ratio(self):
         cfg = RotorConfig.at_ratio(2.5, alpha=math.pi / 6)
-        assert cfg.omega == pytest.approx(2.5 * cfg.omega0)
+        assert cfg.omega == 2.5 * cfg.omega0
         assert cfg.alpha == math.pi / 6
+        assert RotorConfig.at_ratio(1.0 / kernels.MAX_RATIO).omega > 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RotorConfig(field_strength=0.0)
         with pytest.raises(ValueError):
             RotorConfig(alpha=-0.1)
         with pytest.raises(ValueError):
             RotorConfig(omega=0.0)
 
-    @pytest.mark.parametrize("name", ["field_strength", "charge", "mass", "omega"])
+    @pytest.mark.parametrize("name", ["omega"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_validation_rejects_non_finite(self, name, value):
         message = f"{name} must be finite and positive, got {value}"
@@ -70,8 +73,6 @@ class TestConfig:
             # (omega - omega0) ** 2 in rabi_lambda raised OverflowError here
             ({"ratio": 1e200}, r"drive ratio omega / omega0 must be at most 1e\+150, got 1e\+200"),
             ({"ratio": 1e145}, r"omega must be at most 1e\+150 rad/s"),
-            ({"ratio": 1.0, "field_strength": 1e200}, r"Larmor frequency .* must lie in"),
-            ({"ratio": 1.0, "charge": 1e-300, "mass": 1e300}, r"got 0\.0"),
         ],
     )
     def test_frequencies_bounded_so_squares_stay_finite(self, kwargs, message):
@@ -86,20 +87,11 @@ class TestConfig:
         [
             # 1e-310 * omega0 once went on to a nan row or "math domain error"
             ({"ratio": 1e-310}, r"drive ratio omega / omega0 must be at least 1e-150, got 1e-310"),
-            ({"ratio": 1e-140, "mass": 1e-8}, r"omega must be at least 1e-150 rad/s"),
-            # the probe config once blamed a drive ratio of 1e+300 here
-            ({"ratio": 1.0, "field_strength": 1e-300}, r"Larmor frequency .* must lie in"),
         ],
     )
     def test_tiny_frequencies_name_the_offending_value(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RotorConfig.at_ratio(**kwargs)
-
-    def test_slow_larmor_frequency_is_not_judged_by_the_default_drive(self):
-        # the default 1.72e11 rad/s drive is 1e155 Larmor frequencies here
-        cfg = RotorConfig.at_ratio(2.0, field_strength=1e-155)
-        assert cfg.omega == 2.0 * cfg.omega0
-        assert RotorConfig.at_ratio(1.0 / kernels.MAX_RATIO).omega > 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(alpha=angles, ratio=ratios)
@@ -217,13 +209,13 @@ class TestClosedFormEvolution:
             np.testing.assert_allclose(s, expected, atol=1e-8)
 
     def test_step_budget_is_checked_before_any_step(self, monkeypatch):
-        # at least 20 steps per Larmor period: ratio 1e-9 would take 2e10
+        # at least 600 steps per Larmor period: ratio 1e-9 would take 6e11
         def no_stepping(*args):
             raise AssertionError("stepped past the budget")
 
         monkeypatch.setattr(kernels, "spin_rk4", no_stepping)
         cfg = cfg_at(1e-9, math.pi / 4)
-        with pytest.raises(ValueError, match=r"ratio omega / omega0 = 1e-09 needs \d{11} steps"):
+        with pytest.raises(ValueError, match=r"ratio omega / omega0 = 1e-09 needs \d{12} steps"):
             spin.ode_trajectory(cfg.drive_period, UPPER, cfg)
 
     def test_step_budget_admits_exactly_its_count(self, monkeypatch):
@@ -483,12 +475,12 @@ class TestOmegaScan:
 
 class TestThreshold:
     def test_aligned_field_frozen_from_start(self):
-        report = anti_adiabatic_threshold(0.05, RotorConfig(alpha=0.0))
+        report = anti_adiabatic_threshold(0.05, 0.0)
         assert report.monotone_onset == report.ratio_range[0]
         assert report.frozen_onset == report.ratio_range[0]
 
     def test_quarter_cone_onsets(self):
-        report = anti_adiabatic_threshold(0.02, RotorConfig(alpha=math.pi / 4))
+        report = anti_adiabatic_threshold(0.02, math.pi / 4)
         assert report.monotone_onset == pytest.approx(1.442, abs=0.05)
         assert report.frozen_found and report.frozen_onset <= 15.0
 
@@ -498,12 +490,12 @@ class TestThreshold:
     def test_monotone_onset_tracks_cone_angle(self, alpha):
         # the cycle curve's last local minimum sits at drive ratio 1/cos(alpha);
         # the grid-resolved onset lands within one grid spacing of it
-        report = anti_adiabatic_threshold(0.02, RotorConfig(alpha=alpha))
+        report = anti_adiabatic_threshold(0.02, alpha)
         assert report.monotone_onset == pytest.approx(1.0 / math.cos(alpha), abs=3e-3)
 
     def test_not_found_carries_scan_maximum(self):
         report = anti_adiabatic_threshold(
-            1e-3, RotorConfig(alpha=math.pi / 4), ratio_min=0.05, ratio_max=0.5, points=200
+            1e-3, math.pi / 4, ratio_min=0.05, ratio_max=0.5, points=200
         )
         assert not report.frozen_found
         assert report.frozen_onset is None

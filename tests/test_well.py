@@ -223,12 +223,6 @@ class TestOverlapOracle:
         scalar = [overlap_oracle(n, gamma, spec=spec) for n in levels.tolist()]
         assert batched.tolist() == scalar
 
-    def test_scale_invariance(self):
-        for n, g in ((1, 0.5), (2, 1.5), (4, 4.9)):
-            assert overlap_oracle(n, g) == pytest.approx(
-                overlap_oracle(n, g, ALT_CONFIG), abs=1e-12
-            )
-
 
 class TestDecompose:
     def test_identity_decomposition(self):
@@ -426,8 +420,11 @@ class TestScans:
     def test_ratio_bound_keeps_coefficients_finite(self):
         assert np.all(np.isfinite(decompose(1e150, 1000).coefficients))
         assert np.all(np.isfinite(energy_scan(1e90, 1e100, 5)))
-        profile = force_scan(1e90, 1e100, 5)
-        assert np.all(np.isfinite(profile.energy)) and np.all(np.isfinite(profile.force))
+        assert all(math.isfinite(matter_wave_force(g)) for g in (1e90, 1e100))
+        # every double this large is an integer, each of which force_scan
+        # omits; it once returned empty arrays, finite only vacuously
+        with pytest.raises(ValueError, match=r"in \[1e\+90, 1e\+100\] is an exact integer"):
+            force_scan(1e90, 1e100, 5)
 
     def test_blocks_do_not_change_the_scans(self, monkeypatch):
         # one row per block, then every grid point in one block
