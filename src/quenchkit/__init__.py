@@ -26,7 +26,6 @@ _EXPORTS = {
         "OdeResult",
         "OdeSpec",
         "QuadratureConvergenceError",
-        "QuadratureSpec",
         "central_difference",
         "integrate",
         "ode_evolve",

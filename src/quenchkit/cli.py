@@ -488,11 +488,10 @@ def _run_well(args) -> int:
                 f"--gamma-list and --max-level {top} make up to {panels} "
                 f"quadrature panels, above the size budget of {MAX_ELEMENTS}"
             )
-        qspec = well.QuadratureSpec(tolerance=args.quad_tol)
         rows = []
         levels = np.arange(1, args.max_level + 1)
         for g in args.gamma_list:
-            oracles = well.overlap_oracle(levels, g, spec=qspec).tolist()
+            oracles = well.overlap_oracle(levels, g, tolerance=args.quad_tol).tolist()
             closed = well.decompose(g, args.max_level).coefficients.tolist()
             rows += [(n, g, c, o, abs(c - o)) for n, c, o in zip(levels.tolist(), closed, oracles)]
         write_table(

@@ -4,19 +4,20 @@ These routines serve double duty: the finite-difference helper is production
 code (it realizes the force as the negative slope of the energy curve), while
 the quadrature and ODE integrators act as independent oracles for the closed
 forms implemented elsewhere in the package.  They are deliberately simple and
-reproducible -- adaptive Simpson bisection and classical fixed-step RK4, no
-adaptive step controllers -- so that a reimplementation in any language
-produces the same numbers.
+reproducible -- fixed Gauss-Legendre rules and classical fixed-step RK4, no
+adaptive subdivision or step controllers -- so that a reimplementation in any
+language produces the same numbers.
 
-`integrate` runs on arrays: it refines the panels of many intervals one
-bisection level at a time, and still returns, bit for bit, the doubles of
-the plain depth-first recursion with the same acceptance rule.  `ode_evolve`
-is the generic scalar RK4 loop; the two-level kernel in `kernels.spin_rk4`
-is checked against it.
+`integrate` runs on arrays: it applies a 16- and a 24-point Gauss-Legendre
+rule to many intervals at once, a block of intervals at a time, and takes the
+gap between the two sums as its error estimate.  `ode_evolve` is the generic
+scalar RK4 loop; the two-level kernel in `kernels.spin_rk4` is checked
+against it.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,7 +26,7 @@ import numpy as np
 
 
 class QuadratureConvergenceError(ArithmeticError):
-    """Subdivision budget exhausted before the tolerance was met.
+    """The quadrature's error estimate stayed above the tolerance.
 
     Carries the best available estimate in ``best_estimate``.
     """
@@ -37,22 +38,6 @@ class QuadratureConvergenceError(ArithmeticError):
 
 class OdeDivergenceError(ArithmeticError):
     """The ODE integration produced non-finite intermediate values."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Absolute tolerance and bisection-depth budget for `integrate`."""
-
-    tolerance: float = 1e-10
-    max_subdivisions: int = 48
-
-    def __post_init__(self):
-        if not self.tolerance > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_subdivisions < 1:
-            raise ValueError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
 
 
 @dataclass(frozen=True)
@@ -92,34 +77,28 @@ class Nodes(NamedTuple):
     root: np.ndarray
 
 
-# Root intervals bisected together.  Wider batches amortize the per-level
-# array overhead; narrower ones keep the panel arrays in cache.  Of 64, 128,
-# 256 and 1024, 128 was the fastest on the oracle-check workload.
-ROOT_BATCH = 128
-# Panels one bisection level may hold; a wider level is refined in slices of
-# this size, one after another.  This keeps memory bounded when a tolerance
-# cannot be met before the depth budget (2^depth panels), and was as fast as
-# wider caps on the oracle-check workload.
-PANEL_CAP = 4096
+# Intervals evaluated together: a block's nodes and values are (BLOCK, 40)
+# arrays, a few MiB however many intervals a call brings.  No result depends
+# on it.
+BLOCK = 4096
 
 
-def integrate(
-    f: Callable,
-    a,
-    b,
-    spec: QuadratureSpec | None = None,
-    *,
-    tolerance=None,
-):
-    """Integrate ``f`` over ``[a, b]`` by adaptive Simpson bisection.
+@functools.cache
+def _rules():
+    # The 16- and 24-point rules on [-1, 1].  numpy.polynomial loads here, on
+    # first use, so that it does not slow the start of every command.
+    from numpy.polynomial.legendre import leggauss
 
-    A panel is accepted once its two halves change the Simpson estimate by at
-    most ``15 * tol``; its value is then the Richardson-corrected sum of the
-    halves.  Otherwise both halves are bisected with half the tolerance, at
-    most ``spec.max_subdivisions`` times.  Panels are refined breadth first,
-    one array of panels per bisection level, and accepted values are summed
-    bottom-up in left/right pairs, so the result is the same double the
-    depth-first recursion gives.
+    return leggauss(16), leggauss(24)
+
+
+def integrate(f: Callable, a, b, *, tolerance=1e-10):
+    """Integrate ``f`` over ``[a, b]`` with fixed Gauss-Legendre rules.
+
+    The value is the 24-point sum; its error estimate is the gap to the
+    16-point sum.  Nothing is subdivided, so the work is a fixed 40
+    evaluations per interval: the caller picks intervals short against the
+    integrand's oscillations, on which the rules converge geometrically.
 
     Parameters
     ----------
@@ -130,30 +109,24 @@ def integrate(
     a, b : float or array_like
         Integration bounds, ``a <= b``; arrays of equal shape integrate one
         interval per element.
-    spec : QuadratureSpec, optional
-        Absolute tolerance and subdivision budget.
-    tolerance : float or array_like, optional
-        Per-interval absolute tolerance, broadcast against the bounds; it
-        replaces ``spec.tolerance``.
+    tolerance : float or array_like
+        Per-interval absolute tolerance, broadcast against the bounds.
 
     Returns
     -------
     float or np.ndarray
-        Approximation with estimated absolute error below the tolerance: a
-        float for scalar bounds, an array of the bounds' shape otherwise.
+        The 24-point sums: a float for scalar bounds, an array of the bounds'
+        shape otherwise.
 
     Raises
     ------
     QuadratureConvergenceError
-        If some subinterval hits the subdivision budget before meeting its
-        share of the tolerance.  The message names the first such interval;
-        ``best_estimate`` holds the estimate (a float for scalar bounds, an
-        array of every interval's estimate otherwise).  Also on the first
-        level whose integrand values or Simpson sums are not finite, which no
-        bisection can resolve; ``best_estimate`` is then nan.
+        If the two rules differ by more than the tolerance on some interval.
+        The message names the first such interval; ``best_estimate`` holds
+        the value (a float for scalar bounds, an array of every interval's
+        value otherwise).  Also at once on the first block whose integrand
+        values or sums are not finite; ``best_estimate`` is then nan.
     """
-    if spec is None:
-        spec = QuadratureSpec()
     if np.shape(a) != np.shape(b):
         raise ValueError(f"bounds must have equal shapes, got {np.shape(a)} and {np.shape(b)}")
     shape = np.shape(a)
@@ -164,105 +137,52 @@ def integrate(
     if np.any(lo > hi):
         i = int(np.argmax(lo > hi))
         raise ValueError(f"bounds must satisfy a <= b, got a={lo[i]}, b={hi[i]}")
-    tol = np.asarray(spec.tolerance if tolerance is None else tolerance, dtype=float)
+    tol = np.broadcast_to(np.asarray(tolerance, dtype=float), shape).ravel()
     if not np.all(tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    tol = np.broadcast_to(tol, shape).ravel()
+        raise ValueError(f"tolerance must be positive, got {tol[np.argmin(tol > 0.0)]}")
     if shape == ():
         scalar_f = f
 
         def f(nodes: Nodes) -> np.ndarray:
             return np.array([scalar_f(x) for x in nodes.x.tolist()], dtype=float)
 
+    (x_low, w_low), (x_high, w_high) = _rules()
+    x = np.concatenate([x_low, x_high])
     values = np.zeros(lo.size)
-    failed = np.zeros(lo.size, dtype=bool)
+    gap = np.zeros(lo.size)
     work = np.flatnonzero(lo < hi)  # a == b integrates to exactly zero
-    # a value that is not finite raises in _simpson_levels; numpy's warnings
-    # on the way to it would only repeat the error
+    # a sum that is not finite raises below; numpy's warnings on the way to it
+    # would only repeat the error
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, work.size, ROOT_BATCH):
-            roots = work[start:start + ROOT_BATCH]
-            a, b = lo[roots], hi[roots]
-            m = 0.5 * (a + b)
-            fa, fm, fb = f(Nodes(np.concatenate([a, m, b]), np.tile(roots, 3))).reshape(3, -1)
-            whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-            values[roots], failed[roots] = _simpson_levels(
-                f, roots, a, b, fa, fm, fb, whole, tol[roots], spec.max_subdivisions
-            )
+        for start in range(0, work.size, BLOCK):
+            roots = work[start:start + BLOCK]
+            half = 0.5 * (hi[roots] - lo[roots])
+            nodes = (lo[roots] + half)[:, None] + half[:, None] * x
+            fx = f(Nodes(nodes.ravel(), np.repeat(roots, x.size))).reshape(nodes.shape)
+            # an elementwise product summed per row, not a matrix product:
+            # BLAS would round a row differently with the block's size
+            low = half * (fx[:, :x_low.size] * w_low).sum(axis=1)
+            high = half * (fx[:, x_low.size:] * w_high).sum(axis=1)
+            finite = np.isfinite(low) & np.isfinite(high)
+            if not finite.all():
+                i = roots[np.argmin(finite)]
+                raise QuadratureConvergenceError(
+                    f"quadrature on [{lo[i]}, {hi[i]}] met an integrand value or a "
+                    f"rule sum that is not finite",
+                    best_estimate=np.nan,
+                )
+            values[roots] = high
+            gap[roots] = np.abs(high - low)
     result = float(values[0]) if shape == () else values.reshape(shape)
+    failed = ~(gap <= tol)
     if failed.any():
         i = int(np.argmax(failed))
         raise QuadratureConvergenceError(
-            f"quadrature on [{lo[i]}, {hi[i]}] did not reach tolerance "
-            f"{tol[i]} within {spec.max_subdivisions} subdivisions",
+            f"quadrature on [{lo[i]}, {hi[i]}] did not reach tolerance {tol[i]}: "
+            f"its 16- and 24-point Gauss-Legendre sums differ by {gap[i]:.3e}",
             best_estimate=result,
         )
     return result
-
-
-def _simpson_levels(f, root, a, b, fa, fm, fb, whole, tol, depth):
-    # Breadth-first adaptive Simpson over panels [a, b] with ``depth``
-    # bisections left.  Every panel of a level is evaluated at once; the
-    # halves of a split panel go to the next level as adjacent (left, right)
-    # entries.  A level wider than PANEL_CAP is handed on in slices, so memory
-    # stays bounded however deep the refinement.  Returns each panel's value
-    # and whether the depth budget ran out somewhere below it.
-    levels = []  # (value, split mask) of each bisection level
-    owner = np.arange(root.size)
-    failed = np.zeros(root.size, dtype=bool)
-    below = None
-    while True:
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(Nodes(np.concatenate([lm, rm]), np.tile(root, 2))).reshape(2, -1)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        finite = np.isfinite(delta)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise QuadratureConvergenceError(
-                f"quadrature on [{a[i]}, {b[i]}] met an integrand value or a "
-                f"Simpson sum that is not finite",
-                best_estimate=np.nan,
-            )
-        # 15 = 2^4 - 1: Richardson factor for Simpson's O(h^4) error
-        value = left + right + delta / 15.0
-        split = ~(np.abs(delta) <= 15.0 * tol)
-        if depth <= 0:
-            failed[owner[split]] = True
-            split[:] = False
-        levels.append((value, split))
-        if not split.any():
-            break
-        a, b = _halves(split, a, m), _halves(split, m, b)
-        fa, fm, fb = _halves(split, fa, fm), _halves(split, flm, frm), _halves(split, fm, fb)
-        whole = _halves(split, left, right)
-        tol = np.repeat(0.5 * tol[split], 2)
-        root = np.repeat(root[split], 2)
-        owner = np.repeat(owner[split], 2)
-        depth -= 1
-        if a.size > PANEL_CAP:
-            below = np.empty(a.size)
-            for start in range(0, a.size, PANEL_CAP):
-                s = slice(start, start + PANEL_CAP)
-                below[s], deeper = _simpson_levels(
-                    f, root[s], a[s], b[s], fa[s], fm[s], fb[s], whole[s], tol[s], depth
-                )
-                failed[owner[s][deeper]] = True
-            break
-    # bottom-up: a split panel's value is its left half plus its right half
-    for value, split in reversed(levels):
-        if below is not None:
-            value[split] = below[0::2] + below[1::2]
-        below = value
-    return below, failed
-
-
-def _halves(split, left, right):
-    # [left[i0], right[i0], left[i1], right[i1], ...] over the split panels
-    return np.stack([left[split], right[split]], axis=1).ravel()
 
 
 def ode_evolve(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from quenchkit import kernels
-from quenchkit.numerics import QuadratureSpec, central_difference, integrate
+from quenchkit.numerics import central_difference, integrate
 
 DEFAULT_LEVELS = 10
 DEFAULT_FORCE_STEP = 1e-4
@@ -184,19 +184,16 @@ def population(n: int, gamma) -> float:
     return b * b
 
 
-def overlap_oracle(
-    n,
-    gamma,
-    spec: QuadratureSpec | None = None,
-):
+def overlap_oracle(n, gamma, *, tolerance=1e-10):
     """Quadrature cross-check of `expansion_coefficient`.
 
     Integrates the product of the old ground state and the new level-``n``
-    eigenfunction over their common support, one panel per arch of the
-    oscillating eigenfunction (otherwise level spacings commensurate with the
-    bisection points can alias the integrand to zero), each panel to an equal
-    share of ``spec.tolerance``.  The result is dimensionless, so the
-    integral runs over the reference box of `WellConfig`.
+    eigenfunction over their common support by Gauss-Legendre quadrature,
+    one panel per arch of the oscillating eigenfunction, on which the
+    integrand is a product of two sines and the rules converge
+    geometrically.  Each panel gets an equal share of ``tolerance``.  The
+    result is dimensionless, so the integral runs over the reference box of
+    `WellConfig`.
 
     ``n`` may be an array of levels: every panel of every level then goes
     through one `integrate` call, and the result is an array over ``n``.
@@ -204,8 +201,6 @@ def overlap_oracle(
     levels = np.asarray(n)
     if np.any(levels < 1):
         raise ValueError(f"level index must be >= 1, got {n}")
-    if spec is None:
-        spec = QuadratureSpec()
     w0 = WellConfig().width
     w1 = _as_ratio(gamma).gamma * w0
     upper = min(w0, w1)
@@ -218,13 +213,20 @@ def overlap_oracle(
     lo = np.array([x for e in edges for x in e[:-1]])
     hi = np.array([x for e in edges for x in e[1:]])
     panel_level = np.repeat(levels.ravel(), counts)
-    panel_tol = np.repeat([spec.tolerance / len(e) for e in edges], counts)
+    # the finest level's share must not underflow to zero
+    shares = max(counts) + 1
+    if not tolerance / shares > 0.0:
+        raise ValueError(
+            f"tolerance {tolerance} divided into {shares} panel shares at "
+            f"gamma = {gamma} gives {tolerance / shares}, not a positive share"
+        )
+    panel_tol = np.repeat([tolerance / len(e) for e in edges], counts)
 
     def integrand(nodes):
         new_level = eigen_wavefunction(panel_level[nodes.root], w1, nodes.x)
         return new_level * eigen_wavefunction(1, w0, nodes.x)
 
-    panels = iter(integrate(integrand, lo, hi, spec, tolerance=panel_tol).tolist())
+    panels = iter(integrate(integrand, lo, hi, tolerance=panel_tol).tolist())
     # each level's panels summed left to right
     out = [sum(next(panels) for _ in range(c)) for c in counts]
     return out[0] if levels.ndim == 0 else np.reshape(out, levels.shape)

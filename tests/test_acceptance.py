@@ -45,7 +45,7 @@ def test_criterion_02_closed_form_vs_quadrature_oracle():
         for g in gammas
         for n in range(1, 21)
     )
-    check(2, "coefficients match quadrature within 1e-8", worst <= 1e-8,
+    check(2, "coefficients match quadrature within 1e-13", worst <= 1e-13,
           f"worst |closed - oracle| = {worst:.2e}")
 
 

@@ -204,6 +204,10 @@ class TestExitCodes:
             (["spin", "ode-check", "--ratio-list", "1e-9"], "above the budget of 10000000"),
             # only the first angle was checked; -7 wrote a curve with exit 0
             (["spin", "omega-scan", "--alpha=pi/4,-7", "--points", "3"], "got -7.0"),
+            # the share of the first gamma's finest level underflowed to 0 and
+            # the message was the whole tolerance array
+            (["well", "oracle-check", "--quad-tol", "5e-324"],
+             "tolerance 5e-324 divided into 21 panel shares at gamma = 0.1 gives 0.0"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -217,7 +221,9 @@ class TestExitCodes:
         assert err.value.code == 2
         out, stderr = capsys.readouterr()
         assert out == ""
-        assert named in stderr
+        # one usage line and a one-line message
+        usage, error = stderr.splitlines()
+        assert named in error
         assert "Traceback" not in stderr
 
     @pytest.mark.parametrize(
@@ -360,7 +366,7 @@ class TestWellCommands:
 
     def test_oracle_check_stops_at_a_non_finite_integrand(self, capsys):
         # at a width of 1e-309 sqrt(2 / W) is inf; every panel once split
-        # down to the depth budget
+        # down to the depth budget of the adaptive rule
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = cli.main(["well", "oracle-check", "--gamma-list", "1e-300"])
@@ -368,7 +374,20 @@ class TestWellCommands:
         out, stderr = capsys.readouterr()
         assert out == ""
         assert stderr.startswith("quenchkit: quadrature on [0.0, ")
-        assert stderr.endswith(" met an integrand value or a Simpson sum that is not finite\n")
+        assert stderr.endswith(" met an integrand value or a rule sum that is not finite\n")
+
+    @pytest.mark.parametrize("quad_tol", ["1e-17", "1e-300"])
+    def test_oracle_check_exits_1_on_a_tolerance_below_rounding(self, quad_tol):
+        # the adaptive rule once bisected toward 2^48 panels and never
+        # returned; two fixed rules either meet the tolerance or exit 1
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        argv = ["well", "oracle-check", "--quad-tol", quad_tol]
+        proc = subprocess.run(
+            [sys.executable, "-m", "quenchkit", *argv], capture_output=True, env=env, timeout=20
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"quenchkit: quadrature on [")
 
 
 class TestSpinCommands:
@@ -457,13 +476,14 @@ class TestSpinCommands:
         assert float(sym) <= 1e-12 and float(cyc) <= 1e-12
 
 
-# Edge values for every real, angle, list and range flag of the spin
+# Edge values for every real, angle, list and range flag of the spin and well
 # commands: zero, the smallest subnormal, both sides of the ratio bounds
 # 1e-150 and 1e150, the largest decade and pi, and the negatives of each.
 _EDGES = [
     0.0, 5e-324, np.nextafter(1e-150, 0.0), 1e-150, np.nextafter(1e-150, 1.0),
     np.nextafter(1e150, 0.0), 1e150, np.nextafter(1e150, math.inf), 1e308, math.pi,
 ]
+_EDGES = [float(x) for x in _EDGES]  # repr(np.float64(x)) is "np.float64(x)"
 _EDGES += [-x for x in _EDGES[1:]]
 _real = st.sampled_from(_EDGES) | st.floats(0.002, 100.0)
 _text = _real.map(repr)
@@ -495,6 +515,52 @@ _SPIN_HEADERS = {
     "ode-check": ["alpha_rad,omega_over_omega0,max_abs_diff,norm_drift"],
     "symmetry-check": ["draws,max_branch_gap,max_cycle_gap"],
 }
+# --quad-tol reaches down to the smallest subnormal: below what the doubles
+# resolve, and then below what a panel's share of it can hold
+_quad_tol = (st.sampled_from([1e-17, 1e-300, 5e-324]) | st.floats(5e-324, 1e-10)).map(repr)
+_WELL_FLAGS = {
+    "coeffs": {"gamma": _text, "levels": _size},
+    "pop-scan": {"gamma": _text, "levels": _size},
+    "captured": {"gamma": _range, "points": _size, "levels": _size},
+    "energy-scan": {"gamma": _range, "points": _size, "levels": _size},
+    "force-scan": {"gamma": _range, "points": _size, "levels": _size, "step": _text},
+    "oracle-check": {"gamma-list": _listed(_text), "max-level": _size, "tol": _text,
+                     "quad-tol": _quad_tol},
+}
+_WELL_HEADERS = {
+    "coeffs": ["n,b_n,rho_n"],
+    "pop-scan": ["n,rho_n"],
+    "captured": ["gamma,captured"],
+    "energy-scan": ["gamma,E_over_E1"],
+    "force-scan": ["gamma,E_over_E1,F_over_E1_per_Q0"],
+    "oracle-check": ["n,gamma,b_closed,b_oracle,abs_diff"],
+}
+
+
+def _rows_or_a_clean_exit(argv, headers, checks):
+    """Run the CLI on ``argv``: finite rows under one of ``headers`` with exit
+    0, or exit 2 with a usage error, or, for one of the cross-``checks``,
+    exit 1 with a one-line reason; never a traceback or a warning."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        header, *rows = out.splitlines()
+        assert header in headers and rows and err == ""
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+    elif code == 2:
+        assert out == ""
+        assert any("error:" in line for line in err.splitlines())
+    else:
+        assert code == 1 and argv[1] in checks
+        assert err.startswith("quenchkit: ")
 
 
 class TestSpinInputFuzz:
@@ -504,26 +570,19 @@ class TestSpinInputFuzz:
     def test_every_input_gives_rows_or_a_clean_exit(self, command, data):
         flags = data.draw(st.fixed_dictionaries({}, optional=_SPIN_FLAGS[command]))
         argv = ["spin", command, *(f"--{k}={v}" for k, v in flags.items())]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    code = cli.main(argv)
-                except SystemExit as exc:
-                    code = exc.code
-        out, err = out.getvalue(), err.getvalue()
-        assert "Traceback" not in err
-        if code == 0:
-            header, *rows = out.splitlines()
-            assert header in _SPIN_HEADERS[command] and rows and err == ""
-            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
-        elif code == 2:
-            assert out == ""
-            assert any("error:" in line for line in err.splitlines())
-        else:
-            assert code == 1 and command in ("threshold", "ode-check", "symmetry-check")
-            assert err.startswith("quenchkit: ")
+        _rows_or_a_clean_exit(
+            argv, _SPIN_HEADERS[command], ("threshold", "ode-check", "symmetry-check")
+        )
+
+
+class TestWellInputFuzz:
+    @pytest.mark.parametrize("command", list(_WELL_FLAGS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_input_gives_rows_or_a_clean_exit(self, command, data):
+        flags = data.draw(st.fixed_dictionaries({}, optional=_WELL_FLAGS[command]))
+        argv = ["well", command, *(f"--{k}={v}" for k, v in flags.items())]
+        _rows_or_a_clean_exit(argv, _WELL_HEADERS[command], ("oracle-check",))
 
 
 class TestOutputContract:
@@ -650,6 +709,23 @@ class TestWriteTable:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
         assert proc.stderr == b""
         assert proc.stdout == b"[] True\n"
+
+    def test_only_the_quadrature_loads_numpy_polynomial(self):
+        # the Gauss-Legendre rules are built on first use: importing
+        # numpy.polynomial up front would slow the start of every command
+        code = (
+            "import os, sys\n"
+            "import quenchkit.cli as cli\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+            "cli.main(['well', 'energy-scan', '--points', '5', '-o', os.devnull])\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+            "cli.main(['well', 'oracle-check', '--max-level', '2', '-o', os.devnull])\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert proc.stderr == b""
+        assert proc.stdout == b"False\nFalse\nTrue\n"
 
     @pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
     def test_cli_limits_openblas_threads_before_numpy_loads(self, preset, seen):

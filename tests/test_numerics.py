@@ -1,10 +1,11 @@
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quenchkit import numerics
@@ -12,7 +13,6 @@ from quenchkit.numerics import (
     OdeDivergenceError,
     OdeSpec,
     QuadratureConvergenceError,
-    QuadratureSpec,
     central_difference,
     integrate,
     ode_evolve,
@@ -21,8 +21,9 @@ from quenchkit.numerics import (
 
 class TestIntegrate:
     def test_sine_over_half_period(self):
-        spec = QuadratureSpec(tolerance=1e-12)
-        assert integrate(math.sin, 0.0, math.pi, spec) == pytest.approx(2.0, abs=1e-12)
+        assert integrate(math.sin, 0.0, math.pi, tolerance=1e-12) == pytest.approx(
+            2.0, abs=1e-12
+        )
 
     def test_zero_integrand(self):
         assert integrate(lambda x: 0.0, -3.0, 7.0) == 0.0
@@ -34,8 +35,7 @@ class TestIntegrate:
         # |ground state|^2 of a box of width w integrates to one
         w = 1e-9
         f = lambda q: (2.0 / w) * math.sin(math.pi * q / w) ** 2
-        spec = QuadratureSpec(tolerance=1e-10)
-        assert integrate(f, 0.0, w, spec) == pytest.approx(1.0, abs=1e-10)
+        assert integrate(f, 0.0, w, tolerance=1e-10) == pytest.approx(1.0, abs=1e-10)
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -52,21 +52,51 @@ class TestIntegrate:
         f = lambda x: coeffs_f[0] + coeffs_f[1] * x + coeffs_f[2] * x * x
         g = lambda x: coeffs_g[0] + coeffs_g[1] * x + coeffs_g[2] * x * x
         combo = lambda x: a * f(x) + b * g(x)
-        spec = QuadratureSpec(tolerance=1e-11)
-        lhs = integrate(combo, -1.0, 2.0, spec)
-        rhs = a * integrate(f, -1.0, 2.0, spec) + b * integrate(g, -1.0, 2.0, spec)
-        assert abs(lhs - rhs) <= 3.0 * spec.tolerance * max(1.0, abs(a) + abs(b))
+        tol = 1e-11
+        lhs = integrate(combo, -1.0, 2.0, tolerance=tol)
+        rhs = a * integrate(f, -1.0, 2.0, tolerance=tol) + b * integrate(g, -1.0, 2.0, tolerance=tol)
+        assert abs(lhs - rhs) <= 3.0 * tol * max(1.0, abs(a) + abs(b))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-1, 1), min_size=32, max_size=32),
+        panels=st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)).map(sorted), min_size=1,
+                        max_size=8),
+    )
+    @example(coeffs=[0.0] * 30 + [1.0, 1.0], panels=[(-1.0, 1.0)])
+    def test_exact_on_polynomials_up_to_degree_31(self, coeffs, panels):
+        # the 16-point rule is exact to degree 31 and the 24-point rule
+        # beyond, so both sums are the exact integral up to rounding, and
+        # their gap passes a tolerance of that rounding; one point fewer
+        # misses x^30 over [-1, 1] by 2.9e-9
+        lo, hi = np.array(panels).T
+        reach = np.maximum(np.abs(lo), np.abs(hi))
+        scale = sum(abs(c) * reach**k for k, c in enumerate(coeffs))
+        # relative rounding, plus an absolute floor for what underflows
+        rounding = 64 * len(coeffs) * np.finfo(float).eps * (hi - lo) * scale
+        rounding += np.finfo(float).tiny
+        got = integrate(
+            lambda nodes: np.polynomial.polynomial.polyval(nodes.x, coeffs), lo, hi,
+            tolerance=rounding,
+        )
+        for value, a, b, bound in zip(got, lo.tolist(), hi.tolist(), rounding):
+            exact = sum(
+                Fraction(c) * (Fraction(b) ** (k + 1) - Fraction(a) ** (k + 1)) / (k + 1)
+                for k, c in enumerate(coeffs)
+            )
+            assert abs(Fraction(value) - exact) <= Fraction(bound)
 
     def test_budget_exhaustion_carries_best_estimate(self):
-        f = lambda x: math.sin(50.0 * x)
+        # one panel over 80 periods of sin(50 x) is far more than the 40
+        # nodes resolve: the 16- and 24-point sums differ
         exact = (1.0 - math.cos(500.0)) / 50.0
-        with pytest.raises(QuadratureConvergenceError) as err:
-            integrate(f, 0.0, 10.0, QuadratureSpec(tolerance=1e-14, max_subdivisions=2))
+        with pytest.raises(QuadratureConvergenceError, match="differ by") as err:
+            integrate(lambda x: math.sin(50.0 * x), 0.0, 10.0)
         assert math.isfinite(err.value.best_estimate)
-        # the same integrand converges once the budget allows it
-        assert integrate(f, 0.0, 10.0, QuadratureSpec(tolerance=1e-11)) == pytest.approx(
-            exact, abs=1e-10
-        )
+        # the same integral split into arch-sized panels passes
+        edges = np.linspace(0.0, 10.0, 161)
+        panels = integrate(lambda nodes: np.sin(50.0 * nodes.x), edges[:-1], edges[1:])
+        assert math.fsum(panels) == pytest.approx(exact, abs=1e-13)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_integrand_raises_at_once(self, bad):
@@ -79,56 +109,23 @@ class TestIntegrate:
 
         with pytest.raises(QuadratureConvergenceError, match=r"on \[0.0, 1.0\] .* not finite"):
             integrate(f, np.array([0.25, 0.0]), np.array([0.5, 1.0]))
-        # the root points, then one level of midpoints
-        assert len(calls) == 2
+        # one call: both rules' nodes on every interval of the block
+        assert calls == [80]
         with pytest.raises(QuadratureConvergenceError) as err:
             integrate(lambda x: bad if x > 0.9 else x, 0.0, 1.0)
         assert math.isnan(err.value.best_estimate)
 
     @pytest.mark.parametrize("scale", [1e308 * 10.0, 1e308])
     def test_warnings_give_way_to_the_error(self, scale):
-        # an inf integrand, and a finite one whose Simpson sums overflow,
-        # once split every panel down to the depth budget
+        # an inf integrand, and a finite one near 1e308 whose rule sums
+        # (weights summing to 2) overflow
         def f(nodes):
             return np.float64(scale) * np.cos(nodes.x)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureConvergenceError, match="not finite"):
-                integrate(f, np.zeros(1), np.ones(1))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(tolerance=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
-
-
-def recursive_simpson(f, a, b, tol, depth):
-    """Depth-first adaptive Simpson, kept as the reference for `integrate`.
-
-    Returns (value, converged); the value is the best estimate either way.
-    """
-    if a == b:
-        return 0.0, True
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    return _panel(f, a, b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, depth)
-
-
-def _panel(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, True
-    if depth <= 0:
-        return left + right + delta / 15.0, False
-    lval, lok = _panel(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-    rval, rok = _panel(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-    return lval + rval, lok and rok
+                integrate(f, np.zeros(1), np.full(1, 0.1))
 
 
 def smooth(c, x):
@@ -136,6 +133,13 @@ def smooth(c, x):
     # and a NumPy array give the same doubles.
     p = c[0] + x * (c[1] + x * x * x * x * c[2])
     return p + c[3] / (1.0 + c[4] * (x - c[5]) * (x - c[5]))
+
+
+def value_or_best_estimate(*args, **kwargs):
+    try:
+        return integrate(*args, **kwargs)
+    except QuadratureConvergenceError as err:
+        return err.best_estimate
 
 
 coefficients = st.tuples(
@@ -146,51 +150,22 @@ intervals = st.tuples(st.floats(-2, 2), st.floats(0, 3)).map(lambda p: (p[0], p[
 
 
 class TestIntegrateMatchesRecursion:
-    """The breadth-first `integrate` returns the recursion's doubles."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        c=coefficients,
-        bounds=intervals,
-        tol=st.floats(1e-13, 1e-4),
-        depth=st.integers(1, 14),
-    )
-    def test_scalar_bounds(self, c, bounds, tol, depth):
-        f = lambda x: smooth(c, x)
-        expected, converged = recursive_simpson(f, *bounds, tol, depth)
-        spec = QuadratureSpec(tolerance=tol, max_subdivisions=depth)
-        if converged:
-            got = integrate(f, *bounds, spec)
-        else:
-            with pytest.raises(QuadratureConvergenceError) as err:
-                integrate(f, *bounds, spec)
-            got = err.value.best_estimate
-        assert type(got) is float
-        assert got == expected
+    """Array bounds: blocks of intervals, one rule evaluation per block."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         c=coefficients,
-        panels=st.lists(st.tuples(intervals, st.floats(1e-13, 1e-4)), min_size=1, max_size=20),
-        depth=st.integers(1, 14),
-        batch=st.sampled_from([1, 3, 128]),
-        cap=st.sampled_from([1, 5, 4096]),
+        panels=st.lists(intervals, min_size=1, max_size=20),
+        block=st.sampled_from([1, 3, 4096]),
     )
-    def test_array_bounds(self, c, panels, depth, batch, cap):
-        f = lambda x: smooth(c, x)
-        reference = [recursive_simpson(f, a, b, tol, depth) for (a, b), tol in panels]
-        lo, hi = np.array([p[0] for p in panels]).T
-        tols = np.array([p[1] for p in panels])
-        spec = QuadratureSpec(max_subdivisions=depth)
-        args = (lambda nodes: smooth(c, nodes.x), lo, hi, spec)
-        with mock.patch.multiple(numerics, ROOT_BATCH=batch, PANEL_CAP=cap):
-            if all(ok for _, ok in reference):
-                got = integrate(*args, tolerance=tols)
-            else:
-                with pytest.raises(QuadratureConvergenceError) as err:
-                    integrate(*args, tolerance=tols)
-                got = err.value.best_estimate
-        np.testing.assert_array_equal(got, [v for v, _ in reference])
+    def test_blocks_give_the_doubles_of_single_interval_calls(self, c, panels, block):
+        # a row's weighted sum must not depend on how many rows share it
+        lo, hi = np.array(panels).T
+        with mock.patch.object(numerics, "BLOCK", block):
+            got = value_or_best_estimate(lambda nodes: smooth(c, nodes.x), lo, hi)
+        alone = [value_or_best_estimate(lambda x: smooth(c, x), a, b) for a, b in panels]
+        assert all(type(v) is float for v in alone)
+        np.testing.assert_array_equal(got, alone)
 
     def test_array_integrand_sees_each_point_with_its_interval(self):
         # integrate x * k over [k, k + 1]: the integrand reads k off the root
@@ -205,10 +180,11 @@ class TestIntegrateMatchesRecursion:
         assert np.all(got == 2.0)
 
     def test_first_failing_interval_named(self):
+        # [0, 1e-9] meets the tolerance; [1, 10] and [10, 20] do not
         f = lambda nodes: np.sin(50.0 * nodes.x)
-        spec = QuadratureSpec(tolerance=1e-14, max_subdivisions=2)
-        with pytest.raises(QuadratureConvergenceError, match=r"\[1\.0, 10\.0\]"):
-            integrate(f, np.array([0.0, 1.0]), np.array([1e-9, 10.0]), spec)
+        with pytest.raises(QuadratureConvergenceError, match=r"\[1\.0, 10\.0\]") as err:
+            integrate(f, np.array([0.0, 1.0, 10.0]), np.array([1e-9, 10.0, 20.0]))
+        assert np.all(np.isfinite(err.value.best_estimate))
 
     @pytest.mark.parametrize(
         "a, b", [(np.zeros(2), np.ones(3)), (math.nan, 1.0), (0.0, math.inf)]

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quenchkit import well
-from quenchkit.numerics import QuadratureSpec, integrate
+from quenchkit.numerics import integrate
 from quenchkit.well import (
     QuenchRatio,
     Regime,
@@ -162,9 +163,7 @@ class TestEigenstates:
     def test_wavefunction_normalized(self, n):
         w = 1e-9
         density = lambda q: eigen_wavefunction(n, w, q) ** 2
-        assert integrate(density, 0.0, w, QuadratureSpec(1e-10)) == pytest.approx(
-            1.0, abs=1e-10
-        )
+        assert integrate(density, 0.0, w, tolerance=1e-10) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestExpansionCoefficient:
@@ -217,11 +216,30 @@ class TestOverlapOracle:
     @pytest.mark.parametrize("gamma", [0.280011, 1.0, 2.0, 4.9, 10.1])
     def test_levels_in_one_call_match_scalar_calls_bitwise(self, gamma):
         levels = np.arange(1, 13)
-        spec = QuadratureSpec(tolerance=1e-11)
-        batched = overlap_oracle(levels, gamma, spec=spec)
+        batched = overlap_oracle(levels, gamma, tolerance=1e-11)
         assert batched.shape == levels.shape
-        scalar = [overlap_oracle(n, gamma, spec=spec) for n in levels.tolist()]
+        scalar = [overlap_oracle(n, gamma, tolerance=1e-11) for n in levels.tolist()]
         assert batched.tolist() == scalar
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gamma=st.floats(1e-3, 200.0)
+        | st.integers(1, 200).flatmap(lambda k: st.floats(k - 1e-9, k + 1e-9))
+    )
+    def test_confirms_the_closed_form_to_1e_13(self, gamma):
+        # at the default tolerance, next to the integer resonances too
+        levels = np.arange(1, 41)
+        closed = decompose(gamma, 40).coefficients
+        assert np.max(np.abs(overlap_oracle(levels, gamma) - closed)) <= 1e-13
+
+    def test_independent_of_the_closed_form(self):
+        # an oracle that reached the kernels could end up checking itself
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the closed form")
+
+        with mock.patch("quenchkit.kernels.expansion_coefficients", refuse):
+            got = overlap_oracle(np.arange(1, 41), 2.5)
+        assert got.shape == (40,)
 
 
 class TestDecompose:
@@ -251,7 +269,7 @@ class TestDecompose:
         analytic = gamma - math.sin(2.0 * math.pi * gamma) / (2.0 * math.pi)
         cfg = WellConfig()
         density = lambda q: eigen_wavefunction(1, cfg.width, q) ** 2
-        by_quadrature = integrate(density, 0.0, gamma * cfg.width, QuadratureSpec(1e-10))
+        by_quadrature = integrate(density, 0.0, gamma * cfg.width, tolerance=1e-10)
         assert analytic == pytest.approx(by_quadrature, abs=1e-9)
         assert decompose(gamma, 10_000).captured == pytest.approx(analytic, abs=1e-3)
 
