@@ -1,6 +1,8 @@
-"""``python -m quenchkit``, and the ``quenchkit`` console script via `run`."""
+"""The one entry point: ``python -m quenchkit``, and the ``quenchkit`` console
+script via `run`."""
 
 import os
+import sys
 
 
 def run() -> None:
@@ -8,9 +10,9 @@ def run() -> None:
     # thread costs every process about 0.1 s of CPU; set before numpy loads,
     # for this process only.  A value already in the environment wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    from quenchkit.cli import entrypoint
+    from quenchkit import cli
 
-    entrypoint()
+    sys.exit(cli.main())
 
 
 if __name__ == "__main__":

@@ -30,15 +30,6 @@ from quenchkit.numerics import OdeDivergenceError, QuadratureConvergenceError
 _CHECK_FAILED = 1
 
 
-class CheckFailure(Exception):
-    """A cross-check exceeded its tolerance."""
-
-
-def _gate(what: str, worst: float, tol: float) -> None:
-    if worst > tol:
-        raise CheckFailure(f"{what} {worst:.3e} exceeds {tol:.3e}")
-
-
 def parse_real(text: str) -> float:
     """A finite decimal.  nan and inf are refused at the door: they slip past
     ``> 0`` and interval checks or overflow deep inside a kernel."""
@@ -339,6 +330,133 @@ def _decimal_rows(block, row_format: str) -> str:
     return "".join(parts)
 
 
+# Each subcommand is a function ``run(args) -> (rows, failure)``: the rows of
+# its table (see `write_table`), and the message of a failed check or None.
+
+
+def _gate(what: str, worst: float, tol: float) -> str | None:
+    return f"{what} {worst:.3e} exceeds {tol:.3e}" if worst > tol else None
+
+
+def _coeffs(args):
+    dec = well.decompose(args.gamma, args.levels)
+    return zip(range(1, args.levels + 1), dec.coefficients, dec.populations), None
+
+
+def _pop_scan(args):
+    table = well.population_scan(args.gamma, args.levels)
+    return zip(table[:, 0].astype(np.int64), table[:, 1]), None
+
+
+def _captured(args):
+    return well.captured_scan(*args.gamma, args.points, args.levels), None
+
+
+def _energy_scan(args):
+    return well.energy_scan(*args.gamma, args.points, args.levels), None
+
+
+def _force_scan(args):
+    profile = well.force_scan(*args.gamma, args.points, args.levels, args.step)
+    return np.column_stack((profile.gamma, profile.energy, profile.force)), None
+
+
+def _oracle_check(args):
+    top = args.max_level
+    panels = len(args.gamma_list) * top * (top + 1) // 2
+    if panels > MAX_ELEMENTS:
+        raise ValueError(
+            f"--gamma-list and --max-level {top} make up to {panels} "
+            f"quadrature panels, above the size budget of {MAX_ELEMENTS}"
+        )
+    rows, failure = [], None
+    levels = np.arange(1, top + 1)
+    for g in args.gamma_list:
+        oracles = well.overlap_oracle(levels, g, tolerance=args.quad_tol).tolist()
+        closed = well.decompose(g, top).coefficients.tolist()
+        diffs = [abs(c - o) for c, o in zip(closed, oracles)]
+        rows += zip(levels.tolist(), itertools.repeat(g), closed, oracles, diffs)
+        # relative to the largest coefficient: |b_n| <= 1, and at extreme
+        # gammas every b_n is so small that an absolute bound passes anything
+        failure = failure or _gate(
+            f"coefficient oracle disagreement at gamma = {g}:",
+            max(diffs), args.tol * max(map(abs, closed)),
+        )
+    return rows, failure
+
+
+def _return_prob(args):
+    cfg = spin.RotorConfig.at_ratio(args.ratio, alpha=args.alpha)
+    fractions = np.linspace(0.0, 1.0, args.points)
+    # one block of rows per chunk keeps the temporaries small
+    blocks = (
+        np.column_stack((f, spin.return_probability(f * cfg.drive_period, spin.UPPER, cfg)))
+        for f in np.split(fractions, range(EMIT_CHUNK_ROWS, args.points, EMIT_CHUNK_ROWS))
+    )
+    return blocks, None
+
+
+def _omega_scan(args):
+    curves = spin.omega_scan(*args.ratio, args.points, args.alpha)
+    if len(curves) == 1:
+        return np.column_stack((curves[0].ratios, curves[0].probabilities)), None
+    args.columns = ["alpha_rad", *args.columns]  # the one header set by the input
+    blocks = (
+        np.column_stack((np.full(len(c.ratios), c.alpha), c.ratios, c.probabilities))
+        for c in curves
+    )
+    return blocks, None
+
+
+def _threshold(args):
+    report = spin.anti_adiabatic_threshold(args.epsilon, args.alpha, *args.ratio, args.points)
+    frozen = report.frozen_onset if report.frozen_found else math.nan
+    failure = None if report.frozen_found else (
+        f"no scanned ratio keeps rho1 >= 1 - {args.epsilon}; "
+        f"best rho1 = {report.max_probability:.6f}"
+    )
+    return [(report.monotone_onset, frozen, report.max_probability)], failure
+
+
+def _ode_check(args):
+    rows = []
+    for alpha in args.alpha:
+        for ratio in args.ratio_list:
+            cfg = spin.RotorConfig.at_ratio(ratio, alpha=alpha)
+            times, states, drift = spin.ode_trajectory(
+                cfg.drive_period, spin.UPPER, cfg, samples=args.samples
+            )
+            closed = spin.evolve_closed_form(times, spin.UPPER, cfg)
+            rows.append((alpha, ratio, np.max(np.abs(closed - states)), drift))
+    return rows, _gate("closed form vs RK4 disagreement", max(r[2] for r in rows), args.tol)
+
+
+def _symmetry_check(args):
+    rng = np.random.default_rng(args.seed)
+    worst_sym = worst_cycle = 0.0
+    for _ in range(args.draws):
+        alpha = rng.uniform(0.0, math.pi)
+        ratio = rng.uniform(*spin.DEFAULT_RATIO_RANGE)
+        cfg = spin.RotorConfig.at_ratio(ratio, alpha=alpha)
+        t = rng.uniform(0.0, 1.0) * cfg.drive_period
+        # t and the period in one call; the branch gap is the one at t
+        p_upper, _, gap = spin.branch_symmetry_check(np.array([t, cfg.drive_period]), cfg)
+        worst_sym = max(worst_sym, gap[0])
+        worst_cycle = max(worst_cycle, abs(p_upper[1] - spin.return_probability_cycle(cfg)))
+    failure = _gate("symmetry/cycle gap", max(worst_sym, worst_cycle), args.tol)
+    return [(args.draws, worst_sym, worst_cycle)], failure
+
+
+def _command(sub, name: str, run, what: str, columns: str) -> argparse.ArgumentParser:
+    """Subcommand ``name`` whose ``run(args)`` gives the rows under the
+    comma-separated ``columns``; its help names them and it takes ``-o``."""
+    text = f"{what}; columns {columns}"
+    p = sub.add_parser(name, help=text, description=text)
+    p.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
+    p.set_defaults(run=run, columns=columns.split(","))
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quenchkit",
@@ -349,46 +467,37 @@ def build_parser() -> argparse.ArgumentParser:
     well_group = top.add_parser("well", help="square well with a suddenly moved wall")
     wsub = well_group.add_subparsers(dest="command", required=True)
 
-    p = wsub.add_parser(
-        "coeffs", help="expansion coefficients; columns n,b_n,rho_n"
-    )
+    p = _command(wsub, "coeffs", _coeffs, "expansion coefficients", "n,b_n,rho_n")
     p.add_argument("--gamma", type=parse_real, default=4.9, help="width ratio")
-    p.add_argument("--levels", type=_positive_int, default=10)
+    p.add_argument("--levels", type=_positive_int, default=well.DEFAULT_LEVELS)
 
-    p = wsub.add_parser("pop-scan", help="level populations; columns n,rho_n")
+    p = _command(wsub, "pop-scan", _pop_scan, "level populations", "n,rho_n")
     p.add_argument("--gamma", type=parse_real, default=4.9, help="width ratio")
-    p.add_argument("--levels", type=_positive_int, default=10)
+    p.add_argument("--levels", type=_positive_int, default=well.DEFAULT_LEVELS)
 
-    p = wsub.add_parser(
-        "captured",
-        help="total probability captured by the truncation; columns gamma,captured",
-    )
+    p = _command(wsub, "captured", _captured,
+                 "total probability captured by the truncation", "gamma,captured")
     p.add_argument("--gamma", type=parse_range, default=(0.05, 5.0), metavar="MIN:MAX")
     p.add_argument("--points", type=_scan_points, default=500)
-    p.add_argument("--levels", type=_positive_int, default=10)
+    p.add_argument("--levels", type=_positive_int, default=well.DEFAULT_LEVELS)
 
-    p = wsub.add_parser(
-        "energy-scan", help="post-quench energy; columns gamma,E_over_E1"
-    )
+    p = _command(wsub, "energy-scan", _energy_scan, "post-quench energy", "gamma,E_over_E1")
     p.add_argument("--gamma", type=parse_range, default=(0.1, 5.0), metavar="MIN:MAX")
     p.add_argument("--points", type=_scan_points, default=500)
-    p.add_argument("--levels", type=_positive_int, default=10)
+    p.add_argument("--levels", type=_positive_int, default=well.DEFAULT_LEVELS)
 
-    p = wsub.add_parser(
-        "force-scan",
-        help="wall force; columns gamma,E_over_E1,F_over_E1_per_Q0 "
-        "(grid points at exact integers gamma >= 1 omitted)",
-    )
+    p = _command(wsub, "force-scan", _force_scan,
+                 "wall force (grid points at exact integers gamma >= 1 omitted)",
+                 "gamma,E_over_E1,F_over_E1_per_Q0")
     p.add_argument("--gamma", type=parse_range, default=(0.1, 5.0), metavar="MIN:MAX")
     p.add_argument("--points", type=_scan_points, default=500)
-    p.add_argument("--levels", type=_positive_int, default=10)
+    p.add_argument("--levels", type=_positive_int, default=well.DEFAULT_LEVELS)
     p.add_argument("--step", type=parse_real, default=well.DEFAULT_FORCE_STEP)
 
-    p = wsub.add_parser(
-        "oracle-check",
-        help="closed-form coefficients vs quadrature; columns "
-        "n,gamma,b_closed,b_oracle,abs_diff; exits 1 beyond --tol",
-    )
+    p = _command(wsub, "oracle-check", _oracle_check,
+                 "closed-form coefficients vs quadrature; exits 1 where a gamma's "
+                 "largest abs_diff exceeds --tol times its largest |b_closed|",
+                 "n,gamma,b_closed,b_oracle,abs_diff")
     p.add_argument(
         "--gamma-list",
         type=parse_real_list,
@@ -402,38 +511,31 @@ def build_parser() -> argparse.ArgumentParser:
     spin_group = top.add_parser("spin", help="spin-1/2 in a rotating field")
     ssub = spin_group.add_subparsers(dest="command", required=True)
 
-    p = ssub.add_parser(
-        "return-prob",
-        help="return probability over one drive period; columns t_over_period,rho1",
-    )
+    p = _command(ssub, "return-prob", _return_prob,
+                 "return probability over one drive period", "t_over_period,rho1")
     p.add_argument("--alpha", type=parse_angle, default=math.pi / 4)
     p.add_argument("--ratio", type=parse_real, default=1.0, help="drive/Larmor ratio")
     p.add_argument("--points", type=_scan_points, default=1000)
 
-    p = ssub.add_parser(
-        "omega-scan",
-        help="single-cycle return probability; columns omega_over_omega0,rho1 "
-        "(alpha_rad prepended when several angles are given)",
-    )
+    p = _command(ssub, "omega-scan", _omega_scan,
+                 "single-cycle return probability (alpha_rad prepended when several "
+                 "angles are given)", "omega_over_omega0,rho1")
     p.add_argument("--alpha", type=parse_angle_list, default=[math.pi / 4])
-    p.add_argument("--ratio", type=parse_range, default=(0.05, 20.0), metavar="MIN:MAX")
-    p.add_argument("--points", type=_scan_points, default=10000)
+    p.add_argument("--ratio", type=parse_range, default=spin.DEFAULT_RATIO_RANGE,
+                   metavar="MIN:MAX")
+    p.add_argument("--points", type=_scan_points, default=spin.DEFAULT_SCAN_POINTS)
 
-    p = ssub.add_parser(
-        "threshold",
-        help="anti-adiabatic onsets; columns "
-        "monotone_onset_ratio,frozen_ratio,max_rho1",
-    )
+    p = _command(ssub, "threshold", _threshold,
+                 "anti-adiabatic onsets", "monotone_onset_ratio,frozen_ratio,max_rho1")
     p.add_argument("--alpha", type=parse_angle, default=math.pi / 4)
     p.add_argument("--epsilon", type=parse_real, default=0.02)
-    p.add_argument("--ratio", type=parse_range, default=(0.05, 20.0), metavar="MIN:MAX")
-    p.add_argument("--points", type=_scan_points, default=10000)
+    p.add_argument("--ratio", type=parse_range, default=spin.DEFAULT_RATIO_RANGE,
+                   metavar="MIN:MAX")
+    p.add_argument("--points", type=_scan_points, default=spin.DEFAULT_SCAN_POINTS)
 
-    p = ssub.add_parser(
-        "ode-check",
-        help="closed form vs RK4 over one cycle; columns "
-        "alpha_rad,omega_over_omega0,max_abs_diff,norm_drift; exits 1 beyond --tol",
-    )
+    p = _command(ssub, "ode-check", _ode_check,
+                 "closed form vs RK4 over one cycle; exits 1 beyond --tol",
+                 "alpha_rad,omega_over_omega0,max_abs_diff,norm_drift")
     p.add_argument(
         "--alpha", type=parse_angle_list, default=[math.pi / 12, math.pi / 4, math.pi / 3]
     )
@@ -444,156 +546,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=16)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
 
-    p = ssub.add_parser(
-        "symmetry-check",
-        help="branch symmetry and cycle consistency on random draws; columns "
-        "draws,max_branch_gap,max_cycle_gap; exits 1 beyond --tol",
-    )
+    p = _command(ssub, "symmetry-check", _symmetry_check,
+                 "branch symmetry and cycle consistency on random draws; exits 1 beyond --tol",
+                 "draws,max_branch_gap,max_cycle_gap")
     p.add_argument("--draws", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=20260810)
     p.add_argument("--tol", type=_tolerance, default=1e-12)
-
-    for p in (*wsub.choices.values(), *ssub.choices.values()):
-        p.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
     return parser
-
-
-def _run_well(args) -> int:
-    if args.command == "coeffs":
-        dec = well.decompose(args.gamma, args.levels)
-        rows = zip(range(1, args.levels + 1), dec.coefficients, dec.populations)
-        write_table(["n", "b_n", "rho_n"], rows, args.output)
-    elif args.command == "pop-scan":
-        table = well.population_scan(args.gamma, args.levels)
-        rows = zip(table[:, 0].astype(np.int64), table[:, 1])
-        write_table(["n", "rho_n"], rows, args.output)
-    elif args.command == "captured":
-        lo, hi = args.gamma
-        table = well.captured_scan(lo, hi, args.points, args.levels)
-        write_table(["gamma", "captured"], table, args.output)
-    elif args.command == "energy-scan":
-        lo, hi = args.gamma
-        table = well.energy_scan(lo, hi, args.points, args.levels)
-        write_table(["gamma", "E_over_E1"], table, args.output)
-    elif args.command == "force-scan":
-        lo, hi = args.gamma
-        profile = well.force_scan(lo, hi, args.points, args.levels, args.step)
-        table = np.column_stack((profile.gamma, profile.energy, profile.force))
-        write_table(["gamma", "E_over_E1", "F_over_E1_per_Q0"], table, args.output)
-    elif args.command == "oracle-check":
-        top = args.max_level
-        panels = len(args.gamma_list) * top * (top + 1) // 2
-        if panels > MAX_ELEMENTS:
-            raise ValueError(
-                f"--gamma-list and --max-level {top} make up to {panels} "
-                f"quadrature panels, above the size budget of {MAX_ELEMENTS}"
-            )
-        rows = []
-        levels = np.arange(1, args.max_level + 1)
-        for g in args.gamma_list:
-            oracles = well.overlap_oracle(levels, g, tolerance=args.quad_tol).tolist()
-            closed = well.decompose(g, args.max_level).coefficients.tolist()
-            rows += [(n, g, c, o, abs(c - o)) for n, c, o in zip(levels.tolist(), closed, oracles)]
-        write_table(
-            ["n", "gamma", "b_closed", "b_oracle", "abs_diff"], rows, args.output
-        )
-        _gate("coefficient oracle disagreement", max(row[4] for row in rows), args.tol)
-    return 0
-
-
-def _run_spin(args) -> int:
-    if args.command == "return-prob":
-        cfg = spin.RotorConfig.at_ratio(args.ratio, alpha=args.alpha)
-        fractions = np.linspace(0.0, 1.0, args.points)
-        # one block of rows per chunk keeps the temporaries small
-        blocks = (
-            np.column_stack((f, spin.return_probability(f * cfg.drive_period, spin.UPPER, cfg)))
-            for f in np.split(fractions, range(EMIT_CHUNK_ROWS, args.points, EMIT_CHUNK_ROWS))
-        )
-        write_table(["t_over_period", "rho1"], blocks, args.output)
-    elif args.command == "omega-scan":
-        lo, hi = args.ratio
-        curves = spin.omega_scan(lo, hi, args.points, args.alpha)
-        if len(curves) == 1:
-            table = np.column_stack((curves[0].ratios, curves[0].probabilities))
-            write_table(["omega_over_omega0", "rho1"], table, args.output)
-        else:
-            blocks = (
-                np.column_stack((np.full(len(c.ratios), c.alpha), c.ratios, c.probabilities))
-                for c in curves
-            )
-            write_table(["alpha_rad", "omega_over_omega0", "rho1"], blocks, args.output)
-    elif args.command == "threshold":
-        lo, hi = args.ratio
-        report = spin.anti_adiabatic_threshold(args.epsilon, args.alpha, lo, hi, args.points)
-        frozen = report.frozen_onset if report.frozen_found else math.nan
-        write_table(
-            ["monotone_onset_ratio", "frozen_ratio", "max_rho1"],
-            [(report.monotone_onset, frozen, report.max_probability)],
-            args.output,
-        )
-        if not report.frozen_found:
-            raise CheckFailure(
-                f"no scanned ratio keeps rho1 >= 1 - {args.epsilon}; "
-                f"best rho1 = {report.max_probability:.6f}"
-            )
-    elif args.command == "ode-check":
-        rows = []
-        for alpha in args.alpha:
-            for ratio in args.ratio_list:
-                cfg = spin.RotorConfig.at_ratio(ratio, alpha=alpha)
-                times, states, drift = spin.ode_trajectory(
-                    cfg.drive_period, spin.UPPER, cfg, samples=args.samples
-                )
-                closed = spin.evolve_closed_form(times, spin.UPPER, cfg)
-                rows.append((alpha, ratio, np.max(np.abs(closed - states)), drift))
-        write_table(
-            ["alpha_rad", "omega_over_omega0", "max_abs_diff", "norm_drift"],
-            rows,
-            args.output,
-        )
-        _gate("closed form vs RK4 disagreement", max(row[2] for row in rows), args.tol)
-    elif args.command == "symmetry-check":
-        rng = np.random.default_rng(args.seed)
-        worst_sym = worst_cycle = 0.0
-        for _ in range(args.draws):
-            alpha = rng.uniform(0.0, math.pi)
-            ratio = rng.uniform(0.05, 20.0)
-            cfg = spin.RotorConfig.at_ratio(ratio, alpha=alpha)
-            t = rng.uniform(0.0, 1.0) * cfg.drive_period
-            # t and the period in one call; the branch gap is the one at t
-            p_upper, _, gap = spin.branch_symmetry_check(
-                np.array([t, cfg.drive_period]), cfg
-            )
-            worst_sym = max(worst_sym, gap[0])
-            worst_cycle = max(worst_cycle, abs(p_upper[1] - spin.return_probability_cycle(cfg)))
-        write_table(
-            ["draws", "max_branch_gap", "max_cycle_gap"],
-            [(args.draws, worst_sym, worst_cycle)],
-            args.output,
-        )
-        _gate("symmetry/cycle gap", max(worst_sym, worst_cycle), args.tol)
-    return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.group == "well":
-            return _run_well(args)
-        return _run_spin(args)
-    except (QuadratureConvergenceError, OdeDivergenceError, CheckFailure) as exc:
-        print(f"quenchkit: {exc}", file=sys.stderr)
-        return _CHECK_FAILED
+        rows, failure = args.run(args)
+        write_table(args.columns, rows, args.output)
+    except (QuadratureConvergenceError, OdeDivergenceError) as exc:
+        failure = str(exc)
     except ValueError as exc:
         # domain validation raised past argparse (e.g. --alpha outside [0, pi])
         parser.error(str(exc))
-
-
-def entrypoint() -> None:
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()
+    if failure is None:
+        return 0
+    print(f"quenchkit: {failure}", file=sys.stderr)
+    return _CHECK_FAILED

@@ -307,6 +307,14 @@ def _forces(gammas: np.ndarray, n_levels: int, step: float) -> np.ndarray:
     if not (gammas - step > 0.0).all():
         g = gammas[np.argmin(gammas - step > 0.0)]
         raise ValueError(f"gamma - step must stay positive, got gamma={g}, step={step}")
+    # Above about 2^19 at step 1e-4 the doubles next to gamma are too coarse
+    # for the step: the stencil's differences are rounding, not slope.
+    coarse = np.spacing(gammas + 2.0 * step) > 1e-6 * step
+    if step > 0.0 and coarse.any():
+        raise ValueError(
+            f"the force stencil cannot resolve step {step} at gamma = "
+            f"{gammas[np.argmax(coarse)]}: the doubles there are over 1e-6 step apart"
+        )
 
     def energy(x):
         return _energies(x, n_levels)[0]
@@ -338,7 +346,8 @@ def matter_wave_force(
     the width ratio; positive values push the wall outward.  The energy curve
     has kink candidates at integer ratios, so within ``2 * step`` of an
     integer a second-order one-sided difference pointing away from the
-    integer replaces the central one.
+    integer replaces the central one.  A gamma whose doubles are too coarse
+    for ``step`` (from about 2^19 at the default step) raises ValueError.
     """
     r = _as_ratio(gamma)
     return float(_forces(np.array([r.gamma]), n_levels, step)[0])

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import itertools
+import re
 import subprocess
 import sys
 import warnings
@@ -115,6 +116,31 @@ class TestExitCodes:
                 cli.main([group, "--help"])
             assert "columns" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["well", "coeffs", "--levels", "3"],
+            ["well", "pop-scan", "--levels", "3"],
+            ["well", "captured", "--points", "3"],
+            ["well", "energy-scan", "--points", "3"],
+            ["well", "force-scan", "--points", "3"],
+            ["well", "oracle-check", "--gamma-list", "0.5", "--max-level", "2"],
+            ["spin", "return-prob", "--points", "3"],
+            ["spin", "omega-scan", "--points", "3"],
+            ["spin", "threshold", "--points", "100"],
+            ["spin", "ode-check", "--ratio-list", "1", "--samples", "2"],
+            ["spin", "symmetry-check", "--draws", "2"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_help_names_the_header_it_writes(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([*argv[:2], "--help"])
+        (columns,) = re.findall(r"\bcolumns\s+(\S+)", capsys.readouterr().out)
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.split("\n", 1)[0] == columns
+
     def test_argument_error_prints_usage_to_stderr(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["well", "energy-scan", "--points", "not-a-number"])
@@ -192,6 +218,10 @@ class TestExitCodes:
              "in [1e+50, 1e+150]"),
             (["well", "force-scan", "--gamma", "0.5:2", "--points", "11", "--step", "0.3"],
              "got -0.09999999999999998"),
+            # the doubles there are 1.2e-4 apart, above the step 1e-4: the
+            # stencil read rounding and wrote F = 1.76e-34 for about 1.32e-34
+            (["well", "force-scan", "--gamma", "1000000000000.5:1000000000001.5",
+              "--points", "2"], "at gamma = 1000000000000.5"),
             # (omega - omega0) ** 2 in spin.rabi_lambda raised OverflowError
             (["spin", "return-prob", "--ratio", "1e200", "--points", "3"], "got 1e+200"),
             (["spin", "ode-check", "--ratio-list", "1e200"], "got 1e+200"),
@@ -349,6 +379,22 @@ class TestWellCommands:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("gamma", ["1e150", "1e-150", "1e-20"])
+    def test_oracle_check_gate_is_relative(self, gamma, monkeypatch, capsys):
+        # every |b_n| is below 1e-29 here: against the absolute --tol an
+        # oracle 50% wrong passed with exit 0
+        oracle = well.overlap_oracle
+        monkeypatch.setattr(
+            well, "overlap_oracle", lambda n, g, **kw: 1.5 * oracle(n, g, **kw)
+        )
+        code = cli.main(["well", "oracle-check", "--gamma-list", gamma, "--max-level", "5"])
+        assert code == 1
+        out, stderr = capsys.readouterr()
+        assert len(out.splitlines()) == 6
+        assert stderr.startswith(
+            f"quenchkit: coefficient oracle disagreement at gamma = {float(gamma)}:"
+        )
 
     def test_oracle_check_refuses_more_panels_than_the_budget(self, capsys):
         # 10^5 levels passed the size check and then built ~5e9 panels
@@ -697,18 +743,12 @@ class TestWriteTable:
         assert path.read_bytes() == expected
 
     def test_package_import_loads_no_numpy(self):
-        # the public names resolve on first use; numpy loads with them
-        code = (
-            "import sys, quenchkit\n"
-            "assert 'numpy' not in sys.modules\n"
-            "from quenchkit import decompose, RotorConfig, integrate\n"
-            "missing = [n for n in quenchkit.__all__ if not hasattr(quenchkit, n)]\n"
-            "print(missing, 'numpy' in sys.modules)\n"
-        )
+        # the CLI sets up the process before numpy loads (see __main__)
+        code = "import sys, quenchkit\nprint(quenchkit.__version__, 'numpy' in sys.modules)\n"
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
         assert proc.stderr == b""
-        assert proc.stdout == b"[] True\n"
+        assert proc.stdout == b"0.1.0 False\n"
 
     def test_only_the_quadrature_loads_numpy_polynomial(self):
         # the Gauss-Legendre rules are built on first use: importing
@@ -736,7 +776,7 @@ class TestWriteTable:
             "from quenchkit import __main__ as entry\n"
             "def report():\n"
             "    print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)\n"
-            "sys.modules['quenchkit.cli'] = types.SimpleNamespace(entrypoint=report)\n"
+            "sys.modules['quenchkit.cli'] = types.SimpleNamespace(main=report)\n"
             "entry.run()\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
