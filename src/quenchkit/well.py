@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +28,15 @@ DEFAULT_LEVELS = 10
 DEFAULT_FORCE_STEP = 1e-4
 
 # Elements of coefficient rows computed at once by the energy scans: bounds
-# their temporaries at a few hundred KiB (2^16 raised well-scan's peak RSS
-# by 3 MiB).
-ENERGY_BLOCK = 16384
+# their temporaries at about 0.5 MiB per thread (2^16 raised well-scan's
+# peak RSS by 3 MiB on one thread).  On two threads 2^15 hands the
+# interpreter lock over half as often as 2^14, which gained no wall time;
+# on one thread the two sizes run alike.
+ENERGY_BLOCK = 32768
+
+# Most threads that share out the blocks of one energy call, further capped
+# by the CPUs the process may run on; 2 is the only count measured.
+ENERGY_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -252,8 +260,12 @@ def _energies(gammas: np.ndarray, n_levels: int):
     """Renormalized, raw and captured energies at each of ``gammas``.
 
     The coefficient rows are computed a block of about `ENERGY_BLOCK`
-    elements at a time into one buffer, squared and weighted in place; each
-    row's sums are the same doubles as for that gamma alone.
+    elements at a time, squared and weighted in place; each row's sums are
+    the same doubles as for that gamma alone.  The blocks are dealt out in
+    turn to up to `ENERGY_WORKERS` threads, the calling thread one of them,
+    each with its own buffer; numpy releases the GIL in the row arithmetic.
+    A failure names the gamma of the first failing block, as one thread
+    running the blocks in order would.
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
@@ -261,30 +273,70 @@ def _energies(gammas: np.ndarray, n_levels: int):
     if not in_domain.all():
         _check_gamma(float(gammas[np.argmin(in_domain)]))
     terms = kernels.level_terms(n_levels)
-    n = terms[0]
     raw = np.empty(len(gammas))
     captured = np.empty(len(gammas))
     rows = max(1, ENERGY_BLOCK // n_levels)
-    buffer = np.empty((min(rows, len(gammas)), n_levels))
-    for start in range(0, len(gammas), rows):
+    starts = range(0, len(gammas), rows)
+    workers = min(ENERGY_WORKERS, _cpus(), len(starts)) if len(starts) > 1 else 1
+    shares = [starts[i::workers] for i in range(workers)]
+    failures = [None] * workers
+    errstate = np.geterr()  # a new thread starts from numpy's default
+
+    def work(i):
+        with np.errstate(**errstate):
+            failures[i] = _energy_blocks(gammas, terms, shares[i], rows, raw, captured)
+
+    started = []
+    try:
+        for i in range(1, workers):
+            thread = threading.Thread(target=work, args=(i,))
+            thread.start()
+            started.append(thread)
+        work(0)
+    finally:
+        for thread in started:
+            thread.join()
+    failed = [f for f in failures if f is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return raw / captured, raw, captured
+
+
+def _cpus() -> int:
+    # CPUs this process may run on
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _energy_blocks(gammas, terms, starts, rows, raw, captured):
+    # `_energies` for the blocks at ``starts``, in order, into their slices
+    # of ``raw`` and ``captured``; stops at the first block that raises and
+    # returns (its start, the exception), else None
+    n = terms[0]
+    buffer = np.empty((min(rows, len(gammas)), len(n)))
+    for start in starts:
         block = slice(start, start + rows)
         g = gammas[block]
-        rho = kernels.expansion_coefficients(
-            g, n_levels, out=buffer[: len(g)], terms=terms
-        )
-        rho *= rho
-        np.sum(rho, axis=1, out=captured[block])
-        # checked before dividing: below gamma ~ 2e-162 g * g is 0 as well
-        if not (captured[block] > 0.0).all():
-            raise ValueError(
-                f"captured probability underflows to zero at gamma = "
-                f"{g[np.argmin(captured[block] > 0.0)]} with {n_levels} levels"
+        try:
+            rho = kernels.expansion_coefficients(
+                g, len(n), out=buffer[: len(g)], terms=terms
             )
-        rho *= n
-        rho *= n
-        np.sum(rho, axis=1, out=raw[block])
-        raw[block] /= g * g
-    return raw / captured, raw, captured
+            rho *= rho
+            np.sum(rho, axis=1, out=captured[block])
+            # checked before dividing: below gamma ~ 2e-162 g * g is 0 as well
+            if not (captured[block] > 0.0).all():
+                raise ValueError(
+                    f"captured probability underflows to zero at gamma = "
+                    f"{g[np.argmin(captured[block] > 0.0)]} with {len(n)} levels"
+                )
+            rho *= n
+            rho *= n
+            np.sum(rho, axis=1, out=raw[block])
+            raw[block] /= g * g
+        except Exception as exc:
+            return start, exc
+    return None
 
 
 def quench_energy(gamma, n_levels: int = DEFAULT_LEVELS) -> EnergyReport:

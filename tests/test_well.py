@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import re
+import threading
 import warnings
 from unittest import mock
 
@@ -32,6 +34,11 @@ from quenchkit.well import (
 B_HALF_1 = 0.6002108774380708
 
 ALT_CONFIG = WellConfig(mass=3.3e-26, planck=6.626e-34, width=2.5e-9)
+
+
+def two_cpus(monkeypatch):
+    """Let `well._energies` use two threads even on a one-CPU host."""
+    monkeypatch.setattr(well, "_cpus", lambda: 2)
 
 
 def per_point_energy(gamma, n_levels):
@@ -449,14 +456,20 @@ class TestScans:
             force_scan(1e90, 1e100, 5)
 
     def test_blocks_do_not_change_the_scans(self, monkeypatch):
-        # one row per block, then every grid point in one block
-        monkeypatch.setattr(well, "ENERGY_BLOCK", 1)
-        rows = energy_scan(0.3, 6.7, 301, 37), force_scan(0.5, 5.5, 201, 37, step=0.01)
-        monkeypatch.setattr(well, "ENERGY_BLOCK", 10**9)
-        whole = energy_scan(0.3, 6.7, 301, 37), force_scan(0.5, 5.5, 201, 37, step=0.01)
-        np.testing.assert_array_equal(rows[0], whole[0])
-        for name in ("gamma", "energy", "force"):
-            np.testing.assert_array_equal(getattr(rows[1], name), getattr(whole[1], name))
+        # one row per block (two ways) on one thread and dealt out to two,
+        # then every grid point in one block
+        two_cpus(monkeypatch)
+        scans = []
+        for block, workers in ((1, 1), (37, 1), (1, 2), (37, 2), (10**9, 2)):
+            monkeypatch.setattr(well, "ENERGY_BLOCK", block)
+            monkeypatch.setattr(well, "ENERGY_WORKERS", workers)
+            scans.append((energy_scan(0.3, 6.7, 301, 37),
+                          force_scan(0.5, 5.5, 201, 37, step=0.01)))
+        whole = scans.pop()
+        for rows in scans:
+            np.testing.assert_array_equal(rows[0], whole[0])
+            for name in ("gamma", "energy", "force"):
+                np.testing.assert_array_equal(getattr(rows[1], name), getattr(whole[1], name))
 
     def test_scans_equal_the_per_point_path_bitwise(self):
         # 0.01 spacing puts grid points within 2 * step of every integer, so
@@ -492,11 +505,69 @@ class TestScans:
             captured.append(np.sum(rho))
             raw.append(np.sum(rho * n * n) / (g * g))
         captured, raw = np.array(captured), np.array(raw)
-        for block in (1, well.ENERGY_BLOCK, 10**9):
+        two_cpus(monkeypatch)
+        blocks = (1, n_levels, well.ENERGY_BLOCK, 10**9)
+        for block, workers in itertools.product(blocks, (1, 2)):
             monkeypatch.setattr(well, "ENERGY_BLOCK", block)
+            monkeypatch.setattr(well, "ENERGY_WORKERS", workers)
             got = well._energies(gammas, n_levels)
             for values, expected in zip(got, (raw / captured, raw, captured)):
                 np.testing.assert_array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("first", [1, 2])
+    def test_threaded_blocks_name_the_first_failing_gamma(self, first, monkeypatch):
+        # one row per block, dealt out in turn, and blocks first..first + 2
+        # underflow: the worker thread's block 1 fails before the calling
+        # thread's block 2, or block 2 before block 3 the other way round
+        monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
+        two_cpus(monkeypatch)
+        gammas = np.full(8, 1.5)
+        gammas[first:first + 3] = [1e-300, 2e-300, 3e-300]
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=r"underflows to zero at gamma = 1e-300 with 10"):
+            well._energies(gammas, 10)
+        assert threading.active_count() == before
+
+    def test_worker_threads_carry_the_callers_errstate(self, monkeypatch):
+        monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
+        two_cpus(monkeypatch)
+        gammas = np.array([1.5, 1e-300, 1.5, 1.5])  # block 1: a worker thread's
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError):
+            well._energies(gammas, 10)
+
+    def test_worker_exceptions_reach_the_caller_and_every_thread_ends(self, monkeypatch):
+        class Boom(Exception):
+            pass
+
+        calls, lock = [], threading.Lock()
+        coefficients = well.kernels.expansion_coefficients
+
+        def second_call_raises(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                n = len(calls)
+            if n == 2:
+                raise Boom("second block")
+            return coefficients(*args, **kwargs)
+
+        monkeypatch.setattr(well.kernels, "expansion_coefficients", second_call_raises)
+        monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
+        two_cpus(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(Boom, match="second block"):
+            well._energies(np.linspace(1.1, 3.9, 40), 10)
+        assert threading.active_count() == before
+
+    def test_one_block_or_one_cpu_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(well.threading.Thread, "start", lambda t: started.append(t))
+        gammas = np.linspace(0.5, 4.5, 40)
+        expected = [v.tolist() for v in well._energies(gammas, 10)]
+        assert started == []  # one block
+        monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
+        monkeypatch.setattr(well, "_cpus", lambda: 1)
+        assert [v.tolist() for v in well._energies(gammas, 10)] == expected
+        assert started == []
 
     def test_force_scan_omits_resonant_grid_points(self):
         profile = force_scan(1.9, 2.1, 3)
