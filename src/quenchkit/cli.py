@@ -102,8 +102,15 @@ def _size(value: int, text: str) -> int:
     return value
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse integer {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return _size(value, text)
@@ -123,7 +130,7 @@ def _tolerance(text: str) -> float:
 
 
 def _scan_points(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"scans need at least 2 points, got {text}")
     return _size(value, text)
@@ -566,6 +573,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # domain validation raised past argparse (e.g. --alpha outside [0, pi])
         parser.error(str(exc))
+    except OSError as exc:
+        # an -o path that cannot be opened; any other I/O error is not the
+        # caller's to fix
+        if args.output is None or exc.filename != args.output:
+            raise
+        parser.error(f"cannot write {exc.filename!r}: {exc.strerror}")
     if failure is None:
         return 0
     print(f"quenchkit: {failure}", file=sys.stderr)

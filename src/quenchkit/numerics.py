@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,26 +37,6 @@ class QuadratureConvergenceError(ArithmeticError):
 
 class OdeDivergenceError(ArithmeticError):
     """The ODE integration produced non-finite intermediate values."""
-
-
-@dataclass(frozen=True)
-class OdeSpec:
-    """Resolution for `ode_evolve`, as RK4 steps per drive period.
-
-    The integration window passed to `ode_evolve` is treated as one drive
-    period; callers integrating over several periods, or systems whose
-    internal frequencies exceed the drive, scale the count accordingly.  The
-    floor of 100 keeps even the fastest relevant frequency sampled by at
-    least ~20 points per period in the intended usage.
-    """
-
-    steps_per_period: int = 10_000
-
-    def __post_init__(self):
-        if self.steps_per_period < 100:
-            raise ValueError(
-                f"steps_per_period must be >= 100, got {self.steps_per_period}"
-            )
 
 
 class OdeResult(NamedTuple):
@@ -189,22 +168,26 @@ def ode_evolve(
     rhs: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
     t_end: float,
-    spec: OdeSpec | None = None,
+    steps: int = 10_000,
 ) -> OdeResult:
-    """Propagate ``y' = rhs(t, y)`` over ``[0, t_end]`` with classical RK4.
+    """Propagate ``y' = rhs(t, y)`` over ``[0, t_end]`` with ``steps``
+    classical RK4 steps.
 
-    ``y0`` must be a complex 2-vector normalized to 1 within 1e-12.  The
-    returned ``norm_drift`` is the largest deviation of the state norm from
-    one seen during the integration; for a Hermitian generator it measures
-    pure integrator error.
+    ``steps`` must be at least 100: callers treat ``[0, t_end]`` as one drive
+    period and scale the count for several periods or for internal
+    frequencies above the drive, so the fastest relevant frequency keeps at
+    least ~20 points per period.  ``y0`` must be a complex 2-vector
+    normalized to 1 within 1e-12.  The returned ``norm_drift`` is the largest
+    deviation of the state norm from one seen during the integration; for a
+    Hermitian generator it measures pure integrator error.
 
     Raises
     ------
     OdeDivergenceError
         If the state stops being finite.
     """
-    if spec is None:
-        spec = OdeSpec()
+    if steps < 100:
+        raise ValueError(f"steps must be >= 100, got {steps}")
     y = np.asarray(y0, dtype=complex).copy()
     if y.shape != (2,):
         raise ValueError(f"y0 must be a complex 2-vector, got shape {y.shape}")
@@ -213,11 +196,10 @@ def ode_evolve(
         raise ValueError(f"y0 must be normalized to 1 within 1e-12, |y0| = {norm0}")
     if t_end == 0.0:
         return OdeResult(y, 0.0)
-    n = spec.steps_per_period
-    h = t_end / n
+    h = t_end / steps
     drift = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n):
+        for step in range(steps):
             t = step * h
             k1 = np.asarray(rhs(t, y))
             k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1))
@@ -227,7 +209,7 @@ def ode_evolve(
             norm = float(np.linalg.norm(y))
             if not np.isfinite(norm):
                 raise OdeDivergenceError(
-                    f"state became non-finite at t = {t + h} (step {step + 1}/{n})"
+                    f"state became non-finite at t = {t + h} (step {step + 1}/{steps})"
                 )
             drift = max(drift, abs(norm - 1.0))
     return OdeResult(y, drift)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from quenchkit import kernels
-from quenchkit.numerics import OdeDivergenceError, OdeSpec
+from quenchkit.numerics import OdeDivergenceError
 
 HBAR = 1.054571817e-34  # J s
 
@@ -38,6 +38,10 @@ OMEGA0 = 1.6e-19 / 9.3e-31
 # (`ode_trajectory`), so the budget admits ratios down to about 6e-5; ratio
 # 1e-9 would need 6e11.
 MAX_RK4_STEPS = 10**7
+
+# RK4 steps per drive period of an `ode_trajectory`, before its floor for the
+# fastest frequency
+RK4_STEPS_PER_PERIOD = 10_000
 
 
 @dataclass(frozen=True)
@@ -96,29 +100,6 @@ def _check_alpha(alpha: float) -> None:
 
 
 @dataclass(frozen=True)
-class SpinState:
-    """Normalized two-component amplitude vector."""
-
-    up: complex
-    down: complex
-
-    def __post_init__(self):
-        norm = abs(self.up) ** 2 + abs(self.down) ** 2
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state must be normalized, |psi|^2 = {norm}")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.up, self.down], dtype=complex)
-
-    def overlap(self, other: "SpinState") -> complex:
-        """Inner product <self|other>."""
-        return complex(
-            self.up.conjugate() * other.up + self.down.conjugate() * other.down
-        )
-
-
-@dataclass(frozen=True)
 class ReturnCurve:
     """Single-cycle return probability versus drive ratio, for one cone angle."""
 
@@ -133,18 +114,14 @@ class ThresholdReport:
 
     ``monotone_onset`` is the smallest scanned ratio beyond which the curve
     never decreases.  ``frozen_onset`` is the smallest scanned ratio beyond
-    which the probability stays within ``epsilon`` of one, or None when no
-    scanned ratio qualifies; ``max_probability`` then records how close the
-    scan got.
+    which the probability stays within the requested deficit of one, or None
+    when no scanned ratio qualifies; ``max_probability`` then records how
+    close the scan got.
     """
 
-    alpha: float
-    epsilon: float
     monotone_onset: float
     frozen_onset: float | None
     max_probability: float
-    ratio_range: tuple[float, float]
-    points: int
 
     @property
     def frozen_found(self) -> bool:
@@ -165,12 +142,13 @@ def hamiltonian(t: float, cfg: RotorConfig) -> np.ndarray:
 
 def instantaneous_eigenstates(
     t: float, cfg: RotorConfig
-) -> tuple[SpinState, SpinState, float, float]:
-    """Eigenstates of the instantaneous Hamiltonian and their energies (J)."""
+) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Eigenstates of the instantaneous Hamiltonian, each a normalized complex
+    array (up, down), and their energies (J)."""
     half = 0.5 * cfg.alpha
     phase = complex(math.cos(cfg.omega * t), math.sin(cfg.omega * t))
-    upper = SpinState(math.cos(half), phase * math.sin(half))
-    lower = SpinState(phase.conjugate() * math.sin(half), -math.cos(half))
+    upper = np.array([math.cos(half), phase * math.sin(half)])
+    lower = np.array([phase.conjugate() * math.sin(half), -math.cos(half)])
     e = 0.5 * HBAR * cfg.omega0
     return upper, lower, e, -e
 
@@ -188,6 +166,18 @@ def _check_time(t, rate: float = 0.0) -> np.ndarray:
     return t
 
 
+def _branch_terms(branches, cfg: RotorConfig) -> np.ndarray:
+    """For each of ``branches``, its eigenstate a at t = 0, which is real, and
+    the h of `_closed_form`: shape ``(2, len(branches), 2)``."""
+    w, w0 = cfg.omega, cfg.omega0
+    ch, sh = math.cos(0.5 * cfg.alpha), math.sin(0.5 * cfg.alpha)
+    terms = {UPPER: ((ch, sh), (w - w0, -(w0 + w))), LOWER: ((sh, -ch), (w0 + w, w0 - w))}
+    unknown = [b for b in branches if b not in terms]
+    if unknown:
+        raise ValueError(f"branch must be '{UPPER}' or '{LOWER}', got {unknown[0]!r}")
+    return np.array([terms[b] for b in branches]).transpose(1, 0, 2)
+
+
 def _closed_form(t, branches, cfg: RotorConfig):
     """The exact states at ``t`` from the eigenstates a of ``branches``, shape
     ``np.shape(t) + (len(branches), 2)``, and the a, which are real.
@@ -199,14 +189,9 @@ def _closed_form(t, branches, cfg: RotorConfig):
     rounds as the complex form does, down to the phases 0.5 (lam t) and
     (0.5 w) t; numpy's complex multiply may round differently.
     """
-    w, w0, lam = cfg.omega, cfg.omega0, cfg.rabi_lambda
+    w, lam = cfg.omega, cfg.rabi_lambda
     t = _check_time(t, max(w, lam))[..., None, None]
-    ch, sh = math.cos(0.5 * cfg.alpha), math.sin(0.5 * cfg.alpha)
-    terms = {UPPER: ((ch, sh), (w - w0, -(w0 + w))), LOWER: ((sh, -ch), (w0 + w, w0 - w))}
-    unknown = [b for b in branches if b not in terms]
-    if unknown:
-        raise ValueError(f"branch must be '{UPPER}' or '{LOWER}', got {unknown[0]!r}")
-    a, h = np.array([terms[b] for b in branches]).transpose(1, 0, 2)
+    a, h = _branch_terms(branches, cfg)
     phase = t * np.array([lam, 0.5 * w]) * np.array([0.5, 1.0])
     cos, sin = np.cos(phase), np.sin(phase)
     c, cr, sr = cos[..., :1], cos[..., 1:], sin[..., 1:] * np.array([-1.0, 1.0])
@@ -230,7 +215,6 @@ def ode_trajectory(
     t: float,
     branch: str,
     cfg: RotorConfig,
-    spec: OdeSpec | None = None,
     samples: int = 16,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """RK4 oracle for `evolve_closed_form`: the states at ``samples + 1``
@@ -238,26 +222,20 @@ def ode_trajectory(
 
     Returns (times, states, norm_drift).
     """
-    if spec is None:
-        spec = OdeSpec()
     _check_time(t)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    initial, lower, _, _ = instantaneous_eigenstates(0.0, cfg)
-    if branch == LOWER:
-        initial = lower
-    elif branch != UPPER:
-        raise ValueError(f"branch must be '{UPPER}' or '{LOWER}', got {branch!r}")
+    initial = _branch_terms([branch], cfg)[0, 0]
     if t == 0.0:
         times = np.zeros(samples + 1)
-        states = np.tile(initial.vector, (samples + 1, 1))
+        states = np.tile(initial.astype(complex), (samples + 1, 1))
         return times, states, 0.0
     fastest = max(cfg.omega, cfg.omega0, cfg.rabi_lambda)
     periods = t / cfg.drive_period
     # at least 600 steps per period of the fastest frequency: over P such
     # periods the error is about 2.5 P / 600^4, 3e-7 at the slowest drive
     # the budget admits
-    steps = max(spec.steps_per_period * periods, 600.0 * fastest * t / (2.0 * math.pi), 100.0)
+    steps = max(RK4_STEPS_PER_PERIOD * periods, 600.0 * fastest * t / (2.0 * math.pi), 100.0)
     # rounded up to a multiple of samples in floats, so a huge t meets the
     # budget as inf instead of overflowing an integer conversion
     n_steps = np.ceil(np.ceil(steps) / samples) * samples
@@ -270,7 +248,7 @@ def ode_trajectory(
     n_steps = int(n_steps)
     stride = n_steps // samples
     states, drift = kernels.spin_rk4(
-        cfg.alpha, cfg.omega, cfg.omega0, t, n_steps, initial.up, initial.down, stride
+        cfg.alpha, cfg.omega, cfg.omega0, t, n_steps, *initial, stride
     )
     if not np.all(np.isfinite(states.view(float))):
         raise OdeDivergenceError("two-level RK4 integration produced non-finite values")
@@ -364,11 +342,5 @@ def anti_adiabatic_threshold(
     else:
         frozen = float(ratios[below[-1] + 1])
     return ThresholdReport(
-        alpha=curve.alpha,
-        epsilon=epsilon,
-        monotone_onset=monotone,
-        frozen_onset=frozen,
-        max_probability=float(rho.max()),
-        ratio_range=(ratio_min, ratio_max),
-        points=points,
+        monotone_onset=monotone, frozen_onset=frozen, max_probability=float(rho.max())
     )

@@ -13,7 +13,6 @@ count only; physical configuration enters solely through the energy scale.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 import threading
@@ -63,55 +62,21 @@ class WellConfig:
         return self.planck**2 / (8.0 * self.mass * self.width**2)
 
 
-class Regime(enum.Enum):
-    SHRINK = "shrink"
-    IDENTITY = "identity"
-    EXPAND_RESONANT = "expand_resonant"
-    EXPAND_GENERIC = "expand_generic"
-
-
-@dataclass(frozen=True)
-class QuenchRatio:
-    """Width ratio gamma = (new width) / (initial width).  Resonance is exact
-    equality: gamma == 1 is the identity and an integer gamma >= 2 an
-    expansion onto level gamma; any other gamma, however close to an
-    integer, is generic."""
-
-    gamma: float
-
-    def __post_init__(self):
-        _check_gamma(self.gamma)
-
-    @property
-    def regime(self) -> Regime:
-        if self.gamma == 1.0:
-            return Regime.IDENTITY
-        if self.gamma < 1.0:
-            return Regime.SHRINK
-        if self.gamma == math.floor(self.gamma):
-            return Regime.EXPAND_RESONANT
-        return Regime.EXPAND_GENERIC
-
-
-def _check_gamma(gamma: float) -> None:
+def _check_gamma(gamma: float) -> float:
+    """``gamma`` as a float, once it is a valid width ratio."""
+    gamma = float(gamma)
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
     if gamma > kernels.MAX_RATIO:
         raise ValueError(f"gamma must be at most {kernels.MAX_RATIO:g}, got {gamma}")
-
-
-def _as_ratio(gamma) -> QuenchRatio:
-    if isinstance(gamma, QuenchRatio):
-        return gamma
-    return QuenchRatio(float(gamma))
+    return gamma
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Frozen-state expansion over the first ``n_levels`` post-quench levels."""
+    """Frozen-state expansion over the first ``len(coefficients)`` post-quench
+    levels."""
 
-    ratio: QuenchRatio
-    n_levels: int
     coefficients: np.ndarray = field(repr=False)  # b_n, index n-1
     populations: np.ndarray = field(repr=False)  # b_n^2
     captured: float  # sum of populations
@@ -126,8 +91,6 @@ class EnergyReport:
     by construction.
     """
 
-    ratio: QuenchRatio
-    n_levels: int
     renormalized: float
     raw: float
     captured: float
@@ -141,8 +104,6 @@ class ForceProfile:
     gamma: np.ndarray = field(repr=False)
     energy: np.ndarray = field(repr=False)  # units of initial ground energy
     force: np.ndarray = field(repr=False)  # units of ground energy / width
-    step: float
-    n_levels: int
 
 
 def eigen_energy(n: int, width: float, cfg: WellConfig | None = None) -> float:
@@ -171,7 +132,7 @@ def eigen_wavefunction(n, width: float, q):
     return float(psi) if psi.ndim == 0 else psi
 
 
-def expansion_coefficient(n: int, gamma) -> float:
+def expansion_coefficient(n: int, gamma: float) -> float:
     """Overlap of the frozen initial ground state with post-quench level ``n``.
 
     Closed forms from `kernels.expansion_coefficients`: a shrink formula for
@@ -182,17 +143,16 @@ def expansion_coefficient(n: int, gamma) -> float:
     """
     if n < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
-    r = _as_ratio(gamma)
-    return float(kernels.expansion_coefficients(r.gamma, n)[n - 1])
+    return float(kernels.expansion_coefficients(_check_gamma(gamma), n)[n - 1])
 
 
-def population(n: int, gamma) -> float:
+def population(n: int, gamma: float) -> float:
     """Occupation probability of post-quench level ``n``: the coefficient squared."""
     b = expansion_coefficient(n, gamma)
     return b * b
 
 
-def overlap_oracle(n, gamma, *, tolerance=1e-10):
+def overlap_oracle(n, gamma: float, *, tolerance=1e-10):
     """Quadrature cross-check of `expansion_coefficient`.
 
     Integrates the product of the old ground state and the new level-``n``
@@ -210,7 +170,7 @@ def overlap_oracle(n, gamma, *, tolerance=1e-10):
     if np.any(levels < 1):
         raise ValueError(f"level index must be >= 1, got {n}")
     w0 = WellConfig().width
-    w1 = _as_ratio(gamma).gamma * w0
+    w1 = _check_gamma(gamma) * w0
     upper = min(w0, w1)
 
     edges = []  # panel edges, one list per requested level
@@ -240,20 +200,13 @@ def overlap_oracle(n, gamma, *, tolerance=1e-10):
     return out[0] if levels.ndim == 0 else np.reshape(out, levels.shape)
 
 
-def decompose(gamma, n_levels: int = DEFAULT_LEVELS) -> SpectralDecomposition:
+def decompose(gamma: float, n_levels: int = DEFAULT_LEVELS) -> SpectralDecomposition:
     """Expansion coefficients and populations for levels 1..n_levels."""
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
-    r = _as_ratio(gamma)
-    b = kernels.expansion_coefficients(r.gamma, n_levels)
+    b = kernels.expansion_coefficients(_check_gamma(gamma), n_levels)
     rho = b * b
-    return SpectralDecomposition(
-        ratio=r,
-        n_levels=n_levels,
-        coefficients=b,
-        populations=rho,
-        captured=float(rho.sum()),
-    )
+    return SpectralDecomposition(coefficients=b, populations=rho, captured=float(rho.sum()))
 
 
 def _energies(gammas: np.ndarray, n_levels: int):
@@ -271,7 +224,7 @@ def _energies(gammas: np.ndarray, n_levels: int):
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     in_domain = (gammas > 0.0) & (gammas <= kernels.MAX_RATIO)
     if not in_domain.all():
-        _check_gamma(float(gammas[np.argmin(in_domain)]))
+        _check_gamma(gammas[np.argmin(in_domain)])
     terms = kernels.level_terms(n_levels)
     raw = np.empty(len(gammas))
     captured = np.empty(len(gammas))
@@ -339,19 +292,10 @@ def _energy_blocks(gammas, terms, starts, rows, raw, captured):
     return None
 
 
-def quench_energy(gamma, n_levels: int = DEFAULT_LEVELS) -> EnergyReport:
+def quench_energy(gamma: float, n_levels: int = DEFAULT_LEVELS) -> EnergyReport:
     """Truncated post-quench energy in units of the initial ground energy."""
-    r = _as_ratio(gamma)
-    renormalized, raw, captured = (
-        float(v[0]) for v in _energies(np.array([r.gamma]), n_levels)
-    )
-    return EnergyReport(
-        ratio=r,
-        n_levels=n_levels,
-        renormalized=renormalized,
-        raw=raw,
-        captured=captured,
-    )
+    energies = _energies(np.array([_check_gamma(gamma)]), n_levels)
+    return EnergyReport(*(float(v[0]) for v in energies))
 
 
 def _forces(gammas: np.ndarray, n_levels: int, step: float) -> np.ndarray:
@@ -390,7 +334,7 @@ def _forces(gammas: np.ndarray, n_levels: int, step: float) -> np.ndarray:
 
 
 def matter_wave_force(
-    gamma, n_levels: int = DEFAULT_LEVELS, step: float = DEFAULT_FORCE_STEP
+    gamma: float, n_levels: int = DEFAULT_LEVELS, step: float = DEFAULT_FORCE_STEP
 ) -> float:
     """Force on the wall, in units of (ground energy / initial width).
 
@@ -401,11 +345,10 @@ def matter_wave_force(
     integer replaces the central one.  A gamma whose doubles are too coarse
     for ``step`` (from about 2^19 at the default step) raises ValueError.
     """
-    r = _as_ratio(gamma)
-    return float(_forces(np.array([r.gamma]), n_levels, step)[0])
+    return float(_forces(np.array([_check_gamma(gamma)]), n_levels, step)[0])
 
 
-def population_scan(gamma, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:
+def population_scan(gamma: float, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:
     """Table of (n, population) rows for n = 1..n_levels."""
     dec = decompose(gamma, n_levels)
     n = np.arange(1.0, n_levels + 1.0)
@@ -465,6 +408,4 @@ def force_scan(
         gamma=kept,
         energy=_energies(kept, n_levels)[0],
         force=_forces(kept, n_levels, step),
-        step=step,
-        n_levels=n_levels,
     )

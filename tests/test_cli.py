@@ -238,6 +238,12 @@ class TestExitCodes:
             # the message was the whole tolerance array
             (["well", "oracle-check", "--quad-tol", "5e-324"],
              "tolerance 5e-324 divided into 21 panel shares at gamma = 0.1 gives 0.0"),
+            # an -o path that cannot be opened ended in a traceback with exit 1
+            (["well", "coeffs", "-o", "/nonexistent/x.csv"], "cannot write '/nonexistent/x.csv'"),
+            (["well", "coeffs", "-o", "."], "cannot write '.'"),
+            # a flag that is not an integer was named by its parser function
+            (["well", "coeffs", "--levels", "1e3"], "argument --levels: cannot parse integer '1e3'"),
+            (["well", "captured", "--points", "x"], "argument --points: cannot parse integer 'x'"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -251,9 +257,10 @@ class TestExitCodes:
         assert err.value.code == 2
         out, stderr = capsys.readouterr()
         assert out == ""
-        # one usage line and a one-line message
-        usage, error = stderr.splitlines()
-        assert named in error
+        # the usage and a one-line message
+        *usage, error = stderr.splitlines()
+        assert usage[0].startswith("usage: quenchkit ")
+        assert error.startswith("quenchkit") and named in error
         assert "Traceback" not in stderr
 
     @pytest.mark.parametrize(

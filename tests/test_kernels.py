@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quenchkit import kernels, well
-from quenchkit.numerics import OdeSpec, ode_evolve
+from quenchkit.numerics import ode_evolve
 
 
 def per_gamma_coefficients(gamma, n_max):
@@ -72,6 +72,41 @@ def test_array_rows_equal_the_per_gamma_formula_bitwise(gammas, n_max):
         np.testing.assert_array_equal(
             _bits(kernels.expansion_coefficients(g, n_max)), _bits(expected)
         )
+
+
+@pytest.mark.parametrize(
+    "gamma,regime",
+    [
+        (0.5, "shrink"),
+        (math.nextafter(1.0, 0.0), "shrink"),
+        (1.0, "identity"),
+        (math.nextafter(1.0, 2.0), "generic"),
+        (1.0 + 5e-10, "generic"),
+        (2.0, "resonant"),
+        (3.0, "resonant"),
+        (3.0 + 1e-12, "generic"),
+        (2.5, "generic"),
+        (4.9, "generic"),
+        (1e150, "resonant"),
+    ],
+)
+def test_each_gamma_takes_its_regime_formula(gamma, regime):
+    # resonance is exact equality: no window around the integers
+    n_max = 12
+    row = kernels.expansion_coefficients(np.array([gamma]), n_max)[0]
+    np.testing.assert_array_equal(_bits(row), _bits(per_gamma_coefficients(gamma, n_max)))
+    ref = np.array([float(x) for x in mp_coefficients(gamma, range(1, n_max + 1))])
+    assert np.max(np.abs(row - ref)) <= 2e-14 * np.max(np.abs(ref))
+    k = int(np.rint(gamma))
+    if regime == "identity":
+        np.testing.assert_array_equal(row, np.arange(n_max) == 0)
+    elif regime == "resonant":
+        # level k reproduces the old state exactly
+        assert k > n_max or row[k - 1] == 1.0 / math.sqrt(k)
+    else:
+        # next to an integer, still the shrink or generic formula
+        assert gamma != k and row[1] != 0.0
+        assert not 2 <= k <= n_max or row[k - 1] != 1.0 / math.sqrt(k)
 
 
 def test_rows_are_finite_next_to_every_integer_without_tolerance():
@@ -164,7 +199,7 @@ def test_rk4_matches_generic_integrator_at_1e4_steps(ratio, alpha):
     omega = ratio * omega0
     t = 2 * math.pi / omega
     y0 = np.array([math.cos(alpha / 2), math.sin(alpha / 2)], dtype=complex)
-    generic = ode_evolve(rotating_field_rhs(alpha, omega, omega0), y0, t, OdeSpec(10_000))
+    generic = ode_evolve(rotating_field_rhs(alpha, omega, omega0), y0, t, 10_000)
     states, drift = kernels.spin_rk4(alpha, omega, omega0, t, 10_000, y0[0], y0[1], 10_000)
     np.testing.assert_allclose(states[-1], generic.state, rtol=0.0, atol=1e-13)
     assert drift <= 1e-13

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from quenchkit import numerics
 from quenchkit.numerics import (
     OdeDivergenceError,
-    OdeSpec,
     QuadratureConvergenceError,
     central_difference,
     integrate,
@@ -238,7 +237,7 @@ class TestOdeEvolve:
     def test_divergence_detected(self):
         rhs = lambda t, y: 1e200 * y
         with pytest.raises(OdeDivergenceError):
-            ode_evolve(rhs, np.array([1.0, 0.0]), 1.0, OdeSpec(100))
+            ode_evolve(rhs, np.array([1.0, 0.0]), 1.0, 100)
 
     def test_unnormalized_initial_state_rejected(self):
         with pytest.raises(ValueError):
@@ -249,8 +248,8 @@ class TestOdeEvolve:
             ode_evolve(lambda t, y: y, np.array([1.0, 0.0, 0.0]), 1.0)
 
     def test_spec_floor(self):
-        with pytest.raises(ValueError):
-            OdeSpec(steps_per_period=99)
+        with pytest.raises(ValueError, match="steps must be >= 100, got 99"):
+            ode_evolve(lambda t, y: y, np.array([1.0, 0.0]), 1.0, 99)
 
 
 class TestCentralDifference:

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quenchkit import kernels, spin
-from quenchkit.numerics import OdeSpec, ode_evolve
+from quenchkit.numerics import ode_evolve
 from quenchkit.spin import (
     HBAR,
     LOWER,
     UPPER,
     RotorConfig,
-    SpinState,
     anti_adiabatic_threshold,
     branch_symmetry_check,
     evolve_closed_form,
@@ -108,18 +107,6 @@ class TestConfig:
         assert gap <= cfg.rabi_lambda <= gap * 1.5 + 2e-9 * cfg.omega0
 
 
-class TestSpinState:
-    def test_norm_enforced(self):
-        with pytest.raises(ValueError):
-            SpinState(1.0, 1.0)
-
-    def test_overlap(self):
-        a = SpinState(1.0, 0.0)
-        b = SpinState(0.0, 1j)
-        assert a.overlap(a) == 1.0 + 0j
-        assert a.overlap(b) == 0.0 + 0j
-
-
 class TestHamiltonian:
     def test_aligned_field_is_diagonal(self):
         cfg = RotorConfig(alpha=0.0)
@@ -143,27 +130,28 @@ class TestHamiltonian:
             h = hamiltonian(t, cfg)
             scale = 0.5 * HBAR * cfg.omega0
             for state, e in ((upper, e_up), (lower, e_dn)):
-                residual = h @ state.vector - e * state.vector
+                residual = h @ state - e * state
                 assert np.max(np.abs(residual)) / scale <= 1e-12
 
 
 class TestEigenstates:
     def test_aligned_field(self):
         upper, lower, e_up, e_dn = instantaneous_eigenstates(3e-12, RotorConfig(alpha=0.0))
-        assert (upper.up, upper.down) == (1.0, 0.0)
+        for state in (upper, lower):
+            assert state.shape == (2,) and state.dtype == complex
+        assert tuple(upper) == (1.0, 0.0)
         assert e_up == -e_dn > 0.0
 
     def test_equatorial_at_t0(self):
         upper, _, _, _ = instantaneous_eigenstates(0.0, RotorConfig(alpha=math.pi / 2))
-        assert upper.up == pytest.approx(1 / math.sqrt(2))
-        assert upper.down == pytest.approx(1 / math.sqrt(2))
+        np.testing.assert_allclose(upper, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     @pytest.mark.parametrize("t_frac", [0.0, 0.37, 0.92])
     def test_orthonormal(self, t_frac):
         cfg = cfg_at(0.8, 0.9)
         upper, lower, _, _ = instantaneous_eigenstates(t_frac * cfg.drive_period, cfg)
-        assert abs(upper.overlap(lower)) <= 1e-14
-        assert abs(upper.overlap(upper) - 1.0) <= 1e-14
+        assert abs(np.vdot(upper, lower)) <= 1e-14
+        assert abs(np.vdot(upper, upper) - 1.0) <= 1e-14
 
 
 class TestClosedFormEvolution:
@@ -196,8 +184,21 @@ class TestClosedFormEvolution:
         assert down == 0.0
 
     def test_unknown_branch_rejected(self):
-        with pytest.raises(ValueError):
+        message = "branch must be 'upper' or 'lower', got 'sideways'"
+        with pytest.raises(ValueError, match=message):
             evolve_closed_form(0.0, "sideways", RotorConfig())
+        with pytest.raises(ValueError, match=message):
+            spin.ode_trajectory(1e-12, "sideways", RotorConfig())
+
+    @pytest.mark.parametrize("t", [0.0, 1e-12])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, math.pi / 2, math.pi])
+    def test_rk4_starts_from_the_instantaneous_eigenstates(self, alpha, t):
+        # the start state bit for bit, with and without RK4 steps
+        cfg = RotorConfig(alpha=alpha)
+        upper, lower, _, _ = instantaneous_eigenstates(0.0, cfg)
+        for branch, state in ((UPPER, upper), (LOWER, lower)):
+            start = spin.ode_trajectory(t, branch, cfg, samples=2)[1][0]
+            np.testing.assert_array_equal(bits(start), bits(state))
 
     @pytest.mark.parametrize("branch", [UPPER, LOWER])
     def test_matches_rk4_over_one_cycle(self, branch):
@@ -254,9 +255,9 @@ class TestClosedFormEvolution:
             )
 
         t = cfg.drive_period
-        spec = OdeSpec(steps_per_period=2000)
-        generic = ode_evolve(rhs, np.array([math.cos(a / 2), math.sin(a / 2)]), t, spec)
-        _, kernel, _ = spin.ode_trajectory(t, UPPER, cfg, spec, samples=1)
+        y0 = np.array([math.cos(a / 2), math.sin(a / 2)])
+        generic = ode_evolve(rhs, y0, t, spin.RK4_STEPS_PER_PERIOD)
+        _, kernel, _ = spin.ode_trajectory(t, UPPER, cfg, samples=1)
         np.testing.assert_allclose(kernel[-1], generic.state, atol=1e-12)
 
 
@@ -368,7 +369,7 @@ class TestReturnProbability:
         t = cfg.drive_period
         initial, _, _, _ = instantaneous_eigenstates(0.0, cfg)
         state = spin.ode_trajectory(t, UPPER, cfg, samples=1)[1][-1]
-        amp = np.vdot(state, initial.vector)
+        amp = np.vdot(state, initial)
         assert return_probability(t, UPPER, cfg) == pytest.approx(abs(amp) ** 2, abs=1e-8)
 
     def test_bounded(self):
@@ -476,8 +477,8 @@ class TestOmegaScan:
 class TestThreshold:
     def test_aligned_field_frozen_from_start(self):
         report = anti_adiabatic_threshold(0.05, 0.0)
-        assert report.monotone_onset == report.ratio_range[0]
-        assert report.frozen_onset == report.ratio_range[0]
+        assert report.monotone_onset == spin.DEFAULT_RATIO_RANGE[0]
+        assert report.frozen_onset == spin.DEFAULT_RATIO_RANGE[0]
 
     def test_quarter_cone_onsets(self):
         report = anti_adiabatic_threshold(0.02, math.pi / 4)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import re
@@ -6,16 +5,15 @@ import threading
 import warnings
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quenchkit import well
 from quenchkit.numerics import integrate
 from quenchkit.well import (
-    QuenchRatio,
-    Regime,
     WellConfig,
     decompose,
     eigen_energy,
@@ -65,6 +63,18 @@ def per_point_force(g, n_levels, step):
     return -slope / (2.0 * step)
 
 
+# Each scalar entry point at one gamma; each checks gamma before any work.
+GAMMA_ENTRY_POINTS = [
+    lambda g: expansion_coefficient(1, g),
+    lambda g: population(1, g),
+    lambda g: overlap_oracle(1, g),
+    lambda g: decompose(g),
+    lambda g: quench_energy(g),
+    lambda g: matter_wave_force(g),
+    lambda g: population_scan(g),
+]
+
+
 class TestConfigAndRatio:
     def test_ground_energy_reference_constants(self):
         # m = 1e-27 kg, h = 6.626e-34 J s, width = 1 nm
@@ -77,8 +87,9 @@ class TestConfigAndRatio:
                 WellConfig(**kwargs)
 
     def test_ratio_validation(self):
-        with pytest.raises(ValueError):
-            QuenchRatio(0.0)
+        for check in GAMMA_ENTRY_POINTS:
+            with pytest.raises(ValueError, match="gamma must be finite and positive, got 0.0"):
+                check(0.0)
 
     @pytest.mark.parametrize("name", ["mass", "planck", "width"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
@@ -91,39 +102,18 @@ class TestConfigAndRatio:
     def test_ratio_rejects_huge(self, gamma):
         # gamma^2 must stay finite in the kernel
         message = f"gamma must be at most 1e+150, got {gamma}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            QuenchRatio(gamma)
-        QuenchRatio(1e150)
+        for check in GAMMA_ENTRY_POINTS:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                check(gamma)
+        decompose(1e150)
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan])
     def test_ratio_rejects_non_finite(self, gamma):
         # inf used to reach int(floor(inf)) in the kernel: OverflowError
         message = f"gamma must be finite and positive, got {gamma}"
-        with pytest.raises(ValueError, match=message):
-            QuenchRatio(gamma)
-
-    @pytest.mark.parametrize(
-        "gamma,regime",
-        [
-            (0.5, Regime.SHRINK),
-            (math.nextafter(1.0, 0.0), Regime.SHRINK),
-            (1.0, Regime.IDENTITY),
-            (math.nextafter(1.0, 2.0), Regime.EXPAND_GENERIC),
-            (1.0 + 5e-10, Regime.EXPAND_GENERIC),
-            (2.0, Regime.EXPAND_RESONANT),
-            (3.0, Regime.EXPAND_RESONANT),
-            (3.0 + 1e-12, Regime.EXPAND_GENERIC),
-            (2.5, Regime.EXPAND_GENERIC),
-            (4.9, Regime.EXPAND_GENERIC),
-            (1e150, Regime.EXPAND_RESONANT),
-        ],
-    )
-    def test_regime_classification(self, gamma, regime):
-        # resonance is exact equality: no window around the integers
-        assert QuenchRatio(gamma).regime is regime
-
-    def test_ratio_has_the_width_ratio_only(self):
-        assert [f.name for f in dataclasses.fields(QuenchRatio)] == ["gamma"]
+        for check in GAMMA_ENTRY_POINTS:
+            with pytest.raises(ValueError, match=message):
+                check(gamma)
 
 
 class TestEigenstates:
@@ -282,8 +272,8 @@ class TestDecompose:
 
     def test_dimensionless(self):
         # identical output regardless of physical configuration
-        a = decompose(QuenchRatio(2.7), 50)
-        b = decompose(QuenchRatio(2.7), 50)
+        a = decompose(2.7, 50)
+        b = decompose(2.7, 50)
         np.testing.assert_array_equal(a.coefficients, b.coefficients)
         assert a.captured == b.captured
 
@@ -341,6 +331,66 @@ class TestQuenchEnergy:
         message = f"underflows to zero at gamma = {gamma} with 10 levels"
         with pytest.raises(ValueError, match=re.escape(message)):
             quench_energy(gamma, 10)
+
+
+def untruncated_captured(gamma):
+    """C_inf, the probability all levels capture: by Parseval's identity the
+    norm of the frozen state's part inside the new box, gamma -
+    sin(2 pi gamma) / (2 pi) below gamma = 1 (to 30 digits, as the
+    subtraction cancels at small gamma) and 1 from there on."""
+    if gamma >= 1.0:
+        return 1.0
+    with mpmath.workdps(30):
+        g = mpmath.mpf(gamma)
+        return float(g - mpmath.sin(2 * mpmath.pi * g) / (2 * mpmath.pi))
+
+
+class TestSumRules:
+    """What the truncated sums converge to, at sizes quadrature cannot reach.
+
+    Write C_N for the probability captured by N levels and E_raw for the raw
+    energy.  C_N rises to C_inf; for gamma > 1 the frozen state is continuous
+    at the old wall, so a sudden expansion keeps its energy and E_raw rises
+    to 1.  The gaps fall as 1/N: N (C_inf - C_N) -> 4 gamma sin^2(pi gamma)
+    / pi^2 below gamma = 1 and N (1 - E_raw) -> 2 gamma / pi^2 above it.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(gamma=st.floats(1e-3, 1e3), n_levels=st.integers(1, 10**6))
+    @example(gamma=0.8, n_levels=1000)
+    @example(gamma=1.0, n_levels=10**6)
+    @example(gamma=1.5, n_levels=1000)
+    @example(gamma=(1 + math.sqrt(5)) / 2, n_levels=3000)
+    @example(gamma=4.9, n_levels=10**5)
+    @example(gamma=10.1, n_levels=10**5)
+    def test_truncated_sums_approach_their_limits(self, gamma, n_levels):
+        report = quench_energy(gamma, n_levels)
+        limit = untruncated_captured(gamma)
+        # N rounded terms summed pairwise, and C_inf rounded once
+        rounding = 64 * np.finfo(float).eps * limit
+        assert report.captured <= limit + rounding
+        if gamma > 1.0:
+            assert report.raw <= 1.0 + rounding
+        # The correction to the leading constant is at most L / N relative,
+        # for N >= 2 L.  Above gamma = 1, sin^2(n pi / gamma) averages to 1/2
+        # over about max(gamma, 1 / (gamma - 1)) levels: the measured worst
+        # is 0.64 L / N, near the golden ratio, where the two are equal.
+        # Below gamma = 1 it is about 0.5 / N.
+        if gamma < 1.0:
+            gap = limit - report.captured
+            lead = 4.0 * gamma * math.sin(math.pi * min(gamma, 1.0 - gamma)) ** 2 / math.pi**2
+            scale = 1.0
+        elif gamma > 1.0:
+            gap = 1.0 - report.raw
+            lead = 2.0 * gamma / math.pi**2
+            scale = max(gamma, 1.0 / (gamma - 1.0))
+        else:
+            # the identity: every sum is exact from one level on
+            assert report.captured == report.raw == 1.0
+            return
+        if n_levels >= 2.0 * scale:
+            n = n_levels
+            assert abs(n * gap - lead) <= lead * scale / n + n * rounding
 
 
 class TestForce:
