@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import os
 import sys
@@ -143,24 +142,23 @@ def _scan_points(text: str) -> int:
 EMIT_CHUNK_ROWS = 4096
 
 
-def write_table(header: list[str], rows, output: str | None) -> None:
-    """Stream ``rows`` as CSV under ``header`` to the file ``output``, or to
+def write_table(header: list[str], blocks, output: str | None, integers: int = 0) -> None:
+    """Stream ``blocks`` as CSV under ``header`` to the file ``output``, or to
     stdout when it is None.
 
-    ``rows`` is a 2-D array, an iterable of 2-D arrays (blocks of rows, such
-    as one per curve), or an iterable of rows.  The row format is fixed by
-    the first row: ``%d`` for integer columns and ``%.16e`` (17 significant
-    digits) for the rest, so every row must carry the first row's column
-    types.  The table is formatted in chunks of `EMIT_CHUNK_ROWS` rows, so an
-    iterator of rows is never held whole.  Chunks of float64 arrays go
+    ``blocks`` is a 2-D float64 array or an iterable of them (blocks of rows,
+    such as one per curve).  The first ``integers`` columns hold integers
+    within +-2^53 and are written ``%d``; the rest ``%.16e`` (17 significant
+    digits).  The table is formatted in chunks of `EMIT_CHUNK_ROWS` rows, so
+    an iterator of blocks is never held whole.  An all-float table goes
     through `_decimal_rows`, which gives the same bytes as ``%``.
     """
     if output is not None:
         with open(output, "w", encoding="utf-8", newline="") as fh:
-            _stream_csv(fh, header, rows)
+            _stream_csv(fh, header, blocks, integers)
         return
     try:
-        _stream_csv(sys.stdout, header, rows)
+        _stream_csv(sys.stdout, header, blocks, integers)
     except BrokenPipeError:
         # The reader closed stdout early (``| head``).  Stop emitting and let
         # the command's own outcome set the exit status; fd 1 now points at
@@ -170,37 +168,17 @@ def write_table(header: list[str], rows, output: str | None) -> None:
         os.close(devnull)
 
 
-def _stream_csv(fh, header: list[str], rows) -> None:
+def _stream_csv(fh, header: list[str], blocks, integers: int) -> None:
     fh.write(",".join(header) + "\n")
-    row_format = None
-    for chunk in _chunks(rows):
-        if row_format is None:
-            row_format = ",".join(
-                "%d" if isinstance(v, (int, np.integer)) else "%.16e" for v in chunk[0]
-            ) + "\n"
-        if (isinstance(chunk, np.ndarray) and chunk.dtype == np.float64
-                and _decimal_tables() is not None):
-            fh.write(_decimal_rows(chunk, row_format))
-        else:
-            flat = tuple(itertools.chain.from_iterable(chunk))
-            fh.write((row_format * len(chunk)) % flat)
-
-
-def _chunks(rows):
-    """The table in pieces of at most `EMIT_CHUNK_ROWS` rows: slices of 2-D
-    arrays, or lists of rows."""
-    if isinstance(rows, np.ndarray):
-        rows = (rows,)
-    rows = iter(rows)
-    first = next(rows, None)
-    if isinstance(first, np.ndarray) and first.ndim == 2:
-        for block in itertools.chain((first,), rows):
-            for start in range(0, len(block), EMIT_CHUNK_ROWS):
-                yield block[start:start + EMIT_CHUNK_ROWS]
-    elif first is not None:
-        rows = itertools.chain((first,), rows)
-        while chunk := list(itertools.islice(rows, EMIT_CHUNK_ROWS)):
-            yield chunk
+    row_format = ",".join(["%d"] * integers + ["%.16e"] * (len(header) - integers)) + "\n"
+    as_arrays = integers == 0 and _decimal_tables() is not None
+    for block in (blocks,) if isinstance(blocks, np.ndarray) else blocks:
+        for start in range(0, len(block), EMIT_CHUNK_ROWS):
+            chunk = block[start:start + EMIT_CHUNK_ROWS]
+            if as_arrays:
+                fh.write(_decimal_rows(chunk, row_format))
+            else:
+                fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 # Decimal exponents the fast path meets: the floor(log10) estimate of a value
@@ -337,8 +315,9 @@ def _decimal_rows(block, row_format: str) -> str:
     return "".join(parts)
 
 
-# Each subcommand is a function ``run(args) -> (rows, failure)``: the rows of
-# its table (see `write_table`), and the message of a failed check or None.
+# Each subcommand is a function ``run(args) -> (rows, failure)``: its table
+# as a float64 2-D array or an iterable of them (see `write_table`), and the
+# message of a failed check or None.
 
 
 def _gate(what: str, worst: float, tol: float) -> str | None:
@@ -347,12 +326,12 @@ def _gate(what: str, worst: float, tol: float) -> str | None:
 
 def _coeffs(args):
     dec = well.decompose(args.gamma, args.levels)
-    return zip(range(1, args.levels + 1), dec.coefficients, dec.populations), None
+    levels = np.arange(1.0, args.levels + 1.0)
+    return np.column_stack((levels, dec.coefficients, dec.populations)), None
 
 
 def _pop_scan(args):
-    table = well.population_scan(args.gamma, args.levels)
-    return zip(table[:, 0].astype(np.int64), table[:, 1]), None
+    return well.population_scan(args.gamma, args.levels), None
 
 
 def _captured(args):
@@ -376,20 +355,20 @@ def _oracle_check(args):
             f"--gamma-list and --max-level {top} make up to {panels} "
             f"quadrature panels, above the size budget of {MAX_ELEMENTS}"
         )
-    rows, failure = [], None
+    blocks, failure = [], None
     levels = np.arange(1, top + 1)
     for g in args.gamma_list:
-        oracles = well.overlap_oracle(levels, g, tolerance=args.quad_tol).tolist()
-        closed = well.decompose(g, top).coefficients.tolist()
-        diffs = [abs(c - o) for c, o in zip(closed, oracles)]
-        rows += zip(levels.tolist(), itertools.repeat(g), closed, oracles, diffs)
+        oracles = well.overlap_oracle(levels, g, tolerance=args.quad_tol)
+        closed = well.decompose(g, top).coefficients
+        diffs = np.abs(closed - oracles)
+        blocks.append(np.column_stack((levels, np.full(top, g), closed, oracles, diffs)))
         # relative to the largest coefficient: |b_n| <= 1, and at extreme
         # gammas every b_n is so small that an absolute bound passes anything
         failure = failure or _gate(
             f"coefficient oracle disagreement at gamma = {g}:",
-            max(diffs), args.tol * max(map(abs, closed)),
+            diffs.max(), args.tol * np.abs(closed).max(),
         )
-    return rows, failure
+    return blocks, failure
 
 
 def _return_prob(args):
@@ -422,7 +401,7 @@ def _threshold(args):
         f"no scanned ratio keeps rho1 >= 1 - {args.epsilon}; "
         f"best rho1 = {report.max_probability:.6f}"
     )
-    return [(report.monotone_onset, frozen, report.max_probability)], failure
+    return np.array([[report.monotone_onset, frozen, report.max_probability]]), failure
 
 
 def _ode_check(args):
@@ -435,7 +414,8 @@ def _ode_check(args):
             )
             closed = spin.evolve_closed_form(times, spin.UPPER, cfg)
             rows.append((alpha, ratio, np.max(np.abs(closed - states)), drift))
-    return rows, _gate("closed form vs RK4 disagreement", max(r[2] for r in rows), args.tol)
+    rows = np.array(rows)
+    return rows, _gate("closed form vs RK4 disagreement", rows[:, 2].max(), args.tol)
 
 
 def _symmetry_check(args):
@@ -451,16 +431,20 @@ def _symmetry_check(args):
         worst_sym = max(worst_sym, gap[0])
         worst_cycle = max(worst_cycle, abs(p_upper[1] - spin.return_probability_cycle(cfg)))
     failure = _gate("symmetry/cycle gap", max(worst_sym, worst_cycle), args.tol)
-    return [(args.draws, worst_sym, worst_cycle)], failure
+    return np.array([[args.draws, worst_sym, worst_cycle]]), failure
 
 
-def _command(sub, name: str, run, what: str, columns: str) -> argparse.ArgumentParser:
+def _command(sub, name: str, run, what: str, columns: str,
+             integers: int = 0) -> argparse.ArgumentParser:
     """Subcommand ``name`` whose ``run(args)`` gives the rows under the
-    comma-separated ``columns``; its help names them and it takes ``-o``."""
+    comma-separated ``columns``, of which the first ``integers`` hold
+    integers; its help names them and it takes ``-o``.  Errors found after
+    parsing are reported by its parser (``args.error``), as argparse reports
+    a flag that does not parse."""
     text = f"{what}; columns {columns}"
     p = sub.add_parser(name, help=text, description=text)
     p.add_argument("-o", "--output", default=None, help="output CSV path (default: stdout)")
-    p.set_defaults(run=run, columns=columns.split(","))
+    p.set_defaults(run=run, columns=columns.split(","), integers=integers, error=p.error)
     return p
 
 
@@ -474,11 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     well_group = top.add_parser("well", help="square well with a suddenly moved wall")
     wsub = well_group.add_subparsers(dest="command", required=True)
 
-    p = _command(wsub, "coeffs", _coeffs, "expansion coefficients", "n,b_n,rho_n")
+    p = _command(wsub, "coeffs", _coeffs, "expansion coefficients", "n,b_n,rho_n", 1)
     p.add_argument("--gamma", type=parse_real, default=4.9, help="width ratio")
     p.add_argument("--levels", type=_positive_int, default=well.DEFAULT_LEVELS)
 
-    p = _command(wsub, "pop-scan", _pop_scan, "level populations", "n,rho_n")
+    p = _command(wsub, "pop-scan", _pop_scan, "level populations", "n,rho_n", 1)
     p.add_argument("--gamma", type=parse_real, default=4.9, help="width ratio")
     p.add_argument("--levels", type=_positive_int, default=well.DEFAULT_LEVELS)
 
@@ -504,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(wsub, "oracle-check", _oracle_check,
                  "closed-form coefficients vs quadrature; exits 1 where a gamma's "
                  "largest abs_diff exceeds --tol times its largest |b_closed|",
-                 "n,gamma,b_closed,b_oracle,abs_diff")
+                 "n,gamma,b_closed,b_oracle,abs_diff", 1)
     p.add_argument(
         "--gamma-list",
         type=parse_real_list,
@@ -555,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(ssub, "symmetry-check", _symmetry_check,
                  "branch symmetry and cycle consistency on random draws; exits 1 beyond --tol",
-                 "draws,max_branch_gap,max_cycle_gap")
+                 "draws,max_branch_gap,max_cycle_gap", 1)
     p.add_argument("--draws", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=20260810)
     p.add_argument("--tol", type=_tolerance, default=1e-12)
@@ -567,18 +551,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         rows, failure = args.run(args)
-        write_table(args.columns, rows, args.output)
+        write_table(args.columns, rows, args.output, args.integers)
     except (QuadratureConvergenceError, OdeDivergenceError) as exc:
         failure = str(exc)
     except ValueError as exc:
         # domain validation raised past argparse (e.g. --alpha outside [0, pi])
-        parser.error(str(exc))
+        args.error(str(exc))
     except OSError as exc:
         # an -o path that cannot be opened; any other I/O error is not the
         # caller's to fix
         if args.output is None or exc.filename != args.output:
             raise
-        parser.error(f"cannot write {exc.filename!r}: {exc.strerror}")
+        args.error(f"cannot write {exc.filename!r}: {exc.strerror}")
     if failure is None:
         return 0
     print(f"quenchkit: {failure}", file=sys.stderr)

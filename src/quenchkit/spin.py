@@ -144,11 +144,13 @@ def instantaneous_eigenstates(
     t: float, cfg: RotorConfig
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Eigenstates of the instantaneous Hamiltonian, each a normalized complex
-    array (up, down), and their energies (J)."""
-    half = 0.5 * cfg.alpha
+    array (up, down), and their energies (J): the t = 0 eigenstates of
+    `_branch_terms` with the field's phase e^{i omega t} on the down
+    component of the upper one and e^{-i omega t} on the up component of the
+    lower one."""
     phase = complex(math.cos(cfg.omega * t), math.sin(cfg.omega * t))
-    upper = np.array([math.cos(half), phase * math.sin(half)])
-    lower = np.array([phase.conjugate() * math.sin(half), -math.cos(half)])
+    turn = np.array([[1.0, phase], [phase.conjugate(), 1.0]])
+    upper, lower = _branch_terms([UPPER, LOWER], cfg)[0] * turn
     e = 0.5 * HBAR * cfg.omega0
     return upper, lower, e, -e
 

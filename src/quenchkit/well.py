@@ -298,8 +298,11 @@ def quench_energy(gamma: float, n_levels: int = DEFAULT_LEVELS) -> EnergyReport:
     return EnergyReport(*(float(v[0]) for v in energies))
 
 
-def _forces(gammas: np.ndarray, n_levels: int, step: float) -> np.ndarray:
-    # `matter_wave_force` at each of ``gammas``, every stencil as arrays
+def _forces(gammas: np.ndarray, n_levels: int, step: float):
+    # `force_scan`'s energy and force columns at ``gammas``, every stencil as
+    # arrays; the energies first, so a gamma out of their domain is named
+    # before the step is checked
+    energy = _energies(gammas, n_levels)[0]
     if not (gammas - step > 0.0).all():
         g = gammas[np.argmin(gammas - step > 0.0)]
         raise ValueError(f"gamma - step must stay positive, got gamma={g}, step={step}")
@@ -312,25 +315,23 @@ def _forces(gammas: np.ndarray, n_levels: int, step: float) -> np.ndarray:
             f"{gammas[np.argmax(coarse)]}: the doubles there are over 1e-6 step apart"
         )
 
-    def energy(x):
+    def at(x):
         return _energies(x, n_levels)[0]
 
     k = np.floor(gammas + 0.5)
     one_sided = (k >= 1.0) & (np.abs(gammas - k) < 2.0 * step)
     slope = np.empty(len(gammas))
-    left, right = one_sided & (gammas < k), one_sided & (gammas >= k)
-    g = gammas[left]
-    slope[left] = (3.0 * energy(g) - 4.0 * energy(g - step) + energy(g - 2.0 * step)) / (
-        2.0 * step
-    )
     central = ~one_sided
     if central.any():
-        slope[central] = central_difference(energy, gammas[central], step)
-    g = gammas[right]
-    slope[right] = (-3.0 * energy(g) + 4.0 * energy(g + step) - energy(g + 2.0 * step)) / (
-        2.0 * step
+        slope[central] = central_difference(at, gammas[central], step)
+    # second order, pointing away from the integer: h = -step below it and
+    # +step above (rounding is symmetric in sign, so one formula serves both)
+    g = gammas[one_sided]
+    h = np.where(g < k[one_sided], -step, step)
+    slope[one_sided] = (-3.0 * energy[one_sided] + 4.0 * at(g + h) - at(g + 2.0 * h)) / (
+        2.0 * h
     )
-    return -slope
+    return energy, -slope
 
 
 def matter_wave_force(
@@ -345,7 +346,7 @@ def matter_wave_force(
     integer replaces the central one.  A gamma whose doubles are too coarse
     for ``step`` (from about 2^19 at the default step) raises ValueError.
     """
-    return float(_forces(np.array([_check_gamma(gamma)]), n_levels, step)[0])
+    return float(_forces(np.array([_check_gamma(gamma)]), n_levels, step)[1][0])
 
 
 def population_scan(gamma: float, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:
@@ -404,8 +405,4 @@ def force_scan(
             f"every grid point in [{gamma_min}, {gamma_max}] is an exact integer >= 1, "
             f"where no force is taken"
         )
-    return ForceProfile(
-        gamma=kept,
-        energy=_energies(kept, n_levels)[0],
-        force=_forces(kept, n_levels, step),
-    )
+    return ForceProfile(kept, *_forces(kept, n_levels, step))

@@ -257,10 +257,11 @@ class TestExitCodes:
         assert err.value.code == 2
         out, stderr = capsys.readouterr()
         assert out == ""
-        # the usage and a one-line message
+        # the failing subcommand's usage and a one-line message
+        command = " ".join(["quenchkit", *argv[:2]])
         *usage, error = stderr.splitlines()
-        assert usage[0].startswith("usage: quenchkit ")
-        assert error.startswith("quenchkit") and named in error
+        assert usage[0].startswith(f"usage: {command} ")
+        assert error.startswith(f"{command}: error: ") and named in error
         assert "Traceback" not in stderr
 
     @pytest.mark.parametrize(
@@ -700,32 +701,26 @@ def _per_value_table(header, rows) -> str:
 
 
 _SPECIAL_REALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]
-_INTS = st.integers(-(2**63), 2**63 - 1)
+_INTS = st.integers(-(2**53), 2**53)
 _REALS = st.floats() | st.sampled_from(_SPECIAL_REALS)
-_COLUMNS = {
-    "int": _INTS,
-    "np.int64": _INTS.map(np.int64),
-    "float": _REALS,
-    "np.float64": _REALS.map(np.float64),
-    "np.float32": st.floats(width=32).map(np.float32),
-}
 
 
 @st.composite
 def _tables(draw, n_rows):
-    """(header, rows): a pool of drawn rows cycled to ``n_rows``, as tuples of
-    mixed column types or as a 2-D float64 array."""
-    if draw(st.booleans()):
-        kinds = ["np.float64"] * draw(st.integers(1, 4))
-        as_array = n_rows > 0
-    else:
-        kinds = draw(st.lists(st.sampled_from(sorted(_COLUMNS)), min_size=1, max_size=4))
-        as_array = False
-    row = st.tuples(*(_COLUMNS[k] for k in kinds))
-    pool = draw(st.lists(row, min_size=1, max_size=6))
+    """(header, rows, blocks, integers): a pool of drawn rows cycled to
+    ``n_rows``, with ``integers`` (0 to 2) leading integer columns within
+    +-2^53 and up to 3 real ones; ``rows`` as tuples of Python ints and
+    floats for the per-value writer, ``blocks`` as float64 blocks cut at
+    drawn rows for `cli.write_table`."""
+    integers = draw(st.integers(0, 2))
+    reals = draw(st.integers(0 if integers else 1, 3))
+    pool = draw(st.lists(st.tuples(*[_INTS] * integers, *[_REALS] * reals),
+                         min_size=1, max_size=6))
     rows = [pool[i % len(pool)] for i in range(n_rows)]
-    header = [f"c{i}" for i in range(len(kinds))]
-    return header, np.array(rows, dtype=float) if as_array else rows
+    table = np.array(rows, dtype=float).reshape(n_rows, integers + reals)
+    cuts = sorted(draw(st.lists(st.integers(0, n_rows), max_size=3)))
+    header = [f"c{i}" for i in range(integers + reals)]
+    return header, rows, np.split(table, cuts), integers
 
 
 _CHUNK = cli.EMIT_CHUNK_ROWS
@@ -740,13 +735,13 @@ class TestWriteTable:
     )
     @given(data=st.data())
     def test_bytes_match_per_value_writer(self, n_rows, data, capsys, tmp_path):
-        header, rows = data.draw(_tables(n_rows))
+        header, rows, blocks, integers = data.draw(_tables(n_rows))
         expected = _per_value_table(header, rows).encode("utf-8")
         capsys.readouterr()
-        cli.write_table(header, rows, None)
+        cli.write_table(header, np.concatenate(blocks), None, integers)
         assert capsys.readouterr().out.encode("utf-8") == expected
         path = tmp_path / "table.csv"
-        cli.write_table(header, iter(rows), str(path))
+        cli.write_table(header, iter(blocks), str(path), integers)
         assert path.read_bytes() == expected
 
     def test_package_import_loads_no_numpy(self):

@@ -1,6 +1,7 @@
 """The reference command set of `tools/output_digest.py` stays runnable, and
 its digests do not depend on the sink a command writes to."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
@@ -26,3 +27,18 @@ def test_a_file_digests_like_stdout(tmp_path):
     assert to_stdout == to_file
     assert to_stdout[0] == 0
     assert not path.exists()
+
+
+def _subcommands(parser, prefix=()):
+    # the argv prefix of every leaf command under ``parser``
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, (*prefix, name))
+            return
+    yield list(prefix)
+
+
+def test_defaults_name_every_subcommand():
+    registered = sorted(_subcommands(cli.build_parser()))
+    assert sorted(output_digest.DEFAULTS) == registered

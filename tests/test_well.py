@@ -345,6 +345,19 @@ def untruncated_captured(gamma):
         return float(g - mpmath.sin(2 * mpmath.pi * g) / (2 * mpmath.pi))
 
 
+def envelope_tail(gamma, n_levels):
+    """Criterion 05's n^-4 envelope summed over the levels above N: the sum
+    over n > N of 4 gamma^3 / (pi^2 (n^2 - gamma^2)^2), by partial fractions
+    gamma / pi^2 (psi'(a) + psi'(b) - (psi(b) - psi(a)) / gamma) with
+    a = N + 1 - gamma and b = N + 1 + gamma, at 50 digits as the terms of
+    order 1/N cancel to order gamma^3 / N^3."""
+    with mpmath.workdps(50):
+        g = mpmath.mpf(gamma)
+        a, b = n_levels + 1 - g, n_levels + 1 + g
+        psi = mpmath.psi(1, a) + mpmath.psi(1, b) - (mpmath.digamma(b) - mpmath.digamma(a)) / g
+        return float(g / mpmath.pi**2 * psi)
+
+
 class TestSumRules:
     """What the truncated sums converge to, at sizes quadrature cannot reach.
 
@@ -391,6 +404,26 @@ class TestSumRules:
         if n_levels >= 2.0 * scale:
             n = n_levels
             assert abs(n * gap - lead) <= lead * scale / n + n * rounding
+
+    @settings(max_examples=60, deadline=None)
+    @given(gamma=st.floats(1.0, 1e3, exclude_min=True), share=st.floats(0.0, 1.0))
+    @example(gamma=4.9, share=0.0)
+    @example(gamma=1.0 + 1e-9, share=0.5)
+    @example(gamma=3.0 - 1e-12, share=0.01)
+    @example(gamma=1e3, share=1.0)
+    def test_captured_gap_within_the_envelope_tail(self, gamma, share):
+        # Above gamma = 1, b_n^2 = 4 gamma^3 sin^2(n pi / gamma) / (pi^2
+        # (n^2 - gamma^2)^2), so the gap 1 - C_N is at most the envelope's
+        # tail.  That tail exceeds 4 gamma^3 / (3 pi^2 (N + 1)^3), so N is
+        # drawn from 2 gamma up to where this still exceeds the rounding, and
+        # the bound is never met by the rounding alone.
+        rounding = 64 * np.finfo(float).eps
+        top = gamma * (4.0 / (3.0 * math.pi**2 * rounding)) ** (1 / 3) - 1.0
+        low = math.ceil(2.0 * gamma)
+        n_levels = low + int(share * (min(10**6, math.floor(top)) - low))
+        tail = envelope_tail(gamma, n_levels)
+        assert tail > rounding
+        assert 1.0 - quench_energy(gamma, n_levels).captured <= tail + rounding
 
 
 class TestForce:

@@ -18,10 +18,12 @@ writes the same bytes, so "output unchanged" is one diff of two runs::
 
 The commands come from this checkout whichever tree runs them: the three
 benchmark workloads of `perfbench/workloads.py` at the default seed and at
-seeds 101-105, each subcommand at its defaults, a two-angle ``omega-scan``
-and ``oracle-check`` at the largest ``--max-level`` its default gammas fit
-in the size budget.  A workload's ``-o`` files go to a temporary directory,
-printed as ``$OUT`` so that the lines do not depend on where it is.
+seeds 101-105, each subcommand at its defaults, a two-angle ``omega-scan``,
+``oracle-check`` at the largest ``--max-level`` its default gammas fit in
+the size budget, a ``force-scan`` with one-sided stencils on both sides of
+integers and a ``threshold`` that finds no frozen onset.  A workload's
+``-o`` files go to a temporary directory, printed as ``$OUT`` so that the
+lines do not depend on where it is.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ DEFAULTS = [
 EXTRA = [
     ["spin", "omega-scan", "--alpha", "pi/4,pi/3"],
     ["well", "oracle-check", "--max-level", "1413"],
+    # 4 left and 5 right one-sided stencil points, within 2 step of 1..4
+    ["well", "force-scan", "--gamma", "0.5:4.5", "--points", "401", "--levels", "12",
+     "--step", "0.01"],
+    # no frozen onset in the range: a nan row, exit 1
+    ["spin", "threshold", "--ratio", "0.05:5"],
 ]
 
 
