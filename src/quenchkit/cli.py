@@ -42,18 +42,24 @@ def parse_real(text: str) -> float:
 
 
 def parse_angle(text: str) -> float:
-    """Angle in radians from a finite decimal or a 'pi' / 'pi/N' literal."""
+    """Angle in radians from a finite decimal or a 'pi' / 'pi/N' literal.
+
+    N is held to the rule of `parse_real`: pi/inf would be the angle 0."""
     s = text.strip().lower()
+    if s == "pi":
+        return math.pi
+    divided = s.startswith("pi/")
     try:
-        if s == "pi":
-            return math.pi
-        value = math.pi / float(s[3:]) if s.startswith("pi/") else float(s)
+        number = float(s[3:] if divided else s)
+        value = math.pi / number if divided else number
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"cannot parse angle {text!r}; use a decimal or pi/N"
         ) from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"angle must be finite, got {text!r}")
+    if not (math.isfinite(number) and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"angle must be a finite decimal or pi/N with N finite, got {text!r}"
+        )
     return value
 
 
@@ -113,6 +119,13 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return _size(value, text)
+
+
+def _seed(text: str) -> int:
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
+    return value
 
 
 def _tolerance(text: str) -> float:
@@ -325,9 +338,9 @@ def _gate(what: str, worst: float, tol: float) -> str | None:
 
 
 def _coeffs(args):
-    dec = well.decompose(args.gamma, args.levels)
+    b = well.decompose(args.gamma, args.levels)
     levels = np.arange(1.0, args.levels + 1.0)
-    return np.column_stack((levels, dec.coefficients, dec.populations)), None
+    return np.column_stack((levels, b, b * b)), None
 
 
 def _pop_scan(args):
@@ -343,8 +356,7 @@ def _energy_scan(args):
 
 
 def _force_scan(args):
-    profile = well.force_scan(*args.gamma, args.points, args.levels, args.step)
-    return np.column_stack((profile.gamma, profile.energy, profile.force)), None
+    return well.force_scan(*args.gamma, args.points, args.levels, args.step), None
 
 
 def _oracle_check(args):
@@ -359,7 +371,7 @@ def _oracle_check(args):
     levels = np.arange(1, top + 1)
     for g in args.gamma_list:
         oracles = well.overlap_oracle(levels, g, tolerance=args.quad_tol)
-        closed = well.decompose(g, top).coefficients
+        closed = well.decompose(g, top)
         diffs = np.abs(closed - oracles)
         blocks.append(np.column_stack((levels, np.full(top, g), closed, oracles, diffs)))
         # relative to the largest coefficient: |b_n| <= 1, and at extreme
@@ -383,25 +395,24 @@ def _return_prob(args):
 
 
 def _omega_scan(args):
-    curves = spin.omega_scan(*args.ratio, args.points, args.alpha)
-    if len(curves) == 1:
-        return np.column_stack((curves[0].ratios, curves[0].probabilities)), None
+    ratios, rho = spin.omega_scan(*args.ratio, args.points, args.alpha)
+    if len(rho) == 1:
+        return np.column_stack((ratios, rho[0])), None
     args.columns = ["alpha_rad", *args.columns]  # the one header set by the input
     blocks = (
-        np.column_stack((np.full(len(c.ratios), c.alpha), c.ratios, c.probabilities))
-        for c in curves
+        np.column_stack((np.full(len(ratios), alpha), ratios, curve))
+        for alpha, curve in zip(args.alpha, rho)
     )
     return blocks, None
 
 
 def _threshold(args):
-    report = spin.anti_adiabatic_threshold(args.epsilon, args.alpha, *args.ratio, args.points)
-    frozen = report.frozen_onset if report.frozen_found else math.nan
-    failure = None if report.frozen_found else (
-        f"no scanned ratio keeps rho1 >= 1 - {args.epsilon}; "
-        f"best rho1 = {report.max_probability:.6f}"
-    )
-    return np.array([[report.monotone_onset, frozen, report.max_probability]]), failure
+    row = spin.anti_adiabatic_threshold(args.epsilon, args.alpha, *args.ratio, args.points)
+    failure = (
+        f"no frozen onset in [{args.ratio[0]}, {args.ratio[1]}]: "
+        f"rho1 < 1 - {args.epsilon} at the top of the range"
+    ) if math.isnan(row[1]) else None
+    return np.array([row]), failure
 
 
 def _ode_check(args):
@@ -541,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "branch symmetry and cycle consistency on random draws; exits 1 beyond --tol",
                  "draws,max_branch_gap,max_cycle_gap", 1)
     p.add_argument("--draws", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=20260810)
+    p.add_argument("--seed", type=_seed, default=20260810)
     p.add_argument("--tol", type=_tolerance, default=1e-12)
     return parser
 

@@ -187,19 +187,34 @@ def rabi_rate(omega, omega0, alpha):
     return np.sqrt(d * d + 4.0 * omega * omega0 * s * s)
 
 
-def cycle_return_curve(ratios, alpha):
-    """Return probability after one full drive cycle against x = omega/omega0.
+def cycle_return_curve(ratios, alpha, out=None):
+    """Return probability after one full drive cycle against x = omega/omega0,
+    written into ``out`` when it is given.
 
     mu = `rabi_rate` (x, 1, alpha); the degenerate x = 1, alpha = 0
-    (mu = 0) pins the state at probability 1.
+    (mu = 0) pins the state at probability 1.  The value is
+    c c + ((coef coef) s) s with c, s the cosine and sine of pi mu / x and
+    coef = (1 - x cos(alpha)) / mu, each operation done in place and in that
+    order: the same doubles as the plain expression, with a few arrays of the
+    curve's size alive at once instead of about ten (a 10^6-point
+    `omega_scan` peaked 30 MiB higher).
     """
     x = np.asarray(ratios, dtype=float)
-    ca = math.cos(alpha)
     mu = rabi_rate(x, 1.0, alpha)
-    safe = np.where(mu > 0.0, mu, 1.0)
-    phase = np.pi * safe / x
-    coef = (1.0 - x * ca) / safe
-    c = np.cos(phase)
-    s = np.sin(phase)
-    rho = c * c + coef * coef * s * s
-    return np.where(mu > 0.0, rho, 1.0)
+    pinned = ~(mu > 0.0)
+    mu[pinned] = 1.0
+    phase = np.multiply(np.pi, mu)
+    phase /= x
+    coef = np.multiply(x, math.cos(alpha))
+    np.subtract(1.0, coef, out=coef)
+    coef /= mu
+    del mu
+    rho = np.cos(phase, out=out)
+    s = np.sin(phase, out=phase)
+    rho *= rho
+    coef *= coef
+    coef *= s
+    coef *= s
+    rho += coef
+    rho[pinned] = 1.0
+    return rho

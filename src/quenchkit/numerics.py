@@ -39,11 +39,6 @@ class OdeDivergenceError(ArithmeticError):
     """The ODE integration produced non-finite intermediate values."""
 
 
-class OdeResult(NamedTuple):
-    state: np.ndarray
-    norm_drift: float
-
-
 class Nodes(NamedTuple):
     """Quadrature points handed to an array integrand by `integrate`.
 
@@ -169,7 +164,7 @@ def ode_evolve(
     y0: np.ndarray,
     t_end: float,
     steps: int = 10_000,
-) -> OdeResult:
+) -> tuple[np.ndarray, float]:
     """Propagate ``y' = rhs(t, y)`` over ``[0, t_end]`` with ``steps``
     classical RK4 steps.
 
@@ -177,9 +172,11 @@ def ode_evolve(
     period and scale the count for several periods or for internal
     frequencies above the drive, so the fastest relevant frequency keeps at
     least ~20 points per period.  ``y0`` must be a complex 2-vector
-    normalized to 1 within 1e-12.  The returned ``norm_drift`` is the largest
-    deviation of the state norm from one seen during the integration; for a
-    Hermitian generator it measures pure integrator error.
+    normalized to 1 within 1e-12.
+
+    Returns ``(state, norm_drift)``: the state at ``t_end`` and the largest
+    deviation of the state norm from one seen during the integration, which
+    for a Hermitian generator measures pure integrator error.
 
     Raises
     ------
@@ -195,7 +192,7 @@ def ode_evolve(
     if abs(norm0 - 1.0) > 1e-12:
         raise ValueError(f"y0 must be normalized to 1 within 1e-12, |y0| = {norm0}")
     if t_end == 0.0:
-        return OdeResult(y, 0.0)
+        return y, 0.0
     h = t_end / steps
     drift = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -212,7 +209,7 @@ def ode_evolve(
                     f"state became non-finite at t = {t + h} (step {step + 1}/{steps})"
                 )
             drift = max(drift, abs(norm - 1.0))
-    return OdeResult(y, drift)
+    return y, drift
 
 
 def central_difference(f: Callable[[float], float], x: float, h: float) -> float:

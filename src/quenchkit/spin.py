@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,35 +97,6 @@ class RotorConfig:
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= math.pi:
         raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
-
-
-@dataclass(frozen=True)
-class ReturnCurve:
-    """Single-cycle return probability versus drive ratio, for one cone angle."""
-
-    alpha: float
-    ratios: np.ndarray = field(repr=False)
-    probabilities: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Grid-resolved onsets of the frozen (anti-adiabatic) regime.
-
-    ``monotone_onset`` is the smallest scanned ratio beyond which the curve
-    never decreases.  ``frozen_onset`` is the smallest scanned ratio beyond
-    which the probability stays within the requested deficit of one, or None
-    when no scanned ratio qualifies; ``max_probability`` then records how
-    close the scan got.
-    """
-
-    monotone_onset: float
-    frozen_onset: float | None
-    max_probability: float
-
-    @property
-    def frozen_found(self) -> bool:
-        return self.frozen_onset is not None
 
 
 def hamiltonian(t: float, cfg: RotorConfig) -> np.ndarray:
@@ -294,8 +265,10 @@ def omega_scan(
     ratio_max: float,
     points: int,
     alphas,
-) -> list[ReturnCurve]:
-    """Single-cycle return probability curves, one per cone angle."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-cycle return probability curves, one per cone angle:
+    ``(ratios, rho)`` with ``ratios`` the ``points`` scanned drive ratios and
+    ``rho[i]`` the curve at ``alphas[i]``, shape ``(len(alphas), points)``."""
     top = kernels.MAX_RATIO
     if not 1.0 / top <= ratio_min < ratio_max <= top:
         raise ValueError(
@@ -304,13 +277,14 @@ def omega_scan(
         )
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    ratios = np.linspace(ratio_min, ratio_max, points)
-    curves = []
-    for alpha in np.atleast_1d(np.asarray(alphas, dtype=float)):
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float)).tolist()
+    for alpha in alphas:
         _check_alpha(alpha)
-        rho = kernels.cycle_return_curve(ratios, float(alpha))
-        curves.append(ReturnCurve(alpha=float(alpha), ratios=ratios, probabilities=rho))
-    return curves
+    ratios = np.linspace(ratio_min, ratio_max, points)
+    rho = np.empty((len(alphas), points))
+    for curve, alpha in zip(rho, alphas):
+        kernels.cycle_return_curve(ratios, alpha, out=curve)
+    return ratios, rho
 
 
 def anti_adiabatic_threshold(
@@ -319,20 +293,21 @@ def anti_adiabatic_threshold(
     ratio_min: float = DEFAULT_RATIO_RANGE[0],
     ratio_max: float = DEFAULT_RATIO_RANGE[1],
     points: int = DEFAULT_SCAN_POINTS,
-) -> ThresholdReport:
+) -> tuple[float, float, float]:
     """Locate where the single-cycle curve turns monotone and where it freezes.
 
-    Both onsets are read off the discrete scan grid, with no root polishing:
-    ``monotone_onset`` is the smallest grid ratio beyond which the curve is
-    non-decreasing, ``frozen_onset`` the smallest grid ratio from which the
-    probability stays at or above ``1 - epsilon``.  The grid should be fine
-    enough that adjacent probability differences resolve ``epsilon / 10``.
+    Returns ``(monotone, frozen, max_rho1)``.  Both onsets are read off the
+    discrete scan grid, with no root polishing: ``monotone`` is the smallest
+    grid ratio beyond which the curve is non-decreasing, ``frozen`` the
+    smallest grid ratio from which the probability stays at or above
+    ``1 - epsilon``, or nan when it is below that at ``ratio_max``;
+    ``max_rho1`` is the largest probability on the grid.  The grid should be
+    fine enough that adjacent probability differences resolve
+    ``epsilon / 10``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    (curve,) = omega_scan(ratio_min, ratio_max, points, [alpha])
-    rho = curve.probabilities
-    ratios = curve.ratios
+    ratios, (rho,) = omega_scan(ratio_min, ratio_max, points, [alpha])
     # drops below a few ulps are rounding noise on flat stretches, not dips
     decreases = np.flatnonzero(np.diff(rho) < -1e-13)
     monotone = float(ratios[decreases[-1] + 1]) if decreases.size else float(ratios[0])
@@ -340,9 +315,7 @@ def anti_adiabatic_threshold(
     if below.size == 0:
         frozen = float(ratios[0])
     elif below[-1] == points - 1:
-        frozen = None
+        frozen = math.nan
     else:
         frozen = float(ratios[below[-1] + 1])
-    return ThresholdReport(
-        monotone_onset=monotone, frozen_onset=frozen, max_probability=float(rho.max())
-    )
+    return monotone, frozen, float(rho.max())

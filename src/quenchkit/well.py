@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,40 +72,6 @@ def _check_gamma(gamma: float) -> float:
     return gamma
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Frozen-state expansion over the first ``len(coefficients)`` post-quench
-    levels."""
-
-    coefficients: np.ndarray = field(repr=False)  # b_n, index n-1
-    populations: np.ndarray = field(repr=False)  # b_n^2
-    captured: float  # sum of populations
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Post-quench energy in units of the initial ground energy.
-
-    ``renormalized`` re-weights the truncated populations to sum to one;
-    ``raw`` is the plain truncated sum.  ``renormalized == raw / captured``
-    by construction.
-    """
-
-    renormalized: float
-    raw: float
-    captured: float
-
-
-@dataclass(frozen=True)
-class ForceProfile:
-    """Energy and wall force on a gamma grid (grid points at exact integers
-    gamma >= 1 omitted)."""
-
-    gamma: np.ndarray = field(repr=False)
-    energy: np.ndarray = field(repr=False)  # units of initial ground energy
-    force: np.ndarray = field(repr=False)  # units of ground energy / width
-
-
 def eigen_energy(n: int, width: float, cfg: WellConfig | None = None) -> float:
     """Energy of level ``n`` in a box of the given width, in joules."""
     if cfg is None:
@@ -144,12 +110,6 @@ def expansion_coefficient(n: int, gamma: float) -> float:
     if n < 1:
         raise ValueError(f"level index must be >= 1, got {n}")
     return float(kernels.expansion_coefficients(_check_gamma(gamma), n)[n - 1])
-
-
-def population(n: int, gamma: float) -> float:
-    """Occupation probability of post-quench level ``n``: the coefficient squared."""
-    b = expansion_coefficient(n, gamma)
-    return b * b
 
 
 def overlap_oracle(n, gamma: float, *, tolerance=1e-10):
@@ -200,13 +160,13 @@ def overlap_oracle(n, gamma: float, *, tolerance=1e-10):
     return out[0] if levels.ndim == 0 else np.reshape(out, levels.shape)
 
 
-def decompose(gamma: float, n_levels: int = DEFAULT_LEVELS) -> SpectralDecomposition:
-    """Expansion coefficients and populations for levels 1..n_levels."""
+def decompose(gamma: float, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:
+    """Expansion coefficients b_n for levels n = 1..n_levels, b_n at index
+    n - 1.  The populations are ``b * b``; the probability the levels
+    capture is their sum."""
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
-    b = kernels.expansion_coefficients(_check_gamma(gamma), n_levels)
-    rho = b * b
-    return SpectralDecomposition(coefficients=b, populations=rho, captured=float(rho.sum()))
+    return kernels.expansion_coefficients(_check_gamma(gamma), n_levels)
 
 
 def _energies(gammas: np.ndarray, n_levels: int):
@@ -292,10 +252,13 @@ def _energy_blocks(gammas, terms, starts, rows, raw, captured):
     return None
 
 
-def quench_energy(gamma: float, n_levels: int = DEFAULT_LEVELS) -> EnergyReport:
-    """Truncated post-quench energy in units of the initial ground energy."""
+def quench_energy(gamma: float, n_levels: int = DEFAULT_LEVELS) -> tuple[float, float, float]:
+    """Truncated post-quench energy in units of the initial ground energy:
+    ``(energy, raw, captured)``.  ``raw`` is the plain sum over the first
+    ``n_levels`` levels, ``captured`` the probability they hold, and
+    ``energy = raw / captured`` re-weights the populations to sum to one."""
     energies = _energies(np.array([_check_gamma(gamma)]), n_levels)
-    return EnergyReport(*(float(v[0]) for v in energies))
+    return tuple(float(v[0]) for v in energies)
 
 
 def _forces(gammas: np.ndarray, n_levels: int, step: float):
@@ -351,9 +314,9 @@ def matter_wave_force(
 
 def population_scan(gamma: float, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:
     """Table of (n, population) rows for n = 1..n_levels."""
-    dec = decompose(gamma, n_levels)
+    b = decompose(gamma, n_levels)
     n = np.arange(1.0, n_levels + 1.0)
-    return np.column_stack([n, dec.populations])
+    return np.column_stack([n, b * b])
 
 
 def _gamma_grid(gamma_min: float, gamma_max: float, points: int) -> np.ndarray:
@@ -391,8 +354,9 @@ def force_scan(
     points: int,
     n_levels: int = DEFAULT_LEVELS,
     step: float = DEFAULT_FORCE_STEP,
-) -> ForceProfile:
-    """Energy and force over a gamma grid.
+) -> np.ndarray:
+    """Table of (gamma, renormalized energy, force) on a uniform grid; the
+    force is in units of ground energy / initial width.
 
     Grid points at exact integers gamma >= 1 are omitted: the energy has a
     kink candidate there and no two-sided derivative is taken.  A point next
@@ -405,4 +369,4 @@ def force_scan(
             f"every grid point in [{gamma_min}, {gamma_max}] is an exact integer >= 1, "
             f"where no force is taken"
         )
-    return ForceProfile(kept, *_forces(kept, n_levels, step))
+    return np.column_stack([kept, *_forces(kept, n_levels, step)])

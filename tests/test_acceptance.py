@@ -31,6 +31,12 @@ def check(num: int, description: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {num}: {description}{suffix}"
 
 
+def captured(gamma: float, n_levels: int) -> float:
+    """The probability the first ``n_levels`` levels capture."""
+    b = well.decompose(gamma, n_levels)
+    return float(np.sum(b * b))
+
+
 def test_criterion_01_ground_energy_constant():
     cfg = well.WellConfig(mass=1e-27, planck=6.626e-34, width=1e-9)
     e1 = cfg.ground_energy
@@ -52,16 +58,16 @@ def test_criterion_02_closed_form_vs_quadrature_oracle():
 def test_criterion_03_parseval_and_projection_norm():
     worst = 0.0
     for g in (1.5, 2.0, 5.0):
-        worst = max(worst, abs(well.decompose(g, 10_000).captured - 1.0))
+        worst = max(worst, abs(captured(g, 10_000) - 1.0))
     for g in (0.3, 0.5, 0.9):
         target = g - math.sin(2.0 * math.pi * g) / (2.0 * math.pi)
-        worst = max(worst, abs(well.decompose(g, 10_000).captured - target))
+        worst = max(worst, abs(captured(g, 10_000) - target))
     check(3, "captured at N=1e4 matches Parseval/projection norms within 1e-3",
           worst <= 1e-3, f"worst deviation = {worst:.2e}")
 
 
 def test_criterion_04_mean_energy_conservation():
-    worst = max(abs(well.quench_energy(g, 10_000).raw - 1.0) for g in (1.5, 2.0, 3.0))
+    worst = max(abs(well.quench_energy(g, 10_000)[1] - 1.0) for g in (1.5, 2.0, 3.0))
     check(4, "raw post-quench energy at N=1e4 equals 1 within 1e-3", worst <= 1e-3,
           f"worst deviation = {worst:.2e}")
 
@@ -106,35 +112,35 @@ def test_criterion_05_population_peak_structure():
 
 def test_criterion_06_truncation_coverage():
     grid = np.linspace(1.0, 5.0, 100)
-    captured = np.array([well.decompose(float(g), 10).captured for g in grid])
-    expand_ok = bool(np.all(captured >= 0.95))
+    caps = np.array([captured(float(g), 10) for g in grid])
+    expand_ok = bool(np.all(caps >= 0.95))
     shrink_worst = max(
-        abs(well.decompose(g, 10).captured - (g - math.sin(2 * math.pi * g) / (2 * math.pi)))
+        abs(captured(g, 10) - (g - math.sin(2 * math.pi * g) / (2 * math.pi)))
         for g in (0.3, 0.5, 0.9)
     )
     check(6, "first 10 levels capture >= 0.95 on [1,5] and shrink norm within 0.02",
           expand_ok and shrink_worst <= 0.02,
-          f"min captured = {captured.min():.4f}; shrink gap = {shrink_worst:.4f}")
+          f"min captured = {caps.min():.4f}; shrink gap = {shrink_worst:.4f}")
 
 
 def test_criterion_07_force_signs():
-    shrink = well.force_scan(0.1, 0.9, 81)
-    shrink_ok = bool(np.all(shrink.force > 0.0))
-    expand = well.force_scan(1.5, 5.0, 100)
-    ratio_ok = shrink.force.max() > 100.0 * np.max(np.abs(expand.force))
+    shrink = well.force_scan(0.1, 0.9, 81)[:, 2]
+    shrink_ok = bool(np.all(shrink > 0.0))
+    expand = well.force_scan(1.5, 5.0, 100)[:, 2]
+    ratio_ok = shrink.max() > 100.0 * np.max(np.abs(expand))
 
-    window = well.force_scan(2.5, 3.5, 101)
-    f_sign = np.sign(window.force)
+    _, energy, force = well.force_scan(2.5, 3.5, 101).T
+    f_sign = np.sign(force)
     f_flips = np.flatnonzero(f_sign[:-1] * f_sign[1:] < 0.0)
-    slope_sign = np.sign(np.diff(window.energy))
+    slope_sign = np.sign(np.diff(energy))
     slope_flips = np.flatnonzero(slope_sign[:-1] * slope_sign[1:] < 0.0)
     flips_ok = f_flips.size > 0 and all(
         np.min(np.abs(slope_flips - i)) <= 1 for i in f_flips
     )
     check(7, "force repulsive on [0.1,0.9], dominant over expansion, flips with energy slope",
           shrink_ok and ratio_ok and flips_ok,
-          f"max shrink F = {shrink.force.max():.0f}; max expand |F| = "
-          f"{np.max(np.abs(expand.force)):.3f}; flips at {f_flips.tolist()}")
+          f"max shrink F = {shrink.max():.0f}; max expand |F| = "
+          f"{np.max(np.abs(expand)):.3f}; flips at {f_flips.tolist()}")
 
 
 def test_criterion_08_spin_oracle_equivalence():
@@ -176,18 +182,18 @@ def test_criterion_09_cycle_consistency_and_branch_symmetry():
 
 
 def test_criterion_10_anti_adiabatic_threshold():
-    report = spin.anti_adiabatic_threshold(0.02, math.pi / 4)
-    onset_ok = abs(report.monotone_onset - 1.442) <= 0.05
+    monotone = spin.anti_adiabatic_threshold(0.02, math.pi / 4)[0]
+    onset_ok = abs(monotone - 1.442) <= 0.05
     cfg0 = spin.RotorConfig(alpha=math.pi / 4)
     frozen_ok = all(
         spin.return_probability_cycle(spin.RotorConfig.at_ratio(15.0, alpha=a)) >= 0.98
         for a in (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3)
     )
-    (flat,) = spin.omega_scan(0.05, 20.0, 10_000, [0.0])
-    flat_ok = bool(np.all(np.abs(flat.probabilities - 1.0) <= 1e-12))
+    _, (flat,) = spin.omega_scan(0.05, 20.0, 10_000, [0.0])
+    flat_ok = bool(np.all(np.abs(flat - 1.0) <= 1e-12))
     check(10, "monotone onset 1.442 +/- 0.05; rho(15 w0) >= 0.98; flat curve at alpha=0",
           onset_ok and frozen_ok and flat_ok,
-          f"onset = {report.monotone_onset:.4f}")
+          f"onset = {monotone:.4f}")
 
 
 def test_criterion_11_cli_determinism(tmp_path):

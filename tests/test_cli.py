@@ -61,6 +61,8 @@ _NON_FINITE_CASES = [
     (["well", "oracle-check", "--gamma-list", "1,inf"], "inf"),
     (["spin", "ode-check", "--ratio-list", "nan"], "nan"),
     (["spin", "threshold", "--alpha", "pi/nan"], "pi/nan"),
+    # pi/inf was taken as the angle 0
+    (["spin", "threshold", "--alpha", "pi/inf"], "pi/inf"),
     (["spin", "threshold", "--epsilon", "nan"], "nan"),
     (["well", "force-scan", "--step", "nan"], "nan"),
 ]
@@ -244,6 +246,11 @@ class TestExitCodes:
             # a flag that is not an integer was named by its parser function
             (["well", "coeffs", "--levels", "1e3"], "argument --levels: cannot parse integer '1e3'"),
             (["well", "captured", "--points", "x"], "argument --points: cannot parse integer 'x'"),
+            (["spin", "symmetry-check", "--seed", "1e3"],
+             "argument --seed: cannot parse integer '1e3'"),
+            # numpy's own message did not name the flag
+            (["spin", "symmetry-check", "--seed", "-1"],
+             "argument --seed: expected a non-negative integer, got -1"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -501,6 +508,18 @@ class TestSpinCommands:
         onset, frozen, _ = (float(v) for v in lines[1].split(","))
         assert abs(onset - 1.442) <= 0.05
         assert frozen <= 15.0
+
+    def test_threshold_without_a_frozen_onset_exits_1(self, capsys):
+        # the message once quoted max_rho1, the scan's overall maximum, as
+        # if it were the reason no ratio qualified
+        assert cli.main(["spin", "threshold", "--ratio", "0.05:5"]) == 1
+        out, err = capsys.readouterr()
+        row = out.splitlines()[1].split(",")
+        assert row[1] == "nan" and float(row[2]) >= 0.98
+        assert err == (
+            "quenchkit: no frozen onset in [0.05, 5.0]: "
+            "rho1 < 1 - 0.02 at the top of the range\n"
+        )
 
     def test_ode_check_passes(self, capsys):
         code, out = run_cli(

@@ -256,9 +256,9 @@ class TestClosedFormEvolution:
 
         t = cfg.drive_period
         y0 = np.array([math.cos(a / 2), math.sin(a / 2)])
-        generic = ode_evolve(rhs, y0, t, spin.RK4_STEPS_PER_PERIOD)
+        generic, _ = ode_evolve(rhs, y0, t, spin.RK4_STEPS_PER_PERIOD)
         _, kernel, _ = spin.ode_trajectory(t, UPPER, cfg, samples=1)
-        np.testing.assert_allclose(kernel[-1], generic.state, atol=1e-12)
+        np.testing.assert_allclose(kernel[-1], generic, atol=1e-12)
 
 
 def bits(x):
@@ -423,27 +423,27 @@ class TestBranchSymmetry:
 
 class TestOmegaScan:
     def test_aligned_curve_is_flat_one(self):
-        (curve,) = omega_scan(0.05, 20.0, 501, [0.0])
-        assert np.all(np.abs(curve.probabilities - 1.0) <= 1e-12)
+        _, (curve,) = omega_scan(0.05, 20.0, 501, [0.0])
+        assert np.all(np.abs(curve - 1.0) <= 1e-12)
 
     def test_quarter_cone_shape(self):
-        (curve,) = omega_scan(0.05, 20.0, 2001, [math.pi / 4])
-        low = curve.probabilities[curve.ratios <= 1.4]
+        ratios, (curve,) = omega_scan(0.05, 20.0, 2001, [math.pi / 4])
+        low = curve[ratios <= 1.4]
         assert np.any(np.diff(low) < 0.0) and np.any(np.diff(low) > 0.0)
-        high = curve.probabilities[curve.ratios >= 1.45]
+        high = curve[ratios >= 1.45]
         assert np.all(np.diff(high) >= 0.0)
 
     def test_all_cones_frozen_by_fifteen(self):
         alphas = [math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3]
-        curves = omega_scan(0.05, 20.0, 400, alphas)
-        assert len(curves) == 4
+        ratios, curves = omega_scan(0.05, 20.0, 400, alphas)
+        assert curves.shape == (4, 400)
+        idx = int(np.argmin(np.abs(ratios - 15.0)))
         for curve in curves:
-            idx = int(np.argmin(np.abs(curve.ratios - 15.0)))
-            assert curve.probabilities[idx] >= 0.98
+            assert curve[idx] >= 0.98
 
     def test_rows_in_grid_order(self):
-        (curve,) = omega_scan(0.5, 2.0, 16, [1.0])
-        assert np.all(np.diff(curve.ratios) > 0.0)
+        ratios, _ = omega_scan(0.5, 2.0, 16, [1.0])
+        assert np.all(np.diff(ratios) > 0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -463,27 +463,27 @@ class TestOmegaScan:
         # (x - 1)^2 overflowed past sqrt(DBL_MAX): nan rows with warnings
         with pytest.raises(ValueError, match=r"<= 1e\+150, got \[1.0, 1e\+308\]"):
             omega_scan(1.0, 1e308, 3, [0.5])
-        (curve,) = omega_scan(1e100, 1e150, 3, [0.5])
-        assert np.all(np.isfinite(curve.probabilities))
+        _, curves = omega_scan(1e100, 1e150, 3, [0.5])
+        assert np.all(np.isfinite(curves))
 
     def test_validation_rejects_tiny_ratios(self):
         # below 1e-150 the grid once reached subnormals and wrote nan rows
         with pytest.raises(ValueError, match=r"need 1e-150 <= ratio_min .* got \[1e-320, 1e-300\]"):
             omega_scan(1e-320, 1e-300, 3, [0.5])
-        (curve,) = omega_scan(1e-150, 1e-149, 3, [0.5])
-        assert np.all(np.isfinite(curve.probabilities))
+        _, curves = omega_scan(1e-150, 1e-149, 3, [0.5])
+        assert np.all(np.isfinite(curves))
 
 
 class TestThreshold:
     def test_aligned_field_frozen_from_start(self):
-        report = anti_adiabatic_threshold(0.05, 0.0)
-        assert report.monotone_onset == spin.DEFAULT_RATIO_RANGE[0]
-        assert report.frozen_onset == spin.DEFAULT_RATIO_RANGE[0]
+        monotone, frozen, _ = anti_adiabatic_threshold(0.05, 0.0)
+        assert monotone == spin.DEFAULT_RATIO_RANGE[0]
+        assert frozen == spin.DEFAULT_RATIO_RANGE[0]
 
     def test_quarter_cone_onsets(self):
-        report = anti_adiabatic_threshold(0.02, math.pi / 4)
-        assert report.monotone_onset == pytest.approx(1.442, abs=0.05)
-        assert report.frozen_found and report.frozen_onset <= 15.0
+        monotone, frozen, _ = anti_adiabatic_threshold(0.02, math.pi / 4)
+        assert monotone == pytest.approx(1.442, abs=0.05)
+        assert frozen <= 15.0
 
     @pytest.mark.parametrize(
         "alpha", [math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3]
@@ -491,17 +491,16 @@ class TestThreshold:
     def test_monotone_onset_tracks_cone_angle(self, alpha):
         # the cycle curve's last local minimum sits at drive ratio 1/cos(alpha);
         # the grid-resolved onset lands within one grid spacing of it
-        report = anti_adiabatic_threshold(0.02, alpha)
-        assert report.monotone_onset == pytest.approx(1.0 / math.cos(alpha), abs=3e-3)
+        monotone = anti_adiabatic_threshold(0.02, alpha)[0]
+        assert monotone == pytest.approx(1.0 / math.cos(alpha), abs=3e-3)
 
     def test_not_found_carries_scan_maximum(self):
-        report = anti_adiabatic_threshold(
+        _, frozen, max_rho1 = anti_adiabatic_threshold(
             1e-3, math.pi / 4, ratio_min=0.05, ratio_max=0.5, points=200
         )
-        assert not report.frozen_found
-        assert report.frozen_onset is None
-        # the curve ends below 1 - epsilon; the report still records the best
-        assert 0.0 < report.max_probability <= 1.0 + 1e-12
+        assert math.isnan(frozen)
+        # the curve ends below 1 - epsilon; the result still records the best
+        assert 0.0 < max_rho1 <= 1.0 + 1e-12
 
     def test_epsilon_validated(self):
         with pytest.raises(ValueError):

@@ -23,7 +23,6 @@ from quenchkit.well import (
     force_scan,
     matter_wave_force,
     overlap_oracle,
-    population,
     population_scan,
     quench_energy,
 )
@@ -39,11 +38,18 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(well, "_cpus", lambda: 2)
 
 
+def captured_by(gamma, n_levels):
+    """The probability the first ``n_levels`` levels capture, from `decompose`."""
+    b = decompose(gamma, n_levels)
+    return float(np.sum(b * b))
+
+
 def per_point_energy(gamma, n_levels):
     """The one-gamma renormalized energy that the blocked scans replaced."""
-    dec = decompose(gamma, n_levels)
+    b = decompose(gamma, n_levels)
+    rho = b * b
     n = np.arange(1.0, n_levels + 1.0)
-    return float(np.sum(dec.populations * n * n) / (gamma * gamma)) / dec.captured
+    return float(np.sum(rho * n * n) / (gamma * gamma)) / float(np.sum(rho))
 
 
 def per_point_force(g, n_levels, step):
@@ -66,7 +72,6 @@ def per_point_force(g, n_levels, step):
 # Each scalar entry point at one gamma; each checks gamma before any work.
 GAMMA_ENTRY_POINTS = [
     lambda g: expansion_coefficient(1, g),
-    lambda g: population(1, g),
     lambda g: overlap_oracle(1, g),
     lambda g: decompose(g),
     lambda g: quench_energy(g),
@@ -188,8 +193,8 @@ class TestExpansionCoefficient:
         for n in (1, 2, 5, 9):
             for g in (0.3, 0.5, 1.5, 2.0, 4.9):
                 b = expansion_coefficient(n, g)
-                assert population(n, g) == b * b
-                assert 0.0 <= population(n, g) <= 1.0
+                assert population_scan(g, n)[n - 1, 1] == b * b
+                assert 0.0 <= b * b <= 1.0
 
     def test_bad_level_rejected(self):
         with pytest.raises(ValueError):
@@ -226,7 +231,7 @@ class TestOverlapOracle:
     def test_confirms_the_closed_form_to_1e_13(self, gamma):
         # at the default tolerance, next to the integer resonances too
         levels = np.arange(1, 41)
-        closed = decompose(gamma, 40).coefficients
+        closed = decompose(gamma, 40)
         assert np.max(np.abs(overlap_oracle(levels, gamma) - closed)) <= 1e-13
 
     def test_independent_of_the_closed_form(self):
@@ -241,20 +246,20 @@ class TestOverlapOracle:
 
 class TestDecompose:
     def test_identity_decomposition(self):
-        dec = decompose(1.0, 10)
-        assert dec.coefficients[0] == 1.0
-        assert np.all(dec.coefficients[1:] == 0.0)
-        assert dec.captured == 1.0
+        b = decompose(1.0, 10)
+        assert b[0] == 1.0
+        assert np.all(b[1:] == 0.0)
+        assert captured_by(1.0, 10) == 1.0
 
     def test_captured_matches_quadrature_sum(self):
-        dec = decompose(5.0, 10)
+        captured = captured_by(5.0, 10)
         via_oracle = sum(overlap_oracle(n, 5.0) ** 2 for n in range(1, 11))
-        assert dec.captured == pytest.approx(via_oracle, abs=1e-8)
-        assert dec.captured == pytest.approx(0.989, abs=1e-3)
+        assert captured == pytest.approx(via_oracle, abs=1e-8)
+        assert captured == pytest.approx(0.989, abs=1e-3)
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 5.0])
     def test_captured_monotone_and_complete(self, gamma):
-        caps = [decompose(gamma, n).captured for n in (10, 50, 200, 10_000)]
+        caps = [captured_by(gamma, n) for n in (10, 50, 200, 10_000)]
         assert all(b >= a for a, b in zip(caps, caps[1:]))
         assert caps[-1] <= 1.0 + 1e-12
         assert abs(caps[-1] - 1.0) <= 1e-3
@@ -268,14 +273,12 @@ class TestDecompose:
         density = lambda q: eigen_wavefunction(1, cfg.width, q) ** 2
         by_quadrature = integrate(density, 0.0, gamma * cfg.width, tolerance=1e-10)
         assert analytic == pytest.approx(by_quadrature, abs=1e-9)
-        assert decompose(gamma, 10_000).captured == pytest.approx(analytic, abs=1e-3)
+        assert captured_by(gamma, 10_000) == pytest.approx(analytic, abs=1e-3)
 
     def test_dimensionless(self):
         # identical output regardless of physical configuration
-        a = decompose(2.7, 50)
-        b = decompose(2.7, 50)
-        np.testing.assert_array_equal(a.coefficients, b.coefficients)
-        assert a.captured == b.captured
+        np.testing.assert_array_equal(decompose(2.7, 50), decompose(2.7, 50))
+        assert captured_by(2.7, 50) == captured_by(2.7, 50)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -283,9 +286,8 @@ class TestDecompose:
         n_levels=st.integers(1, 200),
     )
     def test_expand_captured_bounded_by_completeness(self, gamma, n_levels):
-        dec = decompose(gamma, n_levels)
-        assert np.all(np.isfinite(dec.coefficients))
-        assert 0.0 <= dec.captured <= 1.0 + 1e-12
+        assert np.all(np.isfinite(decompose(gamma, n_levels)))
+        assert 0.0 <= captured_by(gamma, n_levels) <= 1.0 + 1e-12
 
     def test_bad_levels(self):
         with pytest.raises(ValueError):
@@ -294,9 +296,9 @@ class TestDecompose:
 
 class TestQuenchEnergy:
     def test_identity_energy_is_one(self):
-        report = quench_energy(1.0, 10)
-        assert report.renormalized == 1.0
-        assert report.raw == 1.0
+        energy, raw, _ = quench_energy(1.0, 10)
+        assert energy == 1.0
+        assert raw == 1.0
 
     def test_doubling_quench_matches_oracle_sum(self):
         # independent route: accumulate squared quadrature overlaps
@@ -306,24 +308,24 @@ class TestQuenchEnergy:
             p = overlap_oracle(n, 2.0) ** 2
             captured += p
             raw += p * n * n / 4.0
-        report = quench_energy(2.0, 10)
-        assert report.renormalized == pytest.approx(raw / captured, abs=1e-8)
-        assert report.renormalized == pytest.approx(0.959, abs=1e-3)
+        energy = quench_energy(2.0, 10)[0]
+        assert energy == pytest.approx(raw / captured, abs=1e-8)
+        assert energy == pytest.approx(0.959, abs=1e-3)
 
     def test_renormalization_invariant(self):
         for g in (0.4, 1.7, 3.3):
-            report = quench_energy(g, 10)
-            assert report.renormalized == report.raw / report.captured
-            assert report.renormalized > 0.0
+            energy, raw, captured = quench_energy(g, 10)
+            assert energy == raw / captured
+            assert energy > 0.0
 
     @pytest.mark.parametrize("gamma", [1.5, 2.0, 3.0])
     def test_mean_energy_conservation_expand(self, gamma):
-        assert quench_energy(gamma, 10_000).raw == pytest.approx(1.0, abs=1e-3)
+        assert quench_energy(gamma, 10_000)[1] == pytest.approx(1.0, abs=1e-3)
 
     def test_shrink_energy_grows_with_truncation(self):
         # gamma < 1: the frozen state has a kink at the new wall, so the
         # untruncated energy diverges; the truncated sum must keep growing
-        assert quench_energy(0.5, 1000).raw > quench_energy(0.5, 10).raw
+        assert quench_energy(0.5, 1000)[1] > quench_energy(0.5, 10)[1]
 
     @pytest.mark.parametrize("gamma", [1e-120, 1e120])
     def test_vanishing_captured_probability_is_a_value_error(self, gamma):
@@ -377,29 +379,29 @@ class TestSumRules:
     @example(gamma=4.9, n_levels=10**5)
     @example(gamma=10.1, n_levels=10**5)
     def test_truncated_sums_approach_their_limits(self, gamma, n_levels):
-        report = quench_energy(gamma, n_levels)
+        _, raw, captured = quench_energy(gamma, n_levels)
         limit = untruncated_captured(gamma)
         # N rounded terms summed pairwise, and C_inf rounded once
         rounding = 64 * np.finfo(float).eps * limit
-        assert report.captured <= limit + rounding
+        assert captured <= limit + rounding
         if gamma > 1.0:
-            assert report.raw <= 1.0 + rounding
+            assert raw <= 1.0 + rounding
         # The correction to the leading constant is at most L / N relative,
         # for N >= 2 L.  Above gamma = 1, sin^2(n pi / gamma) averages to 1/2
         # over about max(gamma, 1 / (gamma - 1)) levels: the measured worst
         # is 0.64 L / N, near the golden ratio, where the two are equal.
         # Below gamma = 1 it is about 0.5 / N.
         if gamma < 1.0:
-            gap = limit - report.captured
+            gap = limit - captured
             lead = 4.0 * gamma * math.sin(math.pi * min(gamma, 1.0 - gamma)) ** 2 / math.pi**2
             scale = 1.0
         elif gamma > 1.0:
-            gap = 1.0 - report.raw
+            gap = 1.0 - raw
             lead = 2.0 * gamma / math.pi**2
             scale = max(gamma, 1.0 / (gamma - 1.0))
         else:
             # the identity: every sum is exact from one level on
-            assert report.captured == report.raw == 1.0
+            assert captured == raw == 1.0
             return
         if n_levels >= 2.0 * scale:
             n = n_levels
@@ -423,7 +425,7 @@ class TestSumRules:
         n_levels = low + int(share * (min(10**6, math.floor(top)) - low))
         tail = envelope_tail(gamma, n_levels)
         assert tail > rounding
-        assert 1.0 - quench_energy(gamma, n_levels).captured <= tail + rounding
+        assert 1.0 - quench_energy(gamma, n_levels)[2] <= tail + rounding
 
 
 class TestForce:
@@ -436,7 +438,7 @@ class TestForce:
         f = matter_wave_force(gamma)
         h = 0.01
         secant = (
-            quench_energy(gamma + h).renormalized - quench_energy(gamma - h).renormalized
+            quench_energy(gamma + h)[0] - quench_energy(gamma - h)[0]
         ) / (2.0 * h)
         assert math.copysign(1.0, f) == -math.copysign(1.0, secant)
 
@@ -487,7 +489,7 @@ class TestScans:
         assert table[1, 1] == 1.0
 
     def test_energy_increases_as_width_shrinks(self):
-        e = {g: quench_energy(g).renormalized for g in (0.25, 0.5, 1.0)}
+        e = {g: quench_energy(g)[0] for g in (0.25, 0.5, 1.0)}
         assert e[0.25] > e[0.5] > e[1.0]
 
     def test_energy_scan_non_monotonic_between_2p5_and_3p5(self):
@@ -512,13 +514,13 @@ class TestScans:
                 scan(*bounds, 3)
 
     def test_force_scan_shrink_all_repulsive(self):
-        profile = force_scan(0.3, 0.7, 9)
-        assert np.all(profile.force > 0.0)
-        assert np.all(np.diff(profile.gamma) > 0.0)
+        gamma, _, force = force_scan(0.3, 0.7, 9).T
+        assert np.all(force > 0.0)
+        assert np.all(np.diff(gamma) > 0.0)
 
     def test_force_scan_expand_fluctuates_small(self):
-        profile = force_scan(1.5, 5.0, 50)
-        assert np.max(np.abs(profile.force)) < 0.01 * matter_wave_force(0.5)
+        force = force_scan(1.5, 5.0, 50)[:, 2]
+        assert np.max(np.abs(force)) < 0.01 * matter_wave_force(0.5)
 
     @pytest.mark.parametrize("scan", [energy_scan, force_scan, well.captured_scan])
     def test_scan_grid_rejects_huge(self, scan):
@@ -526,7 +528,7 @@ class TestScans:
             scan(1.0, 1e200, 3)
 
     def test_ratio_bound_keeps_coefficients_finite(self):
-        assert np.all(np.isfinite(decompose(1e150, 1000).coefficients))
+        assert np.all(np.isfinite(decompose(1e150, 1000)))
         assert np.all(np.isfinite(energy_scan(1e90, 1e100, 5)))
         # the doubles there are far coarser than the step: the stencil once
         # gave finite but meaningless forces
@@ -551,23 +553,22 @@ class TestScans:
         whole = scans.pop()
         for rows in scans:
             np.testing.assert_array_equal(rows[0], whole[0])
-            for name in ("gamma", "energy", "force"):
-                np.testing.assert_array_equal(getattr(rows[1], name), getattr(whole[1], name))
+            np.testing.assert_array_equal(rows[1], whole[1])
 
     def test_scans_equal_the_per_point_path_bitwise(self):
         # 0.01 spacing puts grid points within 2 * step of every integer, so
         # both one-sided stencils, the central one and the omission all run
-        profile = force_scan(0.5, 4.5, 401, 12, step=0.01)
-        gammas = profile.gamma.tolist()
+        gamma, energy, force = force_scan(0.5, 4.5, 401, 12, step=0.01).T
+        gammas = gamma.tolist()
         assert len(gammas) == 401 - 4
         expected = [per_point_force(g, 12, 0.01) for g in gammas]
-        assert profile.force.tolist() == expected
+        assert force.tolist() == expected
         assert [matter_wave_force(g, 12, step=0.01) for g in gammas] == expected
         expected = [per_point_energy(g, 12) for g in gammas]
-        assert profile.energy.tolist() == expected
-        assert [quench_energy(g, 12).renormalized for g in gammas] == expected
+        assert energy.tolist() == expected
+        assert [quench_energy(g, 12)[0] for g in gammas] == expected
         table = well.captured_scan(0.5, 4.5, 401, 12)
-        assert table[:, 1].tolist() == [decompose(g, 12).captured for g in table[:, 0]]
+        assert table[:, 1].tolist() == [captured_by(g, 12) for g in table[:, 0]]
 
     @pytest.mark.parametrize("n_levels", [1000, 37])
     def test_in_place_blocks_equal_per_gamma_sums_bitwise(self, n_levels, monkeypatch):
@@ -584,7 +585,8 @@ class TestScans:
         n = np.arange(1.0, n_levels + 1.0)
         captured, raw = [], []
         for g in gammas.tolist():
-            rho = decompose(g, n_levels).populations
+            b = decompose(g, n_levels)
+            rho = b * b
             captured.append(np.sum(rho))
             raw.append(np.sum(rho * n * n) / (g * g))
         captured, raw = np.array(captured), np.array(raw)
@@ -653,25 +655,23 @@ class TestScans:
         assert started == []
 
     def test_force_scan_omits_resonant_grid_points(self):
-        profile = force_scan(1.9, 2.1, 3)
-        assert profile.gamma.tolist() == [1.9, 2.1]
-        assert np.all(np.isfinite(profile.force))
+        gamma, _, force = force_scan(1.9, 2.1, 3).T
+        assert gamma.tolist() == [1.9, 2.1]
+        assert np.all(np.isfinite(force))
 
     def test_force_scan_omits_exact_integers_only(self):
         # 1 (the identity) and 2, 3 are dropped; 0.5 and 1.5 are kept
-        assert force_scan(0.5, 3.0, 6).gamma.tolist() == [0.5, 1.5, 2.5]
+        assert force_scan(0.5, 3.0, 6)[:, 0].tolist() == [0.5, 1.5, 2.5]
         # next to an integer, however close, a point keeps its row
         near = [math.nextafter(1.0, 2.0), 1.0 + 5e-10, 3.0 * (1 + 1e-12)]
         for g in near:
-            profile = force_scan(g, 3.5, 2)
-            assert profile.gamma.tolist() == [g, 3.5]
-            assert np.all(np.isfinite(profile.force))
+            gamma, _, force = force_scan(g, 3.5, 2).T
+            assert gamma.tolist() == [g, 3.5]
+            assert np.all(np.isfinite(force))
 
     def test_force_rows_anticorrelate_with_energy_secant(self):
-        profile = force_scan(2.5, 3.5, 41)
-        for i in range(1, len(profile.gamma) - 1):
-            secant = (profile.energy[i + 1] - profile.energy[i - 1]) / (
-                profile.gamma[i + 1] - profile.gamma[i - 1]
-            )
+        gamma, energy, force = force_scan(2.5, 3.5, 41).T
+        for i in range(1, len(gamma) - 1):
+            secant = (energy[i + 1] - energy[i - 1]) / (gamma[i + 1] - gamma[i - 1])
             if abs(secant) > 1e-3:
-                assert math.copysign(1.0, profile.force[i]) == -math.copysign(1.0, secant)
+                assert math.copysign(1.0, force[i]) == -math.copysign(1.0, secant)
