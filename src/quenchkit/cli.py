@@ -149,9 +149,8 @@ def _scan_points(text: str) -> int:
 
 
 # Rows formatted per chunk.  Large enough to amortize the per-chunk calls;
-# small enough that a chunk's row objects, flat value tuple and long-double
-# temporaries stay far below the table itself (65,536-row chunks raised
-# energy-scan's peak RSS by 1.5 MiB).
+# small enough that a chunk's text and temporaries stay far below the table
+# itself (65,536-row chunks raised energy-scan's peak RSS by 1.5 MiB).
 EMIT_CHUNK_ROWS = 4096
 
 
@@ -163,8 +162,8 @@ def write_table(header: list[str], blocks, output: str | None, integers: int = 0
     such as one per curve).  The first ``integers`` columns hold integers
     within +-2^53 and are written ``%d``; the rest ``%.16e`` (17 significant
     digits).  The table is formatted in chunks of `EMIT_CHUNK_ROWS` rows, so
-    an iterator of blocks is never held whole.  An all-float table goes
-    through `_decimal_rows`, which gives the same bytes as ``%``.
+    an iterator of blocks is never held whole.  Each chunk goes through
+    `_decimal_rows`, which gives the same bytes as ``%``.
     """
     if output is not None:
         with open(output, "w", encoding="utf-8", newline="") as fh:
@@ -184,42 +183,111 @@ def write_table(header: list[str], blocks, output: str | None, integers: int = 0
 def _stream_csv(fh, header: list[str], blocks, integers: int) -> None:
     fh.write(",".join(header) + "\n")
     row_format = ",".join(["%d"] * integers + ["%.16e"] * (len(header) - integers)) + "\n"
-    as_arrays = integers == 0 and _decimal_tables() is not None
     for block in (blocks,) if isinstance(blocks, np.ndarray) else blocks:
         for start in range(0, len(block), EMIT_CHUNK_ROWS):
-            chunk = block[start:start + EMIT_CHUNK_ROWS]
-            if as_arrays:
-                fh.write(_decimal_rows(chunk, row_format))
-            else:
-                fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
+            fh.write(_decimal_rows(block[start:start + EMIT_CHUNK_ROWS], integers, row_format))
 
 
 # Decimal exponents the fast path meets: the floor(log10) estimate of a value
 # in [1e-99, 1e100) and its correction by one either way.
 _EXPONENTS = range(-101, 102)
-# One formatted value: d.dddddddddddddddde+dd and its ',' or '\n'.
+# One formatted real: d.dddddddddddddddde+dd and its ',' or '\n'.
 _SLOT = 23
+# One formatted integer below 10^16 in magnitude, right-aligned: padding, a
+# sign where negative, up to 16 digits, and its ',' or '\n'.
+_INT_SLOT = 18
+# Veltkamp's splitter for float64, 2^27 + 1: with c = x (2^27 + 1),
+# c - (c - x) is x rounded to its upper 26 bits, exactly.
+_SPLITTER = 134217729.0
 
 
 @functools.cache
 def _decimal_tables():
-    """Powers of ten 10^(16-e) for e in `_EXPONENTS`, correctly rounded to
-    long double, and the four bytes ``e+dd`` for each exponent -99..99; None
-    where long double is not the x87 format with its 64-bit mantissa, whose
-    rounding bound `_decimal_rows` relies on.  Built on first use, so that
-    importing the CLI costs nothing."""
-    if np.finfo(np.longdouble).nmant != 63:
-        return None
-    powers = np.array([np.longdouble(f"1e{16 - e}") for e in _EXPONENTS])
+    """The powers of ten 10^(16-e) for e in `_EXPONENTS` as float64 pairs,
+    one row ``hi, lo, big, small`` each: ``hi`` is the correctly rounded
+    power, ``lo`` the correctly rounded remainder and ``big + small`` the
+    Veltkamp halves of ``hi``; the powers 10^1..10^15 that count an
+    integer's digits; and the four bytes ``e+dd`` for each exponent
+    -99..99.  Built on first use, so that importing the CLI costs
+    nothing."""
+    hi, lo = [], []
+    for k in (16 - e for e in _EXPONENTS):
+        h = float(f"1e{k}")
+        num, den = h.as_integer_ratio()
+        ten_num, ten_den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        hi.append(h)
+        # 10^k - h as one exact fraction of integers, rounded once
+        lo.append((ten_num * den - num * ten_den) / (ten_den * den))
+    hi = np.array(hi)
+    big = hi * _SPLITTER
+    big -= big - hi
+    # one row per exponent, so that a value's four are gathered at once
+    powers = np.column_stack((hi, lo, big, hi - big))
+    tens = 10 ** np.arange(1, 16, dtype=np.uint64)
     exponents = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-99, 100)), "<u4")
-    return powers, exponents
+    return powers, tens, exponents
 
 
-def _field(buf, offset: int, dtype: str):
-    # The bytes from ``offset`` on in each slot of ``buf`` as one integer per
-    # slot; unaligned, as a slot is 23 bytes.
-    count = buf.size // _SLOT
-    return np.ndarray((count,), dtype, buffer=buf, offset=offset, strides=(_SLOT,))
+def _product(x, e):
+    # (q, frac) with q + frac = x 10^(16-e) to within 2^-47 where that
+    # product lies in [10^16, 10^17]; see `_scaled`.
+    hi, lo, big, small = _decimal_tables()[0].take(e - _EXPONENTS.start, axis=0).T
+    p = x * hi
+    c = x * _SPLITTER
+    x_big = c - (c - x)
+    x_small = x - x_big
+    del c
+    # Dekker's exact product error x hi - p, then x lo
+    t = x_big * big - p
+    t += x_big * small
+    t += x_small * big
+    t += x_small * small
+    t += x * lo
+    units = np.floor(t)
+    t -= units
+    q = p.astype(np.uint64)
+    q += units.astype(np.int64).view(np.uint64)  # wraps where units < 0
+    return q, t
+
+
+def _scaled(x):
+    """(e, q, frac) for float64 values ``x`` in [1e-99, 1e100): the decimal
+    exponent e and x 10^(16-e) = q + frac, with the integer q in
+    [10^16, 10^17] and frac in [0, 1] within 2^-47 of exact.
+
+    The power 10^(16-e) is hi + lo (`_decimal_tables`).  p = fl(x hi) is an
+    integer, since x hi >= 10^16 > 2^53, and its error x hi - p is exact by
+    Dekker's two-product over Veltkamp halves (Dekker 1971).  frac is
+    t - floor(t) for t = fl(that error + fl(x lo)), and q = p + floor(t).
+    With u = 2^-53: |lo| <= u hi and x hi < 2^57, so |x lo| < 16 and
+    |x hi - p| <= 8, and t misses x 10^(16-e) - p by at most
+      u |x lo| < 2^-49   (the rounding of x lo),
+      u |x lo| < 2^-49   (lo's own rounding: |10^(16-e) - hi - lo| <= u |lo|),
+      2^-49              (the rounding of the sum, which is below 24 < 32),
+    and frac adds at most 2^-54 (the rounding of t - floor(t)): below 2^-47
+    in all.  e starts at floor(log10 x), which can be one off either way;
+    where q falls outside [10^16, 10^17) e is moved by one and the product
+    taken again."""
+    e = np.log10(x)
+    e = np.floor(e, out=e).astype(np.intp)
+    q, frac = _product(x, e)
+    off = np.flatnonzero((q < 10**16) | (q >= 10**17))
+    if off.size:
+        e[off] += np.where(q[off] < 10**16, -1, 1)
+        q[off], frac[off] = _product(x[off], e[off])
+    return e, q, frac
+
+
+def _put(buf, offset: int, dtype: str, slot: int, values) -> None:
+    # Write ``values``, one integer per slot in row order, as the bytes from
+    # ``offset`` on in consecutive slots of ``slot`` bytes, the same number
+    # in each row of the 2-D ``buf``; unaligned, as slots are 18 and 23 bytes.
+    if not values.size:
+        return  # no slots: the offset may lie past the end of ``buf``
+    rows, width = buf.shape
+    count = values.size // rows
+    field = np.ndarray((rows, count), dtype, buffer=buf, offset=offset, strides=(width, slot))
+    field[...] = values.reshape(rows, count)
 
 
 def _ascii_8(n):
@@ -249,82 +317,101 @@ def _ascii_8(n):
     return n
 
 
-def _decimal_rows(block, row_format: str) -> str:
-    """``(row_format * len(block)) % values`` for a 2-D float64 ``block``,
-    formatted as arrays.
+def _digits_16(buf, offset: int, slot: int, n) -> None:
+    # the 16 digits of each n < 10^16 (a uint64 array, overwritten), with
+    # leading zeros, from ``offset`` on in the slots of `_put`
+    hi = n // 10**8
+    n -= hi * 10**8
+    _put(buf, offset, "<u8", slot, _ascii_8(hi))
+    _put(buf, offset + 8, "<u8", slot, _ascii_8(n))
 
-    A value x in [1e-99, 1e100) is scaled to r = x 10^(16-e) in [1e16, 1e17)
-    in long double; its 17 digits are those of r rounded to an integer.  The
-    power and the product are each rounded to 64 bits, so r is within
-    2 2^-64 r < 0.011 of the exact scaled value, and the rounding is certain
-    unless r lies within 0.02 of a half.  Those values (about 4% of a smooth
-    curve) are formatted by ``%.16e`` into their 22-byte slot, as Grisu3
-    defers to an exact method (Loitsch 2010).  Rows holding a value outside
-    that range (zero, negative, nan, inf, or a 3-digit exponent) are
-    formatted by ``row_format`` whole.
+
+def _decimal_rows(block, integers: int, row_format: str) -> str:
+    """``(row_format * len(block)) % values`` for a 2-D float64 ``block``
+    whose first ``integers`` columns are written ``%d``, formatted as arrays.
+
+    A real x in [1e-99, 1e100) is scaled to q + frac = x 10^(16-e) by
+    `_scaled`; its 17 digits are those of q, plus one where frac > 1/2.
+    frac is within 2^-47 of exact, so the rounding is certain unless frac
+    lies within 2^-47 of a half.  Those values, in practice the exact
+    decimal ties, are formatted by ``%.16e`` into their 22-byte slot, as
+    Grisu3 defers to an exact method (Loitsch 2010).  An integer column's
+    value n, truncated as ``%d`` truncates, is written right-aligned in an
+    18-byte slot whose padding is then dropped.  Rows holding a real
+    outside that range (zero, negative, nan, inf, or a 3-digit exponent) or
+    an integer of 10^16 or more in magnitude are formatted by
+    ``row_format`` whole.
 
     Temporaries are updated in place or dropped once used, so that a chunk
     costs little more memory than its text.
     """
-    powers, exponents = _decimal_tables()
+    _, tens, exponents = _decimal_tables()
     rows, cols = block.shape
-    x = block.ravel()
+    reals = cols - integers
+    start = _INT_SLOT * integers
+    buf = np.empty((rows, start + _SLOT * reals), np.uint8)
+
+    x = block[:, integers:].ravel()
     fast = (x >= 1e-99) & (x < 1e100)
-    xs = np.where(fast, x, 1.0)
-    e = np.log10(xs)
-    e = np.floor(e, out=e).astype(np.intp)
-    r = xs.astype(np.longdouble)
-    r *= powers[e - _EXPONENTS.start]
-    q = r.astype(np.uint64)
-    off = np.flatnonzero((q < 10**16) | (q >= 10**17))
-    if off.size:
-        e[off] += np.where(q[off] < 10**16, -1, 1)
-        r[off] = xs[off].astype(np.longdouble) * powers[e[off] - _EXPONENTS.start]
-        q[off] = r[off].astype(np.uint64)
-    del xs
-    r -= q
-    frac = r.astype(np.float64)
-    del r
-    unsure = np.abs(frac - 0.5) < 0.02
+    e, q, frac = _scaled(np.where(fast, x, 1.0))
+    unsure = np.abs(frac - 0.5) < 2.0**-47
     q += frac > 0.5
     del frac
     carry = np.flatnonzero(q == 10**17)
     q[carry] = 10**16
     e[carry] += 1
-
-    buf = np.empty((rows, cols, _SLOT), np.uint8)
-    buf[:, :, -1] = ord(",")
-    buf[:, -1, -1] = ord("\n")
     lead = q // 10**16
     q -= lead * 10**16
     lead += ord("0") + (ord(".") << 8)
-    _field(buf, 0, "<u2")[...] = lead
+    _put(buf, start, "<u2", _SLOT, lead)
     del lead
-    hi = q // 10**8
-    q -= hi * 10**8
-    _field(buf, 2, "<u8")[...] = _ascii_8(hi)
-    _field(buf, 10, "<u8")[...] = _ascii_8(q)
-    _field(buf, 18, "<u4")[...] = exponents[e + 99]
+    _digits_16(buf, start + 2, _SLOT, q)
+    _put(buf, start + 18, "<u4", _SLOT, exponents[e + 99])
+    slots = buf[:, start:].reshape(rows, reals, _SLOT)
+    slots[:, :, -1] = ord(",")
+    whole = ~fast.reshape(rows, reals).all(axis=1)
 
-    whole = ~fast.reshape(rows, cols).all(axis=1)
-    exact = np.flatnonzero(unsure & np.repeat(~whole, cols))
+    width = np.full(rows, buf.shape[1])
+    if integers:
+        ints = block[:, :integers]
+        small_enough = np.abs(ints) < 1e16
+        whole |= ~small_enough.all(axis=1)
+        n = np.where(small_enough, ints, 0.0).astype(np.int64)
+        negative = n < 0
+        n = np.abs(n, out=n).view(np.uint64)
+        # padding: the 16 - d leading zeros of d digits, one fewer for '-'
+        pad = 16 - np.searchsorted(tens, n, "right") - negative
+        _digits_16(buf, 1, _INT_SLOT, n.ravel())
+        int_slots = buf[:, :start].reshape(rows, integers, _INT_SLOT)
+        int_slots[:, :, -1] = ord(",")
+        row, col = np.nonzero(negative)
+        int_slots[row, col, pad[row, col]] = ord("-")
+        width -= pad.sum(axis=1)
+    buf[:, -1] = ord("\n")
+
+    exact = np.flatnonzero(unsure & np.repeat(~whole, reals))
     if exact.size:
         text = ("%.16e" * exact.size) % tuple(x[exact].tolist())
-        buf.reshape(x.size, _SLOT)[exact, :-1] = np.frombuffer(
+        slots[exact // reals, exact % reals, :-1] = np.frombuffer(
             text.encode("ascii"), np.uint8
         ).reshape(exact.size, _SLOT - 1)
-    lines = buf.reshape(rows, cols * _SLOT)
+    if integers:
+        kept = np.arange(_INT_SLOT) >= pad[:, :, None]
+        buf = buf[np.concatenate((kept.reshape(rows, start),
+                                  np.ones((rows, buf.shape[1] - start), bool)), axis=1)]
     if not whole.any():
-        return str(lines, "ascii")
+        return str(buf, "ascii")
     # Runs of rows alternate between the two paths; splice them in order.
+    ends = np.concatenate(([0], np.cumsum(width))).tolist()
+    text = buf.ravel()
     edges = [0, *(np.flatnonzero(np.diff(whole)) + 1).tolist(), rows]
     parts = []
-    for start, stop in zip(edges, edges[1:]):
-        if whole[start]:
-            values = tuple(block[start:stop].ravel().tolist())
-            parts.append((row_format * (stop - start)) % values)
+    for begin, stop in zip(edges, edges[1:]):
+        if whole[begin]:
+            values = tuple(block[begin:stop].ravel().tolist())
+            parts.append((row_format * (stop - begin)) % values)
         else:
-            parts.append(str(lines[start:stop], "ascii"))
+            parts.append(str(text[ends[begin]:ends[stop]], "ascii"))
     return "".join(parts)
 
 
@@ -396,14 +483,19 @@ def _return_prob(args):
 
 def _omega_scan(args):
     ratios, rho = spin.omega_scan(*args.ratio, args.points, args.alpha)
-    if len(rho) == 1:
-        return np.column_stack((ratios, rho[0])), None
-    args.columns = ["alpha_rad", *args.columns]  # the one header set by the input
-    blocks = (
-        np.column_stack((np.full(len(ratios), alpha), ratios, curve))
-        for alpha, curve in zip(args.alpha, rho)
-    )
-    return blocks, None
+    several = len(rho) > 1
+    if several:
+        args.columns = ["alpha_rad", *args.columns]  # the one header set by the input
+
+    def blocks():
+        # one block of rows per chunk, so no curve is copied whole
+        for alpha, curve in zip(args.alpha, rho):
+            for start in range(0, len(ratios), EMIT_CHUNK_ROWS):
+                rows = slice(start, start + EMIT_CHUNK_ROWS)
+                lead = [np.full(len(ratios[rows]), alpha)] if several else []
+                yield np.column_stack((*lead, ratios[rows], curve[rows]))
+
+    return blocks(), None
 
 
 def _threshold(args):

@@ -12,7 +12,6 @@ import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -890,16 +889,6 @@ def _ties():
     return ties
 
 
-def _round_to_64_bits(value: Fraction) -> Fraction:
-    # nearest number with a 64-bit significand, ties to even
-    shift = value.numerator.bit_length() - value.denominator.bit_length() - 64
-    while value / Fraction(2) ** shift >= 2**64:
-        shift += 1
-    while value / Fraction(2) ** shift < 2**63:
-        shift -= 1
-    return round(value / Fraction(2) ** shift) * Fraction(2) ** shift
-
-
 _POWERS_OF_TEN = [float(f"1e{k}") for k in range(-100, 101)]
 _FIXED_VALUES = {
     "i*10^-j": [float(f"{i}e-{j}") for i in range(1, 3000) for j in range(30)],
@@ -977,22 +966,45 @@ class TestDecimalRows:
         assert _written(header, iter(blocks)) == expected.encode()
 
     def test_without_x87_long_double_bytes_are_unchanged(self, monkeypatch):
-        finfo = np.finfo
-        monkeypatch.setattr(
-            np, "finfo",
-            lambda t: SimpleNamespace(nmant=52) if t is np.longdouble else finfo(t))
+        # the digits come from float64 arithmetic alone, so a host whose
+        # long double is not the x87 format writes the same bytes
+        class Refused:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.longdouble.{name} used")
+
+            def __call__(self, *args, **kwargs):
+                raise AssertionError("np.longdouble used")
+
+        monkeypatch.setattr(np, "longdouble", Refused())
         monkeypatch.setattr(
             cli, "_decimal_tables", functools.cache(cli._decimal_tables.__wrapped__))
-        assert cli._decimal_tables() is None
         _assert_matches_per_value(_curve().ravel())
         _assert_matches_per_value(_FIXED_VALUES["random"])
+        _assert_matches_per_value(_ties())
 
-    @pytest.mark.skipif(
-        np.finfo(np.longdouble).nmant != 63, reason="no x87 long double: no table"
-    )
     def test_power_table_is_correctly_rounded(self):
-        powers, _ = cli._decimal_tables()
-        assert len(powers) == len(cli._EXPONENTS)
-        for e, power in zip(cli._EXPONENTS, powers):
-            exact = _round_to_64_bits(Fraction(10) ** (16 - e))
-            assert Fraction(*power.as_integer_ratio()) == exact, e
+        def nearest(value: Fraction, x: float) -> bool:
+            # no double lies closer to ``value`` than ``x``
+            neighbours = (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+            return all(abs(value - Fraction(x)) <= abs(value - Fraction(n)) for n in neighbours)
+
+        hi, lo, big, small = cli._decimal_tables()[0].T
+        assert len(hi) == len(cli._EXPONENTS)
+        assert np.array_equal(big + small, hi)
+        for e, h, r in zip(cli._EXPONENTS, hi.tolist(), lo.tolist()):
+            power = Fraction(10) ** (16 - e)
+            assert nearest(power, h) and nearest(power - Fraction(h), r), e
+            assert abs(power - Fraction(h) - Fraction(r)) <= power * Fraction(2) ** -106, e
+
+    def test_scaled_value_is_within_the_tie_window(self):
+        # `_decimal_rows` falls back to %.16e within 2^-47 of a half only;
+        # that rests on q + frac missing x 10^(16-e) by less than 2^-47
+        in_range = [
+            x for case in ("exact ties", "near powers of ten", "exponent edges")
+            for x in _FIXED_VALUES[case] if 1e-99 <= x < 1e100
+        ]
+        e, q, frac = cli._scaled(np.array(in_range))
+        for x, e, q, frac in zip(in_range, e.tolist(), q.tolist(), frac.tolist()):
+            assert 10**16 <= q <= 10**17 and 0.0 <= frac <= 1.0, x
+            exact = Fraction(x) * Fraction(10) ** (16 - e)
+            assert abs(q + Fraction(frac) - exact) < Fraction(2) ** -47, x

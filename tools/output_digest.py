@@ -21,9 +21,10 @@ benchmark workloads of `perfbench/workloads.py` at the default seed and at
 seeds 101-105, each subcommand at its defaults, a two-angle ``omega-scan``,
 ``oracle-check`` at the largest ``--max-level`` its default gammas fit in
 the size budget, a ``force-scan`` with one-sided stencils on both sides of
-integers and a ``threshold`` that finds no frozen onset.  A workload's
-``-o`` files go to a temporary directory, printed as ``$OUT`` so that the
-lines do not depend on where it is.
+integers, a ``threshold`` that finds no frozen onset, a ``coeffs`` longer
+than one chunk of rows and an ``omega-scan`` whose ratios hold exact decimal
+ties.  A workload's ``-o`` files go to a temporary directory, printed as
+``$OUT`` so that the lines do not depend on where it is.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ EXTRA = [
      "--step", "0.01"],
     # no frozen onset in the range: a nan row, exit 1
     ["spin", "threshold", "--ratio", "0.05:5"],
+    # an integer column over more than one chunk of rows
+    ["well", "coeffs", "--levels", "10000"],
+    # 139 ratios are exact 17-digit decimal ties, written by the exact fallback
+    ["spin", "omega-scan", "--ratio", "1e14:2e14", "--points", "1000"],
 ]
 
 
