@@ -523,16 +523,19 @@ def _ode_check(args):
 
 def _symmetry_check(args):
     rng = np.random.default_rng(args.seed)
+    low, high = spin.DEFAULT_RATIO_RANGE
     worst_sym = worst_cycle = 0.0
-    for _ in range(args.draws):
-        alpha = rng.uniform(0.0, math.pi)
-        ratio = rng.uniform(*spin.DEFAULT_RATIO_RANGE)
-        cfg = spin.RotorConfig.at_ratio(ratio, alpha=alpha)
-        t = rng.uniform(0.0, 1.0) * cfg.drive_period
-        # t and the period in one call; the branch gap is the one at t
-        p_upper, _, gap = spin.branch_symmetry_check(np.array([t, cfg.drive_period]), cfg)
-        worst_sym = max(worst_sym, gap[0])
-        worst_cycle = max(worst_cycle, abs(p_upper[1] - spin.return_probability_cycle(cfg)))
+    for start in range(0, args.draws, EMIT_CHUNK_ROWS):
+        # (alpha, ratio, t / period) per draw, scaled as Generator.uniform
+        # scales: the doubles of one uniform call per value, in that order
+        u = rng.random((min(EMIT_CHUNK_ROWS, args.draws - start), 3))
+        cfg = spin.RotorConfig.at_ratio(low + (high - low) * u[:, 1], alpha=math.pi * u[:, 0])
+        t = u[:, 2] * cfg.drive_period
+        p_upper = spin.return_probability(np.stack((t, cfg.drive_period)), spin.UPPER, cfg)
+        gap = np.abs(p_upper[0] - spin.return_probability(t, spin.LOWER, cfg))
+        worst_sym = max(worst_sym, gap.max())
+        cycle_gap = np.abs(p_upper[1] - spin.return_probability_cycle(cfg))
+        worst_cycle = max(worst_cycle, cycle_gap.max())
     failure = _gate("symmetry/cycle gap", max(worst_sym, worst_cycle), args.tol)
     return np.array([[args.draws, worst_sym, worst_cycle]]), failure
 

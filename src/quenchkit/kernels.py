@@ -181,15 +181,16 @@ def spin_rk4(alpha, omega, omega0, t_end, n_steps, up0, dn0, stride):
 def rabi_rate(omega, omega0, alpha):
     """Generalized precession rate sqrt(w^2 + w0^2 - 2 w w0 cos(alpha)), as
     sqrt((w - w0)^2 + 4 w w0 sin^2(alpha/2)): no cancellation, and >= |w - w0|
-    down to rounding.  ``omega`` may be an array."""
-    s = math.sin(0.5 * alpha)
+    down to rounding.  ``omega`` and ``alpha`` may be arrays that broadcast."""
+    s = np.sin(0.5 * alpha)
     d = omega - omega0
     return np.sqrt(d * d + 4.0 * omega * omega0 * s * s)
 
 
 def cycle_return_curve(ratios, alpha, out=None):
     """Return probability after one full drive cycle against x = omega/omega0,
-    written into ``out`` when it is given.
+    a 1-D array, at the cone angle ``alpha``, a float or an array of x's
+    shape; written into ``out`` when it is given.
 
     mu = `rabi_rate` (x, 1, alpha); the degenerate x = 1, alpha = 0
     (mu = 0) pins the state at probability 1.  The value is
@@ -205,7 +206,7 @@ def cycle_return_curve(ratios, alpha, out=None):
     mu[pinned] = 1.0
     phase = np.multiply(np.pi, mu)
     phase /= x
-    coef = np.multiply(x, math.cos(alpha))
+    coef = np.multiply(x, np.cos(alpha))
     np.subtract(1.0, coef, out=coef)
     coef /= mu
     del mu

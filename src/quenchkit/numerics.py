@@ -1,9 +1,9 @@
 """Quadrature, fixed-step ODE integration, and finite differences.
 
-These routines serve double duty: the finite-difference helper is production
-code (it realizes the force as the negative slope of the energy curve), while
-the quadrature and ODE integrators act as independent oracles for the closed
-forms implemented elsewhere in the package.  They are deliberately simple and
+These routines are independent oracles: the quadrature and ODE integrators
+check the closed forms implemented elsewhere in the package, and the central
+difference checks the force stencils of `quenchkit.well`, which evaluate all
+their points in one array call.  They are deliberately simple and
 reproducible -- fixed Gauss-Legendre rules and classical fixed-step RK4, no
 adaptive subdivision or step controllers -- so that a reimplementation in any
 language produces the same numbers.

@@ -46,7 +46,9 @@ RK4_STEPS_PER_PERIOD = 10_000
 
 @dataclass(frozen=True)
 class RotorConfig:
-    """Cone angle and drive frequency at the Larmor frequency `OMEGA0`.
+    """Cone angle and drive frequency at the Larmor frequency `OMEGA0`: one
+    configuration, or many when ``alpha`` and ``omega`` are arrays of one
+    broadcast shape.
 
     Defaults drive a 45-degree cone at the Larmor frequency.
     """
@@ -55,24 +57,18 @@ class RotorConfig:
     omega: float = OMEGA0  # rad/s, drive frequency
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be finite and positive, got {self.omega}")
+        omega, top = self.omega, kernels.MAX_RATIO
+        _refuse(np.isfinite(omega) & (omega > 0.0), omega,
+                "omega must be finite and positive, got {}")
         _check_alpha(self.alpha)
+        np.broadcast_shapes(np.shape(self.alpha), np.shape(omega))  # or ValueError
         # kernels.rabi_rate squares the frequencies, which overflow past
         # sqrt(DBL_MAX); below 1 / MAX_RATIO a ratio leaves the range of a
         # double.  A ratio within the bounds keeps omega above 1e-150 rad/s.
-        top = kernels.MAX_RATIO
-        ratio = self.omega / OMEGA0
-        if not ratio <= top:
-            raise ValueError(
-                f"drive ratio omega / omega0 must be at most {top:g}, got {ratio:g}"
-            )
-        if not ratio >= 1.0 / top:
-            raise ValueError(
-                f"drive ratio omega / omega0 must be at least {1.0 / top:g}, got {ratio:g}"
-            )
-        if not self.omega <= top:
-            raise ValueError(f"omega must be at most {top:g} rad/s, got {self.omega:g}")
+        ratio, must = omega / OMEGA0, "drive ratio omega / omega0 must be"
+        _refuse(ratio <= top, ratio, f"{must} at most {top:g}, got {{:g}}")
+        _refuse(ratio >= 1.0 / top, ratio, f"{must} at least {1.0 / top:g}, got {{:g}}")
+        _refuse(omega <= top, omega, f"omega must be at most {top:g} rad/s, got {{:g}}")
 
     @property
     def omega0(self) -> float:
@@ -80,23 +76,30 @@ class RotorConfig:
         return OMEGA0
 
     @property
-    def rabi_lambda(self) -> float:
-        """Generalized precession rate sqrt(w^2 + w0^2 - 2 w w0 cos(alpha))."""
-        return float(kernels.rabi_rate(self.omega, self.omega0, self.alpha))
+    def rabi_lambda(self):
+        """Generalized precession rate sqrt(w^2 + w0^2 - 2 w w0 cos(alpha)):
+        a float for one configuration, an array for many."""
+        lam = kernels.rabi_rate(self.omega, self.omega0, self.alpha)
+        return float(lam) if np.ndim(lam) == 0 else lam
 
     @property
-    def drive_period(self) -> float:
+    def drive_period(self):
         return 2.0 * math.pi / self.omega
 
     @classmethod
-    def at_ratio(cls, ratio: float, alpha: float = math.pi / 4) -> "RotorConfig":
+    def at_ratio(cls, ratio, alpha=math.pi / 4) -> "RotorConfig":
         """Config with the drive at ``ratio`` times the Larmor frequency."""
         return cls(alpha=alpha, omega=ratio * OMEGA0)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= math.pi:
-        raise ValueError(f"alpha must lie in [0, pi], got {alpha}")
+def _refuse(ok, values, message: str) -> None:
+    # ValueError(message) naming the first of ``values`` where ``ok`` fails
+    if not np.all(ok):
+        raise ValueError(message.format(float(np.asarray(values).flat[np.argmin(ok)])))
+
+
+def _check_alpha(alpha) -> None:
+    _refuse((0.0 <= alpha) & (alpha <= math.pi), alpha, "alpha must lie in [0, pi], got {}")
 
 
 def hamiltonian(t: float, cfg: RotorConfig) -> np.ndarray:
@@ -126,13 +129,15 @@ def instantaneous_eigenstates(
     return upper, lower, e, -e
 
 
-def _check_time(t, rate: float = 0.0) -> np.ndarray:
-    """``t`` as a float array, once every element is finite and non-negative
-    and, for a ``rate`` in rad/s, keeps the phase ``rate * t`` finite."""
-    t = np.asarray(t, dtype=float)
-    ok = (t >= 0.0) & (t < (sys.float_info.max / rate if rate else math.inf))
-    if np.count_nonzero(ok) < ok.size:
-        bad = t[~ok][0]
+def _check_time(t, rate=0.0) -> np.ndarray:
+    """``t`` as a float array broadcast against ``rate``, once every element
+    is finite and non-negative and, for a ``rate`` in rad/s, keeps the phase
+    ``rate * t`` finite."""
+    t, rate = np.broadcast_arrays(np.asarray(t, dtype=float), rate)
+    with np.errstate(divide="ignore"):  # no rate: no bound
+        ok = (t >= 0.0) & (t < sys.float_info.max / rate)
+    if not ok.all():
+        bad, rate = t.flat[np.argmin(ok)], rate.flat[np.argmin(ok)]
         if 0.0 <= bad < math.inf:
             raise ValueError(f"t = {bad:g} s overflows the phase {rate:g} rad/s * t")
         raise ValueError(f"t must be finite and non-negative, got {bad}")
@@ -141,19 +146,20 @@ def _check_time(t, rate: float = 0.0) -> np.ndarray:
 
 def _branch_terms(branches, cfg: RotorConfig) -> np.ndarray:
     """For each of ``branches``, its eigenstate a at t = 0, which is real, and
-    the h of `_closed_form`: shape ``(2, len(branches), 2)``."""
-    w, w0 = cfg.omega, cfg.omega0
-    ch, sh = math.cos(0.5 * cfg.alpha), math.sin(0.5 * cfg.alpha)
+    the h of `_closed_form`: shape ``(2,) + cfg's shape + (len(branches), 2)``."""
+    w0, half = cfg.omega0, 0.5 * cfg.alpha
+    w, ch, sh = np.broadcast_arrays(cfg.omega, np.cos(half), np.sin(half))
     terms = {UPPER: ((ch, sh), (w - w0, -(w0 + w))), LOWER: ((sh, -ch), (w0 + w, w0 - w))}
     unknown = [b for b in branches if b not in terms]
     if unknown:
         raise ValueError(f"branch must be '{UPPER}' or '{LOWER}', got {unknown[0]!r}")
-    return np.array([terms[b] for b in branches]).transpose(1, 0, 2)
+    return np.moveaxis(np.array([terms[b] for b in branches]), (0, 2), (-2, -1))
 
 
 def _closed_form(t, branches, cfg: RotorConfig):
     """The exact states at ``t`` from the eigenstates a of ``branches``, shape
-    ``np.shape(t) + (len(branches), 2)``, and the a, which are real.
+    ``np.shape(t)`` broadcast against cfg's shape ``+ (len(branches), 2)``,
+    and the a, which are real.
 
     In the frame rotating with the drive the state is (c - i s K) a, with
     c = cos(lam t/2), s = sin(lam t/2)/lam and K a = -h a componentwise for K
@@ -162,14 +168,15 @@ def _closed_form(t, branches, cfg: RotorConfig):
     rounds as the complex form does, down to the phases 0.5 (lam t) and
     (0.5 w) t; numpy's complex multiply may round differently.
     """
-    w, lam = cfg.omega, cfg.rabi_lambda
-    t = _check_time(t, max(w, lam))[..., None, None]
+    w = np.asarray(cfg.omega, dtype=float)
+    lam = np.asarray(cfg.rabi_lambda)
+    t = _check_time(t, np.maximum(w, lam))[..., None, None]
     a, h = _branch_terms(branches, cfg)
-    phase = t * np.array([lam, 0.5 * w]) * np.array([0.5, 1.0])
-    cos, sin = np.cos(phase), np.sin(phase)
-    c, cr, sr = cos[..., :1], cos[..., 1:], sin[..., 1:] * np.array([-1.0, 1.0])
+    w, lam = w[..., None, None], lam[..., None, None]
+    half, turn = t * lam * 0.5, t * (0.5 * w)
+    c, cr, sr = np.cos(half), np.cos(turn), np.sin(turn) * np.array([-1.0, 1.0])
     # sin(lam t/2)/lam, whose only 0/0 is lam == 0 (alpha = 0 at resonance)
-    s = 0.5 * t if lam == 0.0 else sin[..., :1] / lam
+    s = np.where(lam == 0.0, 0.5 * t, np.sin(half) / np.where(lam == 0.0, 1.0, lam))
     p, q = c * a, s * h * a
     psi = np.empty(p.shape, complex)
     psi.real, psi.imag = p * cr - q * sr, p * sr + q * cr
@@ -229,35 +236,25 @@ def ode_trajectory(
     return times, states, drift
 
 
-def _return_probabilities(t, branches, cfg: RotorConfig) -> np.ndarray:
-    # |<a|psi(t)>|^2 for each branch on the last axis, squared by pow like
-    # abs(z) ** 2 of a Python complex (x * x differs in ~0.1% of last bits)
-    psi, a = _closed_form(t, branches, cfg)
-    re, im = psi.real * a, psi.imag * a
-    return np.float_power(np.hypot(re[..., 0] + re[..., 1], im[..., 0] + im[..., 1]), 2.0)
-
-
 def return_probability(t, branch: str, cfg: RotorConfig):
     """Probability of finding the evolved state back in its initial
-    eigenstate: a float for a float ``t``, an array for an array ``t``."""
-    p = _return_probabilities(t, [branch], cfg)[..., 0]
+    eigenstate: a float for a float ``t`` and one configuration, else an
+    array."""
+    # |<a|psi(t)>|^2, squared by pow like abs(z) ** 2 of a Python complex
+    # (x * x differs in ~0.1% of last bits)
+    psi, a = _closed_form(t, [branch], cfg)
+    re, im = (psi.real * a)[..., 0, :], (psi.imag * a)[..., 0, :]
+    p = np.float_power(np.hypot(re[..., 0] + re[..., 1], im[..., 0] + im[..., 1]), 2.0)
     return float(p) if p.ndim == 0 else p
 
 
-def return_probability_cycle(cfg: RotorConfig) -> float:
+def return_probability_cycle(cfg: RotorConfig):
     """Return probability after exactly one drive cycle, as a closed form in
-    the drive ratio ``cfg.omega / cfg.omega0``."""
-    ratio = np.array([cfg.omega / cfg.omega0])
-    return float(kernels.cycle_return_curve(ratio, cfg.alpha)[0])
-
-
-def branch_symmetry_check(t, cfg: RotorConfig):
-    """Return probabilities of both branches at time ``t`` and their gap,
-    which measures only rounding: floats for a float ``t``, arrays for an
-    array ``t``."""
-    p = _return_probabilities(t, [UPPER, LOWER], cfg)
-    p = (p[..., 0], p[..., 1], abs(p[..., 0] - p[..., 1]))
-    return tuple(map(float, p)) if p[2].ndim == 0 else p
+    the drive ratio ``cfg.omega / cfg.omega0``: a float for one
+    configuration, an array of cfg's shape for many."""
+    ratio, alpha = np.broadcast_arrays(np.divide(cfg.omega, cfg.omega0), cfg.alpha)
+    rho = kernels.cycle_return_curve(ratio.ravel(), alpha.ravel()).reshape(ratio.shape)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def omega_scan(
@@ -277,9 +274,8 @@ def omega_scan(
         )
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=float)).tolist()
-    for alpha in alphas:
-        _check_alpha(alpha)
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    _check_alpha(alphas)
     ratios = np.linspace(ratio_min, ratio_max, points)
     rho = np.empty((len(alphas), points))
     for curve, alpha in zip(rho, alphas):

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from quenchkit import kernels
-from quenchkit.numerics import central_difference, integrate
+# central_difference is the force stencils' test oracle, imported here only
+# because perfbench/tracer.py wraps `well.central_difference` by that name
+from quenchkit.numerics import central_difference, integrate  # noqa: F401
 
 DEFAULT_LEVELS = 10
 DEFAULT_FORCE_STEP = 1e-4
@@ -262,38 +264,34 @@ def quench_energy(gamma: float, n_levels: int = DEFAULT_LEVELS) -> tuple[float, 
 
 
 def _forces(gammas: np.ndarray, n_levels: int, step: float):
-    # `force_scan`'s energy and force columns at ``gammas``, every stencil as
-    # arrays; the energies first, so a gamma out of their domain is named
-    # before the step is checked
+    # `force_scan`'s energy and force columns at ``gammas``: the energies,
+    # then every stencil point in one more call.  The energies come first,
+    # so a gamma out of their domain is named before the step is checked.
     energy = _energies(gammas, n_levels)[0]
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step}")
     if not (gammas - step > 0.0).all():
         g = gammas[np.argmin(gammas - step > 0.0)]
         raise ValueError(f"gamma - step must stay positive, got gamma={g}, step={step}")
     # Above about 2^19 at step 1e-4 the doubles next to gamma are too coarse
     # for the step: the stencil's differences are rounding, not slope.
     coarse = np.spacing(gammas + 2.0 * step) > 1e-6 * step
-    if step > 0.0 and coarse.any():
+    if coarse.any():
         raise ValueError(
             f"the force stencil cannot resolve step {step} at gamma = "
             f"{gammas[np.argmax(coarse)]}: the doubles there are over 1e-6 step apart"
         )
-
-    def at(x):
-        return _energies(x, n_levels)[0]
-
+    # Within 2 step of an integer k >= 1 the stencil is second-order one-sided
+    # and points away from k: h = -step below it and +step above (rounding is
+    # symmetric in sign, so one formula serves both), with its far point at
+    # gamma + 2h.  Elsewhere it is central: h = step, far point gamma - step.
     k = np.floor(gammas + 0.5)
     one_sided = (k >= 1.0) & (np.abs(gammas - k) < 2.0 * step)
-    slope = np.empty(len(gammas))
-    central = ~one_sided
-    if central.any():
-        slope[central] = central_difference(at, gammas[central], step)
-    # second order, pointing away from the integer: h = -step below it and
-    # +step above (rounding is symmetric in sign, so one formula serves both)
-    g = gammas[one_sided]
-    h = np.where(g < k[one_sided], -step, step)
-    slope[one_sided] = (-3.0 * energy[one_sided] + 4.0 * at(g + h) - at(g + 2.0 * h)) / (
-        2.0 * h
-    )
+    h = np.where(one_sided & (gammas < k), -step, step)
+    far = np.where(one_sided, gammas + 2.0 * h, gammas - step)
+    near, far = np.split(_energies(np.concatenate((gammas + h, far)), n_levels)[0], 2)
+    slope = np.where(one_sided, (-3.0 * energy + 4.0 * near - far) / (2.0 * h),
+                     (near - far) / (2.0 * step))
     return energy, -slope
 
 

@@ -174,8 +174,10 @@ def test_criterion_09_cycle_consistency_and_branch_symmetry():
             ),
         )
         t = rng.uniform(0.0, 1.0) * cfg.drive_period
-        _, _, gap = spin.branch_symmetry_check(t, cfg)
-        worst_branch = max(worst_branch, gap)
+        gap = spin.return_probability(t, spin.UPPER, cfg) - spin.return_probability(
+            t, spin.LOWER, cfg
+        )
+        worst_branch = max(worst_branch, abs(gap))
     check(9, "cycle consistency and branch symmetry hold to 1e-12 over 1000 draws",
           worst_cycle <= 1e-12 and worst_branch <= 1e-12,
           f"cycle = {worst_cycle:.2e}; branch = {worst_branch:.2e}")

@@ -219,6 +219,10 @@ class TestExitCodes:
              "in [1e+50, 1e+150]"),
             (["well", "force-scan", "--gamma", "0.5:2", "--points", "11", "--step", "0.3"],
              "got -0.09999999999999998"),
+            # a step of zero or below must not reach the stencil, where it
+            # makes nan rows with exit 0
+            (["well", "force-scan", "--step", "0"], "step must be positive, got 0.0"),
+            (["well", "force-scan", "--step=-1e-4"], "step must be positive, got -0.0001"),
             # the doubles there are 1.2e-4 apart, above the step 1e-4: the
             # stencil read rounding and wrote F = 1.76e-34 for about 1.32e-34
             (["well", "force-scan", "--gamma", "1000000000000.5:1000000000001.5",
@@ -546,6 +550,35 @@ class TestSpinCommands:
         assert lines[0] == "draws,max_branch_gap,max_cycle_gap"
         _, sym, cyc = lines[1].split(",")
         assert float(sym) <= 1e-12 and float(cyc) <= 1e-12
+
+    @staticmethod
+    def per_draw_symmetry_check(draws, seed):
+        """The reference for the array draws: per draw, three `uniform`
+        calls and the closed forms at one configuration."""
+        rng = np.random.default_rng(seed)
+        worst_sym = worst_cycle = 0.0
+        for _ in range(draws):
+            alpha = rng.uniform(0.0, math.pi)
+            cfg = spin.RotorConfig.at_ratio(rng.uniform(*spin.DEFAULT_RATIO_RANGE), alpha=alpha)
+            t = rng.uniform(0.0, 1.0) * cfg.drive_period
+            upper = spin.return_probability(t, spin.UPPER, cfg)
+            worst_sym = max(worst_sym, abs(upper - spin.return_probability(t, spin.LOWER, cfg)))
+            cycle = spin.return_probability(cfg.drive_period, spin.UPPER, cfg)
+            worst_cycle = max(worst_cycle, abs(cycle - spin.return_probability_cycle(cfg)))
+        return [float(draws), worst_sym, worst_cycle]
+
+    @pytest.mark.parametrize(
+        "draws, seed",
+        [(1000, 20260810), (1000, 1), (1000, 7), (1000, 1211412377), (300, 99),
+         (cli.EMIT_CHUNK_ROWS + 1, 3)],
+    )
+    def test_symmetry_check_draws_as_arrays_give_the_per_draw_doubles(self, draws, seed):
+        args = cli.build_parser().parse_args(
+            ["spin", "symmetry-check", "--draws", str(draws), "--seed", str(seed)]
+        )
+        rows, failure = args.run(args)
+        assert failure is None
+        assert rows.tolist() == [self.per_draw_symmetry_check(draws, seed)]
 
 
 # Edge values for every real, angle, list and range flag of the spin and well

@@ -11,10 +11,10 @@ from quenchkit.numerics import ode_evolve
 from quenchkit.spin import (
     HBAR,
     LOWER,
+    OMEGA0,
     UPPER,
     RotorConfig,
     anti_adiabatic_threshold,
-    branch_symmetry_check,
     evolve_closed_form,
     hamiltonian,
     instantaneous_eigenstates,
@@ -33,6 +33,11 @@ phases = st.floats(0.0, 1.0)
 
 def cfg_at(ratio, alpha):
     return RotorConfig.at_ratio(ratio, alpha=alpha)
+
+
+def branch_gap(t, cfg):
+    """|upper - lower| return probability at ``t``: rounding only."""
+    return abs(return_probability(t, UPPER, cfg) - return_probability(t, LOWER, cfg))
 
 
 class TestConfig:
@@ -61,6 +66,34 @@ class TestConfig:
         message = f"{name} must be finite and positive, got {value}"
         with pytest.raises(ValueError, match=message):
             RotorConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"omega": [1.0, -2.0, math.nan]}, "omega must be finite and positive, got -2.0"),
+            ({"omega": [1.0, math.nan, -2.0]}, "omega must be finite and positive, got nan"),
+            ({"alpha": [0.5, math.pi, 4.0, -1.0]}, r"alpha must lie in \[0, pi\], got 4.0"),
+            ({"ratio": [1.0, 1e160, 1e200]},
+             r"drive ratio omega / omega0 must be at most 1e\+150, got 1e\+160"),
+            ({"ratio": [[1.0], [1e-310]]},
+             "drive ratio omega / omega0 must be at least 1e-150, got 1e-310"),
+            ({"ratio": [1.0, 2e145, 1e145]},
+             r"omega must be at most 1e\+150 rad/s, got 3.44\d*e\+156"),
+        ],
+    )
+    def test_arrays_name_their_first_bad_element(self, kwargs, message):
+        kwargs = {k: np.array(v) for k, v in kwargs.items()}
+        make = RotorConfig.at_ratio if "ratio" in kwargs else RotorConfig
+        with pytest.raises(ValueError, match=message):
+            make(**kwargs)
+
+    def test_array_fields_broadcast_and_keep_float_fields_float(self):
+        cfg = RotorConfig.at_ratio(np.array([0.5, 1.0, 2.0]), alpha=np.array([[0.1], [0.2]]))
+        assert cfg.rabi_lambda.shape == (2, 3) and cfg.drive_period.shape == (3,)
+        one = cfg_at(1.3, 0.4)
+        assert type(one.rabi_lambda) is float and type(one.drive_period) is float
+        with pytest.raises(ValueError, match="shape mismatch"):
+            RotorConfig(alpha=np.array([0.1, 0.2]), omega=np.full(3, OMEGA0))
 
     def test_at_ratio_rejects_infinite_ratio(self):
         with pytest.raises(ValueError, match="omega must be finite and positive, got inf"):
@@ -293,9 +326,9 @@ class TestClosedFormOnArrays:
         t[0, 0] = 0.0
         psi = evolve_closed_form(t, branch, cfg)
         rho = return_probability(t, branch, cfg)
-        sym = branch_symmetry_check(t, cfg)
+        gap = branch_gap(t, cfg)
         assert psi.shape == (3, 4, 2) and psi.dtype == complex
-        assert rho.shape == (3, 4) and all(v.shape == (3, 4) for v in sym)
+        assert rho.shape == (3, 4) and gap.shape == (3, 4)
         scalar = [float(x) for x in t.ravel()]
         np.testing.assert_array_equal(
             bits(psi.reshape(-1, 2)),
@@ -304,8 +337,9 @@ class TestClosedFormOnArrays:
         np.testing.assert_array_equal(
             bits(rho.ravel()), bits([return_probability(x, branch, cfg) for x in scalar])
         )
-        for got, want in zip(sym, zip(*(branch_symmetry_check(x, cfg) for x in scalar))):
-            np.testing.assert_array_equal(bits(got.ravel()), bits(want))
+        np.testing.assert_array_equal(
+            bits(gap.ravel()), bits([branch_gap(x, cfg) for x in scalar])
+        )
 
     @settings(max_examples=200, deadline=None)
     @given(alpha=angles, ratio=ratios, frac=st.floats(0.0, 3.0),
@@ -319,11 +353,39 @@ class TestClosedFormOnArrays:
         overlap = up.conjugate() * a0 + down.conjugate() * a1
         assert return_probability(t, branch, cfg) == abs(overlap) ** 2
 
+    @pytest.mark.parametrize("branch", [UPPER, LOWER])
+    def test_array_configs_give_the_scalar_values_bit_for_bit(self, branch):
+        # one configuration per draw, each at its own t and at (t, period)
+        # broadcast over a leading axis; alpha = 0 at ratio 1 has lam == 0
+        rng = np.random.default_rng(5)
+        alpha = np.append(rng.uniform(0.0, math.pi, 40), [0.0, math.pi])
+        ratio = np.append(rng.uniform(0.05, 20.0, 40), [1.0, 0.3])
+        cfg = RotorConfig.at_ratio(ratio, alpha=alpha)
+        t = rng.uniform(0.0, 3.0, 42) * cfg.drive_period
+        both = np.stack((t, cfg.drive_period))
+        psi, rho = evolve_closed_form(t, branch, cfg), return_probability(both, branch, cfg)
+        assert psi.shape == (42, 2) and rho.shape == (2, 42)
+        configs = [cfg_at(r, a) for r, a in zip(ratio.tolist(), alpha.tolist())]
+        np.testing.assert_array_equal(
+            bits(psi), bits([evolve_closed_form(x, branch, c) for x, c in zip(t, configs)])
+        )
+        np.testing.assert_array_equal(bits(rho), bits([
+            [return_probability(x, branch, c) for x, c in zip(row, configs)] for row in both
+        ]))
+
+    def test_array_configs_check_each_time(self):
+        cfg = RotorConfig.at_ratio(np.array([1.0, 1e10]), alpha=0.5)
+        message = r"t = 1e\+290 s overflows the phase 1.72\d+e\+21 rad/s \* t"
+        with pytest.raises(ValueError, match=message):
+            return_probability(np.array([1e290, 1e290]), UPPER, cfg)
+        with pytest.raises(ValueError, match="t must be finite and non-negative, got -1.0"):
+            return_probability(np.array([[0.0, 1.0], [2.0, -1.0]]), LOWER, cfg)
+
     def test_float_t_gives_floats_and_one_state(self):
         cfg = cfg_at(1.3, 0.4)
         assert evolve_closed_form(0.3 * cfg.drive_period, UPPER, cfg).shape == (2,)
         assert type(return_probability(0.3 * cfg.drive_period, UPPER, cfg)) is float
-        assert all(type(v) is float for v in branch_symmetry_check(1e-12, cfg))
+        assert type(branch_gap(1e-12, cfg)) is float
         assert evolve_closed_form(np.empty(0), LOWER, cfg).shape == (0, 2)
 
     @pytest.mark.parametrize(
@@ -331,9 +393,9 @@ class TestClosedFormOnArrays:
         [
             lambda t, cfg: evolve_closed_form(t, UPPER, cfg),
             lambda t, cfg: return_probability(t, LOWER, cfg),
-            branch_symmetry_check,
+            branch_gap,
         ],
-        ids=["evolve_closed_form", "return_probability", "branch_symmetry_check"],
+        ids=["evolve_closed_form", "return_probability", "branch_symmetry_gap"],
     )
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
     def test_time_must_be_finite_and_non_negative(self, call, t):
@@ -391,6 +453,25 @@ class TestCycleProbability:
         assert value == pytest.approx(RHO_CYCLE_RESONANT, abs=1e-12)
         assert value == pytest.approx(0.6149, abs=1e-3)
 
+    def test_array_config_gives_the_scalar_values_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        alpha = np.append(rng.uniform(0.0, math.pi, 300), [0.0, math.pi / 4])
+        ratio = np.append(rng.uniform(0.05, 20.0, 300), [1.0, 1.0])
+        rho = return_probability_cycle(RotorConfig.at_ratio(ratio, alpha=alpha))
+        assert rho.shape == (302,) and rho[-2] == 1.0
+        want = [return_probability_cycle(cfg_at(r, a)) for r, a in zip(ratio, alpha)]
+        np.testing.assert_array_equal(bits(rho), bits(want))
+        # one angle against many ratios, and a 2-D grid of both
+        np.testing.assert_array_equal(
+            bits(return_probability_cycle(RotorConfig.at_ratio(ratio, alpha=0.7))),
+            bits([return_probability_cycle(cfg_at(r, 0.7)) for r in ratio]),
+        )
+        grid = return_probability_cycle(
+            RotorConfig.at_ratio(ratio[:5], alpha=alpha[:3, None])
+        )
+        assert grid.shape == (3, 5)
+        assert grid[2, 4] == return_probability_cycle(cfg_at(ratio[4], alpha[2]))
+
     def test_fast_drive_nearly_frozen(self):
         cfg = RotorConfig.at_ratio(15.0, alpha=math.pi / 4)
         assert return_probability_cycle(cfg) >= 0.98
@@ -406,19 +487,18 @@ class TestCycleProbability:
 
 class TestBranchSymmetry:
     def test_t0(self):
-        assert branch_symmetry_check(0.0, cfg_at(1.0, math.pi / 4)) == (1.0, 1.0, 0.0)
+        cfg = cfg_at(1.0, math.pi / 4)
+        assert return_probability(0.0, UPPER, cfg) == return_probability(0.0, LOWER, cfg) == 1.0
 
     def test_resonant_half_cycle(self):
         cfg = cfg_at(1.0, math.pi / 4)
-        _, _, gap = branch_symmetry_check(0.5 * cfg.drive_period, cfg)
-        assert gap <= 1e-12
+        assert branch_gap(0.5 * cfg.drive_period, cfg) <= 1e-12
 
     @settings(max_examples=80, deadline=None)
     @given(alpha=angles, ratio=ratios, frac=phases)
     def test_random_draws(self, alpha, ratio, frac):
         cfg = cfg_at(ratio, alpha)
-        _, _, gap = branch_symmetry_check(frac * cfg.drive_period, cfg)
-        assert gap <= 1e-12
+        assert branch_gap(frac * cfg.drive_period, cfg) <= 1e-12
 
 
 class TestOmegaScan:

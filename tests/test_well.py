@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quenchkit import well
-from quenchkit.numerics import integrate
+from quenchkit.numerics import central_difference, integrate
 from quenchkit.well import (
     WellConfig,
     decompose,
@@ -554,6 +554,20 @@ class TestScans:
         for rows in scans:
             np.testing.assert_array_equal(rows[0], whole[0])
             np.testing.assert_array_equal(rows[1], whole[1])
+
+    @pytest.mark.parametrize("step", [0.01, 0.006])
+    def test_central_rows_equal_the_central_difference_oracle(self, step, monkeypatch):
+        # the energy column, then every stencil point in one more call
+        calls = []
+        energies = well._energies
+        monkeypatch.setattr(well, "_energies", lambda g, n: calls.append(len(g)) or energies(g, n))
+        gamma, _, force = force_scan(0.5, 4.5, 401, 12, step=step).T
+        assert calls == [len(gamma), 2 * len(gamma)]
+        k = np.floor(gamma + 0.5)
+        central = (k < 1.0) | (np.abs(gamma - k) >= 2.0 * step)
+        assert 0 < central.sum() < len(gamma)
+        slope = central_difference(lambda x: energies(x, 12)[0], gamma[central], step)
+        np.testing.assert_array_equal(force[central], -slope)
 
     def test_scans_equal_the_per_point_path_bitwise(self):
         # 0.01 spacing puts grid points within 2 * step of every integer, so

@@ -22,8 +22,10 @@ seeds 101-105, each subcommand at its defaults, a two-angle ``omega-scan``,
 ``oracle-check`` at the largest ``--max-level`` its default gammas fit in
 the size budget, a ``force-scan`` with one-sided stencils on both sides of
 integers, a ``threshold`` that finds no frozen onset, a ``coeffs`` longer
-than one chunk of rows and an ``omega-scan`` whose ratios hold exact decimal
-ties.  A workload's ``-o`` files go to a temporary directory, printed as
+than one chunk of rows, an ``omega-scan`` whose ratios hold exact decimal
+ties, and two ``symmetry-check`` runs whose draws span many blocks
+(``--draws 100000 --seed 7``) and end one draw past a block edge
+(``--draws 4097``).  A workload's ``-o`` files go to a temporary directory, printed as
 ``$OUT`` so that the lines do not depend on where it is.
 """
 
@@ -62,6 +64,9 @@ EXTRA = [
     ["well", "coeffs", "--levels", "10000"],
     # 139 ratios are exact 17-digit decimal ties, written by the exact fallback
     ["spin", "omega-scan", "--ratio", "1e14:2e14", "--points", "1000"],
+    # draws in 25 blocks of EMIT_CHUNK_ROWS, and one draw past a block edge
+    ["spin", "symmetry-check", "--draws", "100000", "--seed", "7"],
+    ["spin", "symmetry-check", "--draws", "4097"],
 ]
 
 
