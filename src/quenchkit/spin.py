@@ -102,6 +102,12 @@ def _check_alpha(alpha) -> None:
     _refuse((0.0 <= alpha) & (alpha <= math.pi), alpha, "alpha must lie in [0, pi], got {}")
 
 
+def _check_single(cfg: RotorConfig, name: str) -> None:
+    shape = np.broadcast_shapes(np.shape(cfg.alpha), np.shape(cfg.omega))
+    if shape:
+        raise ValueError(f"{name} takes one configuration, got an array of shape {shape}")
+
+
 def hamiltonian(t: float, cfg: RotorConfig) -> np.ndarray:
     """2x2 Hamiltonian at time ``t``, in joules.
 
@@ -110,6 +116,7 @@ def hamiltonian(t: float, cfg: RotorConfig) -> np.ndarray:
     matrices.  It is i hbar A(t) for the generator A of the RK4 oracle,
     y' = A(t) y, so the two share one matrix.
     """
+    _check_single(cfg, "hamiltonian")
     a00, a01, a10, a11 = kernels._spin_generator(t, cfg.alpha, cfg.omega, cfg.omega0)
     return 1j * HBAR * np.array([[a00, a01], [a10, a11]], dtype=complex)
 
@@ -122,6 +129,7 @@ def instantaneous_eigenstates(
     `_branch_terms` with the field's phase e^{i omega t} on the down
     component of the upper one and e^{-i omega t} on the up component of the
     lower one."""
+    _check_single(cfg, "instantaneous_eigenstates")
     phase = complex(math.cos(cfg.omega * t), math.sin(cfg.omega * t))
     turn = np.array([[1.0, phase], [phase.conjugate(), 1.0]])
     upper, lower = _branch_terms([UPPER, LOWER], cfg)[0] * turn
@@ -202,6 +210,7 @@ def ode_trajectory(
 
     Returns (times, states, norm_drift).
     """
+    _check_single(cfg, "ode_trajectory")
     _check_time(t)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

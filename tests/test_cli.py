@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import functools
+import gc
 import io
 import math
 import os
@@ -839,6 +840,41 @@ class TestWriteTable:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
         assert proc.stderr == b""
         assert proc.stdout == f"{seen} False\n".encode()
+
+    def test_cli_imports_with_the_collector_off_then_frozen(self):
+        # a stand-in CLI, found by a meta-path finder, records the collector
+        # while its module body runs and again when `run` calls its main
+        code = (
+            "import gc, importlib.abc, importlib.util, sys\n"
+            "from quenchkit import __main__ as entry\n"
+            "class StandIn(importlib.abc.MetaPathFinder, importlib.abc.Loader):\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        if name == 'quenchkit.cli':\n"
+            "            return importlib.util.spec_from_loader(name, self)\n"
+            "    def exec_module(self, module):\n"
+            "        seen = gc.isenabled()\n"
+            "        module.main = lambda: print(seen, gc.isenabled(), gc.get_freeze_count() > 0)\n"
+            "sys.meta_path.insert(0, StandIn())\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n"
+            "entry.run()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert proc.stderr == b""
+        assert proc.returncode == 0
+        assert proc.stdout == b"True 0\nFalse True True\n"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_cli_main_leaves_the_collector_as_it_found_it(self, enabled):
+        # only the entry point freezes: tests and tools call main in process
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            frozen = gc.get_freeze_count()
+            assert cli.main(["well", "coeffs", "--levels", "3", "-o", os.devnull]) == 0
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            gc.enable() if was else gc.disable()
 
     def test_closed_stdout_pipe_ends_quietly(self):
         # `quenchkit ... | head -1`: once the reader is gone the writer stops

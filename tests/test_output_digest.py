@@ -3,6 +3,7 @@ its digests do not depend on the sink a command writes to."""
 
 import argparse
 import importlib.util
+import shutil
 from pathlib import Path
 
 from quenchkit import cli
@@ -42,3 +43,12 @@ def _subcommands(parser, prefix=()):
 def test_defaults_name_every_subcommand():
     registered = sorted(_subcommands(cli.build_parser()))
     assert sorted(output_digest.DEFAULTS) == registered
+
+
+def test_digest_leaves_no_bytecode(tmp_path, monkeypatch):
+    # a tree digested for a before/after timing must stay as clean as the other
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    code, _, _ = output_digest.digest(["well", "coeffs", "--levels", "3"], None, tmp_path / "src")
+    assert code == 0
+    assert list(tmp_path.rglob("__pycache__")) == []

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -380,6 +381,29 @@ class TestClosedFormOnArrays:
             return_probability(np.array([1e290, 1e290]), UPPER, cfg)
         with pytest.raises(ValueError, match="t must be finite and non-negative, got -1.0"):
             return_probability(np.array([[0.0, 1.0], [2.0, -1.0]]), LOWER, cfg)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("ode_trajectory", lambda cfg: spin.ode_trajectory(1e-12, UPPER, cfg)),
+            ("instantaneous_eigenstates", lambda cfg: instantaneous_eigenstates(0.0, cfg)),
+            ("hamiltonian", lambda cfg: hamiltonian(0.0, cfg)),
+        ],
+        ids=["ode_trajectory", "instantaneous_eigenstates", "hamiltonian"],
+    )
+    @pytest.mark.parametrize(
+        "cfg, shape",
+        [
+            (RotorConfig.at_ratio(np.array([1.0, 2.0])), (2,)),
+            (RotorConfig(alpha=np.array([[0.1], [0.2]]), omega=np.full(3, OMEGA0)), (2, 3)),
+        ],
+        ids=["ratios", "grid"],
+    )
+    def test_one_configuration_functions_refuse_arrays(self, name, call, cfg, shape):
+        # numpy's own errors named neither the function nor the shape
+        message = f"{name} takes one configuration, got an array of shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(cfg)
 
     def test_float_t_gives_floats_and_one_state(self):
         cfg = cfg_at(1.3, 0.4)

@@ -27,6 +27,10 @@ ties, and two ``symmetry-check`` runs whose draws span many blocks
 (``--draws 100000 --seed 7``) and end one draw past a block edge
 (``--draws 4097``).  A workload's ``-o`` files go to a temporary directory, printed as
 ``$OUT`` so that the lines do not depend on where it is.
+
+Every command runs with ``PYTHONDONTWRITEBYTECODE=1``, whatever the caller's
+environment, so a digest never leaves ``__pycache__`` bytecode in the tree it
+runs, which would make that tree start faster than a clean one.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ def commands(out_dir: str) -> list[tuple[list[str], str | None]]:
 
 def digest(argv: list[str], output: str | None, src: Path) -> tuple[int, str, str]:
     """Exit code and sha256 of the output and of stderr of one command."""
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     child = subprocess.run([sys.executable, "-m", "quenchkit", *argv], env=env,
                            capture_output=True, check=False)
     stdout = child.stdout
