@@ -160,10 +160,11 @@ def write_table(header: list[str], blocks, output: str | None, integers: int = 0
 
     ``blocks`` is a 2-D float64 array or an iterable of them (blocks of rows,
     such as one per curve).  The first ``integers`` columns hold integers
-    within +-2^53 and are written ``%d``; the rest ``%.16e`` (17 significant
-    digits).  The table is formatted in chunks of `EMIT_CHUNK_ROWS` rows, so
-    an iterator of blocks is never held whole.  Each chunk goes through
-    `_decimal_rows`, which gives the same bytes as ``%``.
+    within +-2^53, the bound of their slots, and are written ``%d``; the
+    rest ``%.16e`` (17 significant digits).  The table is formatted in
+    chunks of `EMIT_CHUNK_ROWS` rows, so an iterator of blocks is never held
+    whole.  Each chunk goes through `_decimal_rows`, which gives the same
+    bytes as ``%``.
     """
     if output is not None:
         with open(output, "w", encoding="utf-8", newline="") as fh:
@@ -182,20 +183,19 @@ def write_table(header: list[str], blocks, output: str | None, integers: int = 0
 
 def _stream_csv(fh, header: list[str], blocks, integers: int) -> None:
     fh.write(",".join(header) + "\n")
-    row_format = ",".join(["%d"] * integers + ["%.16e"] * (len(header) - integers)) + "\n"
     for block in (blocks,) if isinstance(blocks, np.ndarray) else blocks:
         for start in range(0, len(block), EMIT_CHUNK_ROWS):
-            fh.write(_decimal_rows(block[start:start + EMIT_CHUNK_ROWS], integers, row_format))
+            fh.write(_decimal_rows(block[start:start + EMIT_CHUNK_ROWS], integers))
 
 
 # Decimal exponents the fast path meets: the floor(log10) estimate of a value
 # in [1e-99, 1e100) and its correction by one either way.
 _EXPONENTS = range(-101, 102)
-# One formatted real: d.dddddddddddddddde+dd and its ',' or '\n'.
-_SLOT = 23
-# One formatted integer below 10^16 in magnitude, right-aligned: padding, a
-# sign where negative, up to 16 digits, and its ',' or '\n'.
-_INT_SLOT = 18
+# One formatted value, right-aligned against its ',' or '\n' in the last
+# byte: the 24 bytes of ``%24.16e``, the widest ``%.16e``
+# (-d.dddddddddddddddde-ddd), hold every real, and every integer within
+# +-2^53 (a sign and up to 16 digits).
+_SLOT = 25
 # Veltkamp's splitter for float64, 2^27 + 1: with c = x (2^27 + 1),
 # c - (c - x) is x rounded to its upper 26 bits, exactly.
 _SPLITTER = 134217729.0
@@ -278,15 +278,17 @@ def _scaled(x):
     return e, q, frac
 
 
-def _put(buf, offset: int, dtype: str, slot: int, values) -> None:
+def _put(buf, offset: int, dtype: str, values) -> None:
     # Write ``values``, one integer per slot in row order, as the bytes from
-    # ``offset`` on in consecutive slots of ``slot`` bytes, the same number
-    # in each row of the 2-D ``buf``; unaligned, as slots are 18 and 23 bytes.
+    # ``offset`` on in consecutive `_SLOT`-byte slots, the same number in
+    # each row of the 3-D ``buf`` (rows, slots, `_SLOT`); unaligned, as a
+    # slot is 25 bytes.
     if not values.size:
         return  # no slots: the offset may lie past the end of ``buf``
-    rows, width = buf.shape
+    rows = len(buf)
     count = values.size // rows
-    field = np.ndarray((rows, count), dtype, buffer=buf, offset=offset, strides=(width, slot))
+    field = np.ndarray((rows, count), dtype, buffer=buf, offset=offset,
+                       strides=(buf.strides[0], _SLOT))
     field[...] = values.reshape(rows, count)
 
 
@@ -317,30 +319,32 @@ def _ascii_8(n):
     return n
 
 
-def _digits_16(buf, offset: int, slot: int, n) -> None:
+def _digits_16(buf, offset: int, n) -> None:
     # the 16 digits of each n < 10^16 (a uint64 array, overwritten), with
     # leading zeros, from ``offset`` on in the slots of `_put`
     hi = n // 10**8
     n -= hi * 10**8
-    _put(buf, offset, "<u8", slot, _ascii_8(hi))
-    _put(buf, offset + 8, "<u8", slot, _ascii_8(n))
+    _put(buf, offset, "<u8", _ascii_8(hi))
+    _put(buf, offset + 8, "<u8", _ascii_8(n))
 
 
-def _decimal_rows(block, integers: int, row_format: str) -> str:
-    """``(row_format * len(block)) % values`` for a 2-D float64 ``block``
-    whose first ``integers`` columns are written ``%d``, formatted as arrays.
+def _decimal_rows(block, integers: int) -> str:
+    """The CSV rows of a 2-D float64 ``block`` whose first ``integers``
+    columns are written ``%d`` and the rest ``%.16e``, formatted as arrays.
 
-    A real x in [1e-99, 1e100) is scaled to q + frac = x 10^(16-e) by
-    `_scaled`; its 17 digits are those of q, plus one where frac > 1/2.
-    frac is within 2^-47 of exact, so the rounding is certain unless frac
-    lies within 2^-47 of a half.  Those values, in practice the exact
-    decimal ties, are formatted by ``%.16e`` into their 22-byte slot, as
-    Grisu3 defers to an exact method (Loitsch 2010).  An integer column's
-    value n, truncated as ``%d`` truncates, is written right-aligned in an
-    18-byte slot whose padding is then dropped.  Rows holding a real
-    outside that range (zero, negative, nan, inf, or a 3-digit exponent) or
-    an integer of 10^16 or more in magnitude are formatted by
-    ``row_format`` whole.
+    Each value takes one `_SLOT`-byte slot, its text right-aligned against
+    its ',' or '\\n', and the rows keep each slot from that value's first
+    byte on.  A real x with |x| in [1e-99, 1e100) is scaled to
+    q + frac = |x| 10^(16-e) by `_scaled`; its 17 digits are those of q,
+    plus one where frac > 1/2, and it starts at byte 2, or at byte 1 with
+    its '-'.  frac is within 2^-47 of exact, so the rounding is certain
+    unless frac lies within 2^-47 of a half.  Those values, in practice the
+    exact decimal ties, and every other real (zero, nan, inf, subnormals and
+    3-digit exponents) are formatted by one ``%24.16e`` call, as Grisu3
+    defers to an exact method (Loitsch 2010); each field fills its slot as
+    is and starts after its leading spaces.  An integer column's value n,
+    truncated as ``%d`` truncates, is written as digits that end at the
+    separator, with a '-' before them where negative.
 
     Temporaries are updated in place or dropped once used, so that a chunk
     costs little more memory than its text.
@@ -348,12 +352,16 @@ def _decimal_rows(block, integers: int, row_format: str) -> str:
     _, tens, exponents = _decimal_tables()
     rows, cols = block.shape
     reals = cols - integers
-    start = _INT_SLOT * integers
-    buf = np.empty((rows, start + _SLOT * reals), np.uint8)
+    start = _SLOT * integers
+    buf = np.empty((rows, cols, _SLOT), np.uint8)
+    first = np.empty((rows, cols), np.uint8)
 
     x = block[:, integers:].ravel()
-    fast = (x >= 1e-99) & (x < 1e100)
-    e, q, frac = _scaled(np.where(fast, x, 1.0))
+    size = np.abs(x)
+    fast = (size >= 1e-99) & (size < 1e100)
+    size[~fast] = 1.0
+    e, q, frac = _scaled(size)
+    del size
     unsure = np.abs(frac - 0.5) < 2.0**-47
     q += frac > 0.5
     del frac
@@ -363,56 +371,36 @@ def _decimal_rows(block, integers: int, row_format: str) -> str:
     lead = q // 10**16
     q -= lead * 10**16
     lead += ord("0") + (ord(".") << 8)
-    _put(buf, start, "<u2", _SLOT, lead)
+    _put(buf, start + 2, "<u2", lead)
     del lead
-    _digits_16(buf, start + 2, _SLOT, q)
-    _put(buf, start + 18, "<u4", _SLOT, exponents[e + 99])
-    slots = buf[:, start:].reshape(rows, reals, _SLOT)
-    slots[:, :, -1] = ord(",")
-    whole = ~fast.reshape(rows, reals).all(axis=1)
+    _digits_16(buf, start + 4, q)
+    _put(buf, start + 20, "<u4", exponents[e + 99])
+    buf[:, integers:, 1] = ord("-")  # kept only where x < 0
+    first[:, integers:] = (2 - (x < 0).view(np.uint8)).reshape(rows, reals)
+    exact = np.flatnonzero(unsure | ~fast)
+    if exact.size:
+        text = ("%24.16e" * exact.size) % tuple(x[exact].tolist())
+        field = np.frombuffer(text.encode("ascii"), np.uint8).reshape(exact.size, _SLOT - 1)
+        row, col = np.divmod(exact, reals)
+        col += integers
+        buf[row, col, :-1] = field
+        first[row, col] = (field == ord(" ")).sum(axis=1)
 
-    width = np.full(rows, buf.shape[1])
     if integers:
-        ints = block[:, :integers]
-        small_enough = np.abs(ints) < 1e16
-        whole |= ~small_enough.all(axis=1)
-        n = np.where(small_enough, ints, 0.0).astype(np.int64)
+        n = block[:, :integers].astype(np.int64)
         negative = n < 0
         n = np.abs(n, out=n).view(np.uint64)
-        # padding: the 16 - d leading zeros of d digits, one fewer for '-'
-        pad = 16 - np.searchsorted(tens, n, "right") - negative
-        _digits_16(buf, 1, _INT_SLOT, n.ravel())
-        int_slots = buf[:, :start].reshape(rows, integers, _INT_SLOT)
-        int_slots[:, :, -1] = ord(",")
+        # n has 1 + (its count of powers 10^1..10^15 at most n) digits
+        first[:, :integers] = _SLOT - 2 - np.searchsorted(tens, n, "right") - negative
+        _digits_16(buf, _SLOT - 17, n.ravel())
         row, col = np.nonzero(negative)
-        int_slots[row, col, pad[row, col]] = ord("-")
-        width -= pad.sum(axis=1)
-    buf[:, -1] = ord("\n")
-
-    exact = np.flatnonzero(unsure & np.repeat(~whole, reals))
-    if exact.size:
-        text = ("%.16e" * exact.size) % tuple(x[exact].tolist())
-        slots[exact // reals, exact % reals, :-1] = np.frombuffer(
-            text.encode("ascii"), np.uint8
-        ).reshape(exact.size, _SLOT - 1)
-    if integers:
-        kept = np.arange(_INT_SLOT) >= pad[:, :, None]
-        buf = buf[np.concatenate((kept.reshape(rows, start),
-                                  np.ones((rows, buf.shape[1] - start), bool)), axis=1)]
-    if not whole.any():
-        return str(buf, "ascii")
-    # Runs of rows alternate between the two paths; splice them in order.
-    ends = np.concatenate(([0], np.cumsum(width))).tolist()
-    text = buf.ravel()
-    edges = [0, *(np.flatnonzero(np.diff(whole)) + 1).tolist(), rows]
-    parts = []
-    for begin, stop in zip(edges, edges[1:]):
-        if whole[begin]:
-            values = tuple(block[begin:stop].ravel().tolist())
-            parts.append((row_format * (stop - begin)) % values)
-        else:
-            parts.append(str(text[ends[begin]:ends[stop]], "ascii"))
-    return "".join(parts)
+        buf[row, col, first[row, col]] = ord("-")
+    buf[:, :, -1] = ord(",")
+    buf[:, -1, -1] = ord("\n")
+    if (first == 2).all():
+        # copied as one 23-byte item per slot, not byte by byte
+        return str(buf[:, :, 2:].view(f"V{_SLOT - 2}").tobytes(), "ascii")
+    return str(buf[np.arange(_SLOT, dtype=np.uint8) >= first[:, :, None]], "ascii")
 
 
 # Each subcommand is a function ``run(args) -> (rows, failure)``: its table

@@ -976,7 +976,24 @@ _FIXED_VALUES = {
     "random": np.random.default_rng(20261018)
     .integers(1, 0x7FF0000000000000, 2**16, dtype=np.uint64)
     .view(np.float64),
+    # every other value negative: rows of both signs alternate
+    "alternating signs": _curve(3 * cli.EMIT_CHUNK_ROWS).ravel()
+    * np.resize([1.0, -1.0], 6 * cli.EMIT_CHUNK_ROWS),
+    # below 1e-99 and from 1e100 on, where only %24.16e writes the digits
+    "outside the range": [
+        s * x for s in (1.0, -1.0) for x in [
+            *(float(f"{m}e{k}") for m in ("1", "2.718281828459045") for k in range(-323, -99)),
+            *(float(f"{m}e{k}") for m in ("1", "1.7976931348623157") for k in range(100, 309)),
+            5e-324, 2.2250738585072014e-308, np.nextafter(2.2250738585072014e-308, 0.0),
+            0.0, math.inf,
+        ]
+    ] + [math.nan],
 }
+_FIXED_VALUES["negated"] = [
+    -x for case in ("i*10^-j", "2^53+i scaled", "exponent edges", "near powers of ten",
+                    "exact ties", "random")
+    for x in _FIXED_VALUES[case] if 1e-99 <= x < 1e100
+]
 
 
 class TestDecimalRows:
@@ -986,8 +1003,11 @@ class TestDecimalRows:
     @settings(max_examples=200, deadline=None)
     @given(
         bits=st.lists(
-            st.integers(1, 0x7FEFFFFFFFFFFFFF)  # every positive finite double
-            | st.integers(_bits(1e-99), _bits(1e100) - 1),  # the array path's range
+            st.integers(1, 0x7FEFFFFFFFFFFFFF)  # positive finite doubles
+            | st.integers(_bits(1e-99), _bits(1e100) - 1)  # the array path's range
+            # every double: negatives, zeros, subnormals, 3-digit exponents,
+            # nan and inf
+            | st.integers(0, 2**64 - 1),
             min_size=1,
             max_size=300,
         ),
@@ -1013,9 +1033,9 @@ class TestDecimalRows:
         # shifted one is one too low (or high) for about half of the values
         log10 = np.log10
         monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+        near = np.array(_FIXED_VALUES["near powers of ten"])
         _assert_matches_per_value(np.concatenate([
-            _FIXED_VALUES["near powers of ten"], _FIXED_VALUES["exponent edges"],
-            _curve(2000).ravel()]))
+            near, -near, _FIXED_VALUES["exponent edges"], _curve(2000).ravel()]))
 
     def test_rows_outside_the_range_are_spliced_in_order(self):
         table = _curve(3 * cli.EMIT_CHUNK_ROWS)

@@ -23,10 +23,12 @@ seeds 101-105, each subcommand at its defaults, a two-angle ``omega-scan``,
 the size budget, a ``force-scan`` with one-sided stencils on both sides of
 integers, a ``threshold`` that finds no frozen onset, a ``coeffs`` longer
 than one chunk of rows, an ``omega-scan`` whose ratios hold exact decimal
-ties, and two ``symmetry-check`` runs whose draws span many blocks
-(``--draws 100000 --seed 7``) and end one draw past a block edge
-(``--draws 4097``).  A workload's ``-o`` files go to a temporary directory, printed as
-``$OUT`` so that the lines do not depend on where it is.
+ties, a ``coeffs`` at ``--gamma 1e-100`` whose b_n alternate in sign and
+whose reals all have 3-digit exponents, and two ``symmetry-check`` runs
+whose draws span many blocks (``--draws 100000 --seed 7``) and end one draw
+past a block edge (``--draws 4097``).  A workload's ``-o`` files go to a
+temporary directory, printed as ``$OUT`` so that the lines do not depend on
+where it is.
 
 Every command runs with ``PYTHONDONTWRITEBYTECODE=1``, whatever the caller's
 environment, so a digest never leaves ``__pycache__`` bytecode in the tree it
@@ -68,6 +70,8 @@ EXTRA = [
     ["well", "coeffs", "--levels", "10000"],
     # 139 ratios are exact 17-digit decimal ties, written by the exact fallback
     ["spin", "omega-scan", "--ratio", "1e14:2e14", "--points", "1000"],
+    # every b_n alternates in sign and every real has a 3-digit exponent
+    ["well", "coeffs", "--gamma", "1e-100", "--levels", "5000"],
     # draws in 25 blocks of EMIT_CHUNK_ROWS, and one draw past a block edge
     ["spin", "symmetry-check", "--draws", "100000", "--seed", "7"],
     ["spin", "symmetry-check", "--draws", "4097"],
