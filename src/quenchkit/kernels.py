@@ -196,9 +196,11 @@ def cycle_return_curve(ratios, alpha, out=None):
     (mu = 0) pins the state at probability 1.  The value is
     c c + ((coef coef) s) s with c, s the cosine and sine of pi mu / x and
     coef = (1 - x cos(alpha)) / mu, each operation done in place and in that
-    order: the same doubles as the plain expression, with a few arrays of the
-    curve's size alive at once instead of about ten (a 10^6-point
-    `omega_scan` peaked 30 MiB higher).
+    order: the same doubles as the plain expression, with three arrays of
+    the curve's size alive at once instead of about ten.  Each value depends
+    on its own ratio alone, so ``spin omega-scan`` calls it on blocks of
+    `quenchkit.cli.OMEGA_BLOCK` ratios and its temporaries stay at 512 KiB
+    each, where a whole 10^6-point curve holds three of 7.6 MiB.
     """
     x = np.asarray(ratios, dtype=float)
     mu = rabi_rate(x, 1.0, alpha)

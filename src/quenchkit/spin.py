@@ -266,15 +266,17 @@ def return_probability_cycle(cfg: RotorConfig):
     return float(rho) if rho.ndim == 0 else rho
 
 
-def omega_scan(
+def omega_grid(
     ratio_min: float,
     ratio_max: float,
     points: int,
     alphas,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-cycle return probability curves, one per cone angle:
-    ``(ratios, rho)`` with ``ratios`` the ``points`` scanned drive ratios and
-    ``rho[i]`` the curve at ``alphas[i]``, shape ``(len(alphas), points)``."""
+    """The checked inputs of a single-cycle scan: ``(ratios, alphas)``, the
+    ``points`` drive ratios from ``ratio_min`` to ``ratio_max`` and the cone
+    angles as a 1-D float array.  Raises ``ValueError`` for a range outside
+    [1 / `kernels.MAX_RATIO`, `kernels.MAX_RATIO`], fewer than 2 points or an
+    angle outside [0, pi]."""
     top = kernels.MAX_RATIO
     if not 1.0 / top <= ratio_min < ratio_max <= top:
         raise ValueError(
@@ -285,7 +287,22 @@ def omega_scan(
         raise ValueError(f"points must be >= 2, got {points}")
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     _check_alpha(alphas)
-    ratios = np.linspace(ratio_min, ratio_max, points)
+    return np.linspace(ratio_min, ratio_max, points), alphas
+
+
+def omega_scan(
+    ratio_min: float,
+    ratio_max: float,
+    points: int,
+    alphas,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Single-cycle return probability curves, one per cone angle:
+    ``(ratios, rho)`` with ``ratios`` the grid of `omega_grid` and
+    ``rho[i]`` the curve at ``alphas[i]``, shape ``(len(alphas), points)``,
+    each row written in place by `kernels.cycle_return_curve`.  The kernel
+    is elementwise, so ``spin omega-scan``, which computes its curves a
+    block of ratios at a time as it writes them, gives the same doubles."""
+    ratios, alphas = omega_grid(ratio_min, ratio_max, points, alphas)
     rho = np.empty((len(alphas), points))
     for curve, alpha in zip(rho, alphas):
         kernels.cycle_return_curve(ratios, alpha, out=curve)

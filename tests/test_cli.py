@@ -480,25 +480,39 @@ class TestSpinCommands:
         rho = spin.return_probability(fractions * cfg.drive_period, spin.UPPER, cfg)
         np.testing.assert_array_equal(table, np.column_stack((fractions, rho)))
 
-    def test_omega_scan_single_alpha(self, capsys):
+    @pytest.mark.parametrize(
+        "points", [3, cli.OMEGA_BLOCK - 1, cli.OMEGA_BLOCK, cli.OMEGA_BLOCK + 1])
+    @pytest.mark.parametrize("alphas", ["pi/4", "pi/12,pi/4"])
+    def test_omega_scan_rows_are_the_library_curves(self, alphas, points, capsys):
+        # the CLI computes each curve a block at a time as it writes it
         code, out = run_cli(
-            capsys, "spin", "omega-scan", "--alpha", "pi/4",
-            "--ratio", "0.5:2", "--points", "4",
+            capsys, "spin", "omega-scan", "--alpha", alphas,
+            "--ratio", "0.5:2", "--points", str(points),
         )
         assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "omega_over_omega0,rho1"
-        assert len(lines) == 5
+        angles = cli.parse_angle_list(alphas)
+        ratios, rho = spin.omega_scan(0.5, 2.0, points, angles)
+        lead = ["alpha_rad"] if len(angles) > 1 else []
+        rows = np.concatenate([
+            np.column_stack((*([np.full(points, a)] if lead else []), ratios, curve))
+            for a, curve in zip(angles, rho)
+        ])
+        assert out == _per_value_table([*lead, "omega_over_omega0", "rho1"], rows.tolist())
 
-    def test_omega_scan_multiple_alphas(self, capsys):
-        code, out = run_cli(
-            capsys, "spin", "omega-scan", "--alpha", "pi/12,pi/4",
-            "--ratio", "0.5:2", "--points", "3",
-        )
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0] == "alpha_rad,omega_over_omega0,rho1"
-        assert len(lines) == 7
+    def test_omega_scan_calls_the_kernel_a_block_at_a_time(self, monkeypatch, tmp_path):
+        lengths = []
+        curve = kernels.cycle_return_curve
+
+        def recorded(ratios, alpha, out=None):
+            lengths.append(len(ratios))
+            return curve(ratios, alpha, out)
+
+        monkeypatch.setattr(kernels, "cycle_return_curve", recorded)
+        points = 2 * cli.OMEGA_BLOCK + 1
+        path = tmp_path / "scan.csv"
+        assert cli.main(["spin", "omega-scan", "--points", str(points), "-o", str(path)]) == 0
+        assert max(lengths) <= cli.OMEGA_BLOCK
+        assert sum(lengths) == points
 
     def test_threshold_two_line_report(self, capsys):
         code, out = run_cli(
@@ -922,10 +936,10 @@ class TestWriteTable:
         assert path.read_bytes() == out.encode("utf-8")
 
 
-def _written(header, rows) -> bytes:
+def _written(header, rows, integers=0) -> bytes:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.write_table(header, rows, None)
+        cli.write_table(header, rows, None, integers)
     return out.getvalue().encode("utf-8")
 
 
@@ -1046,6 +1060,18 @@ class TestDecimalRows:
         table[-2:, 0] = -0.0  # and one that ends with them
         header = ["a", "b"]
         assert _written(header, table) == _per_value_table(header, table).encode()
+
+    @pytest.mark.parametrize("value", [1e17, -1e16, math.nan, math.inf, 2.0**53 + 2])
+    def test_integers_beyond_2_to_the_53_are_refused(self, value):
+        table = np.array([[1.0, 0.5], [value, 0.5]])
+        with pytest.raises(ValueError, match=rf"integer column 0 holds {re.escape(repr(value))},"):
+            _written(["n", "x"], table, 1)
+
+    @pytest.mark.parametrize("value", [2.0**53, -(2.0**53), 0.0])
+    def test_integers_within_2_to_the_53_are_written(self, value):
+        table = np.array([[value, 0.5]])
+        expected = f"n,x\n{int(value)},5.0000000000000000e-01\n"
+        assert _written(["n", "x"], table, 1) == expected.encode()
 
     def test_blocks_of_rows(self):
         # multi-angle omega-scan hands over one block per curve
