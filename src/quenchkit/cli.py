@@ -467,31 +467,34 @@ def _oracle_check(args):
 
 def _return_prob(args):
     cfg = spin.RotorConfig.at_ratio(args.ratio, alpha=args.alpha)
-    fractions = np.linspace(0.0, 1.0, args.points)
     # one block of rows per chunk keeps the temporaries small
     blocks = (
         np.column_stack((f, spin.return_probability(f * cfg.drive_period, spin.UPPER, cfg)))
-        for f in np.split(fractions, range(EMIT_CHUNK_ROWS, args.points, EMIT_CHUNK_ROWS))
+        for f in spin.linspace_blocks(0.0, 1.0, args.points, EMIT_CHUNK_ROWS)
     )
     return blocks, None
 
 
-# Drive ratios per `kernels.cycle_return_curve` call of `omega-scan`, which
-# computes each curve a block at a time as it writes it, so that the
-# kernel's temporaries are 512 KiB each.  `omega-scan --alpha 0.7 --points
-# 1000000 -o FILE` (medians of 10 runs, 2 CPUs, glibc 2.36): computed whole
-# before its first row went out, the curve held three 7.6 MiB temporaries at
-# once, for a peak RSS of 69.0 MiB, 9.5k minor faults and 0.43 s; in blocks
-# of 65,536 it takes 40.7 MiB, 6.7k faults and 0.36 s.  Blocks of one chunk
-# of rows (4,096) took 38.7 MiB but 58.3k faults against 6.7k, and 0.44 s
-# against 0.41 s, in runs alternating with 65,536: with nothing large freed
-# before the emit, glibc keeps its 128 KiB trim threshold (mallopt(3),
-# M_TRIM_THRESHOLD) and hands each chunk's temporaries back to the kernel.
-OMEGA_BLOCK = 65536
+# Drive ratios per block of `omega-scan`, which builds each block of its
+# grid and computes its curve there as it writes it, so that no array of
+# --points doubles is held.  `omega-scan --alpha 0.7 --points 1000000 -o
+# FILE`, medians of 10 alternating runs (2 CPUs, glibc 2.36):
+#   grid held whole, 65,536-ratio curve blocks    40.7 MiB    6.7k faults
+#   grid and curve in 65,536-ratio blocks         33.6 MiB    6.5k
+#   grid and curve in 32,768-ratio blocks         32.1 MiB    7.1k
+#   16,384                                        31.1 MiB   20.6k
+#    8,192                                        31.1 MiB   46.3k   0.40 s
+# against 0.33-0.36 s for the others.  32,768 is the smallest block whose
+# faults stay near the whole grid's: glibc's trim threshold follows the
+# largest array freed (mallopt(3), M_TRIM_THRESHOLD), so with smaller
+# blocks the heap top goes back to the kernel after each one.  At 32,768 a
+# grid block kept alive while its rows were written did the same (19.5k
+# faults at most PYTHONPATH lengths), hence the ``del`` below.
+OMEGA_BLOCK = 32768
 
 
 def _omega_scan(args):
-    ratios, alphas = spin.omega_grid(*args.ratio, args.points, args.alpha)
+    alphas = spin.omega_grid(*args.ratio, args.points, args.alpha)
     several = len(alphas) > 1
     if several:
         args.columns = ["alpha_rad", *args.columns]  # the one header set by the input
@@ -499,10 +502,11 @@ def _omega_scan(args):
     def blocks():
         # the same doubles as `spin.omega_scan`: the kernel is elementwise
         for alpha in alphas:
-            for start in range(0, len(ratios), OMEGA_BLOCK):
-                x = ratios[start:start + OMEGA_BLOCK]
+            for x in spin.linspace_blocks(*args.ratio, args.points, OMEGA_BLOCK):
                 lead = [np.full(len(x), alpha)] if several else []
-                yield np.column_stack((*lead, x, kernels.cycle_return_curve(x, alpha)))
+                rows = np.column_stack((*lead, x, kernels.cycle_return_curve(x, alpha)))
+                del x, lead  # only the rows stay alive while they are written
+                yield rows
 
     return blocks(), None
 

@@ -199,7 +199,7 @@ def cycle_return_curve(ratios, alpha, out=None):
     order: the same doubles as the plain expression, with three arrays of
     the curve's size alive at once instead of about ten.  Each value depends
     on its own ratio alone, so ``spin omega-scan`` calls it on blocks of
-    `quenchkit.cli.OMEGA_BLOCK` ratios and its temporaries stay at 512 KiB
+    `quenchkit.cli.OMEGA_BLOCK` ratios and its temporaries stay at 256 KiB
     each, where a whole 10^6-point curve holds three of 7.6 MiB.
     """
     x = np.asarray(ratios, dtype=float)

@@ -266,17 +266,43 @@ def return_probability_cycle(cfg: RotorConfig):
     return float(rho) if rho.ndim == 0 else rho
 
 
+def linspace_blocks(lo: float, hi: float, points: int, block: int):
+    """Yield ``np.linspace(lo, hi, points)`` as consecutive arrays of at most
+    ``block`` doubles, so that no array of ``points`` doubles is built.
+
+    The doubles are linspace's own: ``i * step + lo`` with ``step = (hi - lo)
+    / (points - 1)``, each operation in place as numpy builds it when ``step``
+    is not 0, and the last point ``hi``.  Needs ``points >= 2`` and a ``step``
+    that is a nonzero double, as every accepted scan range has: its ends lie
+    in [1e-150, 1e150] (`kernels.MAX_RATIO`) or are 0 and 1, and points are
+    at most `quenchkit.cli.MAX_ELEMENTS`.  No block is kept here once it is
+    yielded, so the caller can free each one before it asks for the next."""
+    step = (hi - lo) / (points - 1)
+
+    def part(start, stop):
+        x = np.arange(start, stop, dtype=float)
+        x *= step
+        x += lo
+        if stop == points:
+            x[-1] = hi
+        return x
+
+    for start in range(0, points, block):
+        yield part(start, min(start + block, points))
+
+
 def omega_grid(
     ratio_min: float,
     ratio_max: float,
     points: int,
     alphas,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The checked inputs of a single-cycle scan: ``(ratios, alphas)``, the
-    ``points`` drive ratios from ``ratio_min`` to ``ratio_max`` and the cone
-    angles as a 1-D float array.  Raises ``ValueError`` for a range outside
-    [1 / `kernels.MAX_RATIO`, `kernels.MAX_RATIO`], fewer than 2 points or an
-    angle outside [0, pi]."""
+) -> np.ndarray:
+    """Check a single-cycle scan's inputs and return its cone angles as a 1-D
+    float array.  The scan's grid is the ``points`` drive ratios of
+    ``np.linspace(ratio_min, ratio_max, points)``: `omega_scan` builds it
+    whole, ``spin omega-scan`` a block at a time with `linspace_blocks`.
+    Raises ``ValueError`` for a range outside [1 / `kernels.MAX_RATIO`,
+    `kernels.MAX_RATIO`], fewer than 2 points or an angle outside [0, pi]."""
     top = kernels.MAX_RATIO
     if not 1.0 / top <= ratio_min < ratio_max <= top:
         raise ValueError(
@@ -287,7 +313,7 @@ def omega_grid(
         raise ValueError(f"points must be >= 2, got {points}")
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     _check_alpha(alphas)
-    return np.linspace(ratio_min, ratio_max, points), alphas
+    return alphas
 
 
 def omega_scan(
@@ -297,12 +323,14 @@ def omega_scan(
     alphas,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Single-cycle return probability curves, one per cone angle:
-    ``(ratios, rho)`` with ``ratios`` the grid of `omega_grid` and
-    ``rho[i]`` the curve at ``alphas[i]``, shape ``(len(alphas), points)``,
-    each row written in place by `kernels.cycle_return_curve`.  The kernel
-    is elementwise, so ``spin omega-scan``, which computes its curves a
-    block of ratios at a time as it writes them, gives the same doubles."""
-    ratios, alphas = omega_grid(ratio_min, ratio_max, points, alphas)
+    ``(ratios, rho)`` with ``ratios`` the whole ``np.linspace`` grid of
+    `omega_grid` and ``rho[i]`` the curve at ``alphas[i]``, shape
+    ``(len(alphas), points)``, each row written in place by
+    `kernels.cycle_return_curve`.  The kernel is elementwise, so ``spin
+    omega-scan``, which builds the grid and the curves a block of ratios at a
+    time as it writes them, gives the same doubles."""
+    alphas = omega_grid(ratio_min, ratio_max, points, alphas)
+    ratios = np.linspace(ratio_min, ratio_max, points)
     rho = np.empty((len(alphas), points))
     for curve, alpha in zip(rho, alphas):
         kernels.cycle_return_curve(ratios, alpha, out=curve)

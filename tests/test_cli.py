@@ -9,6 +9,7 @@ import itertools
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -480,11 +481,12 @@ class TestSpinCommands:
         rho = spin.return_probability(fractions * cfg.drive_period, spin.UPPER, cfg)
         np.testing.assert_array_equal(table, np.column_stack((fractions, rho)))
 
-    @pytest.mark.parametrize(
-        "points", [3, cli.OMEGA_BLOCK - 1, cli.OMEGA_BLOCK, cli.OMEGA_BLOCK + 1])
+    @pytest.mark.parametrize("points", [3] + [
+        k * cli.OMEGA_BLOCK + d for k in (1, 2) for d in (-1, 0, 1)])
     @pytest.mark.parametrize("alphas", ["pi/4", "pi/12,pi/4"])
     def test_omega_scan_rows_are_the_library_curves(self, alphas, points, capsys):
-        # the CLI computes each curve a block at a time as it writes it
+        # the CLI builds each block of the grid and its curve as it writes
+        # them; the edges of the first and second blocks
         code, out = run_cli(
             capsys, "spin", "omega-scan", "--alpha", alphas,
             "--ratio", "0.5:2", "--points", str(points),
@@ -513,6 +515,23 @@ class TestSpinCommands:
         assert cli.main(["spin", "omega-scan", "--points", str(points), "-o", str(path)]) == 0
         assert max(lengths) <= cli.OMEGA_BLOCK
         assert sum(lengths) == points
+
+    @pytest.mark.parametrize(
+        "command, block", [("omega-scan", cli.OMEGA_BLOCK), ("return-prob", cli.EMIT_CHUNK_ROWS)])
+    def test_memory_does_not_grow_with_points(self, command, block, tmp_path):
+        # each block of the grid is built as it is written; numpy reports its
+        # buffers to tracemalloc, so a grid of --points doubles would show
+        def peak(points):
+            tracemalloc.start()
+            try:
+                argv = ["spin", command, "--points", str(points), "-o", str(tmp_path / "t.csv")]
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100_000), peak(400_000)
+        assert large - small < 8 * block  # one block's doubles
 
     def test_threshold_two_line_report(self, capsys):
         code, out = run_cli(

@@ -1,13 +1,14 @@
 import dataclasses
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quenchkit import kernels, spin
+from quenchkit import cli, kernels, spin
 from quenchkit.numerics import ode_evolve
 from quenchkit.spin import (
     HBAR,
@@ -576,6 +577,50 @@ class TestOmegaScan:
             omega_scan(1e-320, 1e-300, 3, [0.5])
         _, curves = omega_scan(1e-150, 1e-149, 3, [0.5])
         assert np.all(np.isfinite(curves))
+
+
+def _few_ulps(lo, n=4):
+    hi = lo
+    for _ in range(n):
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+class TestLinspaceBlocks:
+    # the ratio column of `spin omega-scan` is compared with np.linspace bit
+    # for bit, so the blocks must hold its doubles, not merely close ones
+    @pytest.mark.parametrize("points", [
+        2, 3, cli.OMEGA_BLOCK - 1, cli.OMEGA_BLOCK, cli.OMEGA_BLOCK + 1, 2 * cli.OMEGA_BLOCK + 1,
+    ])
+    @pytest.mark.parametrize("bounds", [
+        (0.05, 5.0), (1e-150, 1e150), (1e14, 2e14), (0.0, 1.0), _few_ulps(1.0), _few_ulps(1e-150),
+    ], ids=["default", "widest", "ties", "fractions", "few ulps", "few ulps at 1e-150"])
+    def test_blocks_are_linspace(self, bounds, points):
+        blocks = list(spin.linspace_blocks(*bounds, points, cli.OMEGA_BLOCK))
+        assert [len(b) for b in blocks[:-1]] == [cli.OMEGA_BLOCK] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= cli.OMEGA_BLOCK
+        np.testing.assert_array_equal(
+            np.concatenate(blocks).view(np.uint64), np.linspace(*bounds, points).view(np.uint64))
+
+    def test_no_block_is_kept_once_yielded(self):
+        # `spin omega-scan` frees each grid block before it writes the rows
+        blocks = spin.linspace_blocks(0.05, 5.0, 10, 4)
+        first = next(blocks)
+        ref = weakref.ref(first)
+        del first
+        assert ref() is None
+        assert len(next(blocks)) == 4
+
+    @given(st.floats(1e-150, 1e150), st.floats(1e-150, 1e150),
+           st.integers(1, 100), st.integers(0, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_are_linspace_over_accepted_ranges(self, a, b, block, extra):
+        lo, hi = sorted((a, b))
+        assume(lo < hi)
+        points = 2 + extra % (3 * block - 1)  # 2 to 3 blocks
+        blocks = np.concatenate(list(spin.linspace_blocks(lo, hi, points, block)))
+        np.testing.assert_array_equal(
+            blocks.view(np.uint64), np.linspace(lo, hi, points).view(np.uint64))
 
 
 class TestThreshold:
