@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from quenchkit import kernels, spin, well
+from quenchkit import spin, well
 from quenchkit.numerics import OdeDivergenceError, QuadratureConvergenceError
 
 _CHECK_FAILED = 1
@@ -475,40 +475,10 @@ def _return_prob(args):
     return blocks, None
 
 
-# Drive ratios per block of `omega-scan`, which builds each block of its
-# grid and computes its curve there as it writes it, so that no array of
-# --points doubles is held.  `omega-scan --alpha 0.7 --points 1000000 -o
-# FILE`, medians of 10 alternating runs (2 CPUs, glibc 2.36):
-#   grid held whole, 65,536-ratio curve blocks    40.7 MiB    6.7k faults
-#   grid and curve in 65,536-ratio blocks         33.6 MiB    6.5k
-#   grid and curve in 32,768-ratio blocks         32.1 MiB    7.1k
-#   16,384                                        31.1 MiB   20.6k
-#    8,192                                        31.1 MiB   46.3k   0.40 s
-# against 0.33-0.36 s for the others.  32,768 is the smallest block whose
-# faults stay near the whole grid's: glibc's trim threshold follows the
-# largest array freed (mallopt(3), M_TRIM_THRESHOLD), so with smaller
-# blocks the heap top goes back to the kernel after each one.  At 32,768 a
-# grid block kept alive while its rows were written did the same (19.5k
-# faults at most PYTHONPATH lengths), hence the ``del`` below.
-OMEGA_BLOCK = 32768
-
-
 def _omega_scan(args):
-    alphas = spin.omega_grid(*args.ratio, args.points, args.alpha)
-    several = len(alphas) > 1
-    if several:
+    if len(args.alpha) > 1:
         args.columns = ["alpha_rad", *args.columns]  # the one header set by the input
-
-    def blocks():
-        # the same doubles as `spin.omega_scan`: the kernel is elementwise
-        for alpha in alphas:
-            for x in spin.linspace_blocks(*args.ratio, args.points, OMEGA_BLOCK):
-                lead = [np.full(len(x), alpha)] if several else []
-                rows = np.column_stack((*lead, x, kernels.cycle_return_curve(x, alpha)))
-                del x, lead  # only the rows stay alive while they are written
-                yield rows
-
-    return blocks(), None
+    return spin.omega_scan(*args.ratio, args.points, args.alpha), None
 
 
 def _threshold(args):

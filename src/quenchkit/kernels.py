@@ -187,10 +187,10 @@ def rabi_rate(omega, omega0, alpha):
     return np.sqrt(d * d + 4.0 * omega * omega0 * s * s)
 
 
-def cycle_return_curve(ratios, alpha, out=None):
+def cycle_return_curve(ratios, alpha):
     """Return probability after one full drive cycle against x = omega/omega0,
     a 1-D array, at the cone angle ``alpha``, a float or an array of x's
-    shape; written into ``out`` when it is given.
+    shape.
 
     mu = `rabi_rate` (x, 1, alpha); the degenerate x = 1, alpha = 0
     (mu = 0) pins the state at probability 1.  The value is
@@ -198,9 +198,9 @@ def cycle_return_curve(ratios, alpha, out=None):
     coef = (1 - x cos(alpha)) / mu, each operation done in place and in that
     order: the same doubles as the plain expression, with three arrays of
     the curve's size alive at once instead of about ten.  Each value depends
-    on its own ratio alone, so ``spin omega-scan`` calls it on blocks of
-    `quenchkit.cli.OMEGA_BLOCK` ratios and its temporaries stay at 256 KiB
-    each, where a whole 10^6-point curve holds three of 7.6 MiB.
+    on its own ratio alone, so `quenchkit.spin.omega_scan` calls it on
+    blocks of `quenchkit.spin.OMEGA_BLOCK` ratios and its temporaries stay
+    at 256 KiB each, where a whole 10^6-point curve holds three of 7.6 MiB.
     """
     x = np.asarray(ratios, dtype=float)
     mu = rabi_rate(x, 1.0, alpha)
@@ -212,7 +212,7 @@ def cycle_return_curve(ratios, alpha, out=None):
     np.subtract(1.0, coef, out=coef)
     coef /= mu
     del mu
-    rho = np.cos(phase, out=out)
+    rho = np.cos(phase)
     s = np.sin(phase, out=phase)
     rho *= rho
     coef *= coef

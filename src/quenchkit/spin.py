@@ -291,18 +291,35 @@ def linspace_blocks(lo: float, hi: float, points: int, block: int):
         yield part(start, min(start + block, points))
 
 
-def omega_grid(
-    ratio_min: float,
-    ratio_max: float,
-    points: int,
-    alphas,
-) -> np.ndarray:
-    """Check a single-cycle scan's inputs and return its cone angles as a 1-D
-    float array.  The scan's grid is the ``points`` drive ratios of
-    ``np.linspace(ratio_min, ratio_max, points)``: `omega_scan` builds it
-    whole, ``spin omega-scan`` a block at a time with `linspace_blocks`.
-    Raises ``ValueError`` for a range outside [1 / `kernels.MAX_RATIO`,
-    `kernels.MAX_RATIO`], fewer than 2 points or an angle outside [0, pi]."""
+# Drive ratios per block of `omega_scan`, which builds each block of its grid
+# and computes its curve there as it yields it, so that no array of
+# ``points`` doubles is held.  `omega-scan --alpha 0.7 --points 1000000 -o
+# FILE`, medians of 10 alternating runs (2 CPUs, glibc 2.36):
+#   grid held whole, 65,536-ratio curve blocks    40.7 MiB    6.7k faults
+#   grid and curve in 65,536-ratio blocks         33.6 MiB    6.5k
+#   grid and curve in 32,768-ratio blocks         32.1 MiB    7.1k
+#   16,384                                        31.1 MiB   20.6k
+#    8,192                                        31.1 MiB   46.3k   0.40 s
+# against 0.33-0.36 s for the others.  32,768 is the smallest block whose
+# faults stay near the whole grid's: glibc's trim threshold follows the
+# largest array freed (mallopt(3), M_TRIM_THRESHOLD), so with smaller
+# blocks the heap top goes back to the kernel after each one.  At 32,768 a
+# grid block kept alive while its rows were written did the same (19.5k
+# faults at most PYTHONPATH lengths), hence the ``del`` below.
+OMEGA_BLOCK = 32768
+
+
+def omega_scan(ratio_min: float, ratio_max: float, points: int, alphas):
+    """Single-cycle return probability curves, one per cone angle, as the
+    row blocks ``spin omega-scan`` writes: an iterator over arrays of at
+    most `OMEGA_BLOCK` rows ``(ratio, rho1)``, the angle as a first column
+    when there are several, curve after curve.  The ratios are
+    ``np.linspace(ratio_min, ratio_max, points)``'s doubles from
+    `linspace_blocks` and the curves `kernels.cycle_return_curve`'s, so no
+    array of ``points`` doubles is held.  Checks its inputs on the call,
+    before any block: raises ``ValueError`` for a range outside
+    [1 / `kernels.MAX_RATIO`, `kernels.MAX_RATIO`], fewer than 2 points or
+    an angle outside [0, pi]."""
     top = kernels.MAX_RATIO
     if not 1.0 / top <= ratio_min < ratio_max <= top:
         raise ValueError(
@@ -313,28 +330,16 @@ def omega_grid(
         raise ValueError(f"points must be >= 2, got {points}")
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     _check_alpha(alphas)
-    return alphas
 
+    def blocks():
+        for alpha in alphas:
+            for x in linspace_blocks(ratio_min, ratio_max, points, OMEGA_BLOCK):
+                lead = [np.full(len(x), alpha)] if len(alphas) > 1 else []
+                rows = np.column_stack((*lead, x, kernels.cycle_return_curve(x, alpha)))
+                del x, lead  # only the rows stay alive while they are yielded
+                yield rows
 
-def omega_scan(
-    ratio_min: float,
-    ratio_max: float,
-    points: int,
-    alphas,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-cycle return probability curves, one per cone angle:
-    ``(ratios, rho)`` with ``ratios`` the whole ``np.linspace`` grid of
-    `omega_grid` and ``rho[i]`` the curve at ``alphas[i]``, shape
-    ``(len(alphas), points)``, each row written in place by
-    `kernels.cycle_return_curve`.  The kernel is elementwise, so ``spin
-    omega-scan``, which builds the grid and the curves a block of ratios at a
-    time as it writes them, gives the same doubles."""
-    alphas = omega_grid(ratio_min, ratio_max, points, alphas)
-    ratios = np.linspace(ratio_min, ratio_max, points)
-    rho = np.empty((len(alphas), points))
-    for curve, alpha in zip(rho, alphas):
-        kernels.cycle_return_curve(ratios, alpha, out=curve)
-    return ratios, rho
+    return blocks()
 
 
 def anti_adiabatic_threshold(
@@ -357,7 +362,7 @@ def anti_adiabatic_threshold(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    ratios, (rho,) = omega_scan(ratio_min, ratio_max, points, [alpha])
+    ratios, rho = np.concatenate(list(omega_scan(ratio_min, ratio_max, points, [alpha]))).T
     # drops below a few ulps are rounding noise on flat stretches, not dips
     decreases = np.flatnonzero(np.diff(rho) < -1e-13)
     monotone = float(ratios[decreases[-1] + 1]) if decreases.size else float(ratios[0])

@@ -13,7 +13,10 @@ count only; physical configuration enters solely through the energy scale.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -157,8 +160,9 @@ def overlap_oracle(n, gamma: float, *, tolerance=1e-10):
         return new_level * eigen_wavefunction(1, w0, nodes.x)
 
     panels = iter(integrate(integrand, lo, hi, tolerance=panel_tol).tolist())
-    # each level's panels summed left to right
-    out = [sum(next(panels) for _ in range(c)) for c in counts]
+    # each level's panels summed left to right, one rounding per addition:
+    # the builtin sum compensates its rounding since Python 3.12
+    out = [functools.reduce(operator.add, itertools.islice(panels, c), 0) for c in counts]
     return out[0] if levels.ndim == 0 else np.reshape(out, levels.shape)
 
 

@@ -191,7 +191,7 @@ def test_criterion_10_anti_adiabatic_threshold():
         spin.return_probability_cycle(spin.RotorConfig.at_ratio(15.0, alpha=a)) >= 0.98
         for a in (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3)
     )
-    _, (flat,) = spin.omega_scan(0.05, 20.0, 10_000, [0.0])
+    flat = np.concatenate(list(spin.omega_scan(0.05, 20.0, 10_000, [0.0])))[:, 1]
     flat_ok = bool(np.all(np.abs(flat - 1.0) <= 1e-12))
     check(10, "monotone onset 1.442 +/- 0.05; rho(15 w0) >= 0.98; flat curve at alpha=0",
           onset_ok and frozen_ok and flat_ok,

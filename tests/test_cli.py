@@ -482,22 +482,24 @@ class TestSpinCommands:
         np.testing.assert_array_equal(table, np.column_stack((fractions, rho)))
 
     @pytest.mark.parametrize("points", [3] + [
-        k * cli.OMEGA_BLOCK + d for k in (1, 2) for d in (-1, 0, 1)])
+        k * spin.OMEGA_BLOCK + d for k in (1, 2) for d in (-1, 0, 1)])
     @pytest.mark.parametrize("alphas", ["pi/4", "pi/12,pi/4"])
     def test_omega_scan_rows_are_the_library_curves(self, alphas, points, capsys):
-        # the CLI builds each block of the grid and its curve as it writes
-        # them; the edges of the first and second blocks
+        # the scan builds each block of the grid and its curve as it writes
+        # them; the edges of the first and second blocks, against the kernel
+        # on the whole np.linspace grid
         code, out = run_cli(
             capsys, "spin", "omega-scan", "--alpha", alphas,
             "--ratio", "0.5:2", "--points", str(points),
         )
         assert code == 0
         angles = cli.parse_angle_list(alphas)
-        ratios, rho = spin.omega_scan(0.5, 2.0, points, angles)
+        ratios = np.linspace(0.5, 2.0, points)
         lead = ["alpha_rad"] if len(angles) > 1 else []
         rows = np.concatenate([
-            np.column_stack((*([np.full(points, a)] if lead else []), ratios, curve))
-            for a, curve in zip(angles, rho)
+            np.column_stack((*([np.full(points, a)] if lead else []), ratios,
+                             kernels.cycle_return_curve(ratios, a)))
+            for a in angles
         ])
         assert out == _per_value_table([*lead, "omega_over_omega0", "rho1"], rows.tolist())
 
@@ -505,19 +507,37 @@ class TestSpinCommands:
         lengths = []
         curve = kernels.cycle_return_curve
 
-        def recorded(ratios, alpha, out=None):
+        def recorded(ratios, alpha):
             lengths.append(len(ratios))
-            return curve(ratios, alpha, out)
+            return curve(ratios, alpha)
 
         monkeypatch.setattr(kernels, "cycle_return_curve", recorded)
-        points = 2 * cli.OMEGA_BLOCK + 1
+        points = 2 * spin.OMEGA_BLOCK + 1
         path = tmp_path / "scan.csv"
         assert cli.main(["spin", "omega-scan", "--points", str(points), "-o", str(path)]) == 0
-        assert max(lengths) <= cli.OMEGA_BLOCK
+        assert max(lengths) <= spin.OMEGA_BLOCK
         assert sum(lengths) == points
 
+    @pytest.mark.parametrize("argv, scan, message", [
+        (["--alpha", "0.5,3.2"], ((0.05, 20.0), [0.5, 3.2]),
+         r"alpha must lie in \[0, pi\], got 3.2"),
+        (["--ratio", "2:1e308"], ((2.0, 1e308), [0.5]), r"<= 1e\+150, got \[2.0, 1e\+308\]"),
+    ], ids=["alpha", "ratio"])
+    def test_omega_scan_rejects_its_input_before_writing(self, argv, scan, message, capsys):
+        # the scan checks its input when it is called, not when its first
+        # block is drawn, by which time the header would be out
+        with pytest.raises(SystemExit) as err:
+            cli.main(["spin", "omega-scan", *argv])
+        assert err.value.code == 2
+        out, err_text = capsys.readouterr()
+        assert out == ""
+        assert re.search(message, err_text)
+        (ratio_min, ratio_max), alphas = scan
+        with pytest.raises(ValueError, match=message):
+            spin.omega_scan(ratio_min, ratio_max, 10, alphas)  # no block drawn
+
     @pytest.mark.parametrize(
-        "command, block", [("omega-scan", cli.OMEGA_BLOCK), ("return-prob", cli.EMIT_CHUNK_ROWS)])
+        "command, block", [("omega-scan", spin.OMEGA_BLOCK), ("return-prob", cli.EMIT_CHUNK_ROWS)])
     def test_memory_does_not_grow_with_points(self, command, block, tmp_path):
         # each block of the grid is built as it is written; numpy reports its
         # buffers to tracemalloc, so a grid of --points doubles would show

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quenchkit import cli, kernels, spin
+from quenchkit import kernels, spin
 from quenchkit.numerics import ode_evolve
 from quenchkit.spin import (
     HBAR,
@@ -526,13 +526,20 @@ class TestBranchSymmetry:
         assert branch_gap(frac * cfg.drive_period, cfg) <= 1e-12
 
 
+def _scan(ratio_min, ratio_max, points, alphas):
+    """`omega_scan`'s blocks joined: the ratios and one curve per angle,
+    shape ``(len(alphas), points)``."""
+    table = np.concatenate(list(omega_scan(ratio_min, ratio_max, points, alphas)))
+    return table[:points, -2], table[:, -1].reshape(len(alphas), points)
+
+
 class TestOmegaScan:
     def test_aligned_curve_is_flat_one(self):
-        _, (curve,) = omega_scan(0.05, 20.0, 501, [0.0])
+        _, (curve,) = _scan(0.05, 20.0, 501, [0.0])
         assert np.all(np.abs(curve - 1.0) <= 1e-12)
 
     def test_quarter_cone_shape(self):
-        ratios, (curve,) = omega_scan(0.05, 20.0, 2001, [math.pi / 4])
+        ratios, (curve,) = _scan(0.05, 20.0, 2001, [math.pi / 4])
         low = curve[ratios <= 1.4]
         assert np.any(np.diff(low) < 0.0) and np.any(np.diff(low) > 0.0)
         high = curve[ratios >= 1.45]
@@ -540,14 +547,14 @@ class TestOmegaScan:
 
     def test_all_cones_frozen_by_fifteen(self):
         alphas = [math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3]
-        ratios, curves = omega_scan(0.05, 20.0, 400, alphas)
+        ratios, curves = _scan(0.05, 20.0, 400, alphas)
         assert curves.shape == (4, 400)
         idx = int(np.argmin(np.abs(ratios - 15.0)))
         for curve in curves:
             assert curve[idx] >= 0.98
 
     def test_rows_in_grid_order(self):
-        ratios, _ = omega_scan(0.5, 2.0, 16, [1.0])
+        ratios, _ = _scan(0.5, 2.0, 16, [1.0])
         assert np.all(np.diff(ratios) > 0.0)
 
     def test_validation(self):
@@ -568,14 +575,14 @@ class TestOmegaScan:
         # (x - 1)^2 overflowed past sqrt(DBL_MAX): nan rows with warnings
         with pytest.raises(ValueError, match=r"<= 1e\+150, got \[1.0, 1e\+308\]"):
             omega_scan(1.0, 1e308, 3, [0.5])
-        _, curves = omega_scan(1e100, 1e150, 3, [0.5])
+        _, curves = _scan(1e100, 1e150, 3, [0.5])
         assert np.all(np.isfinite(curves))
 
     def test_validation_rejects_tiny_ratios(self):
         # below 1e-150 the grid once reached subnormals and wrote nan rows
         with pytest.raises(ValueError, match=r"need 1e-150 <= ratio_min .* got \[1e-320, 1e-300\]"):
             omega_scan(1e-320, 1e-300, 3, [0.5])
-        _, curves = omega_scan(1e-150, 1e-149, 3, [0.5])
+        _, curves = _scan(1e-150, 1e-149, 3, [0.5])
         assert np.all(np.isfinite(curves))
 
 
@@ -590,15 +597,16 @@ class TestLinspaceBlocks:
     # the ratio column of `spin omega-scan` is compared with np.linspace bit
     # for bit, so the blocks must hold its doubles, not merely close ones
     @pytest.mark.parametrize("points", [
-        2, 3, cli.OMEGA_BLOCK - 1, cli.OMEGA_BLOCK, cli.OMEGA_BLOCK + 1, 2 * cli.OMEGA_BLOCK + 1,
+        2, 3, spin.OMEGA_BLOCK - 1, spin.OMEGA_BLOCK, spin.OMEGA_BLOCK + 1,
+        2 * spin.OMEGA_BLOCK + 1,
     ])
     @pytest.mark.parametrize("bounds", [
         (0.05, 5.0), (1e-150, 1e150), (1e14, 2e14), (0.0, 1.0), _few_ulps(1.0), _few_ulps(1e-150),
     ], ids=["default", "widest", "ties", "fractions", "few ulps", "few ulps at 1e-150"])
     def test_blocks_are_linspace(self, bounds, points):
-        blocks = list(spin.linspace_blocks(*bounds, points, cli.OMEGA_BLOCK))
-        assert [len(b) for b in blocks[:-1]] == [cli.OMEGA_BLOCK] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1]) <= cli.OMEGA_BLOCK
+        blocks = list(spin.linspace_blocks(*bounds, points, spin.OMEGA_BLOCK))
+        assert [len(b) for b in blocks[:-1]] == [spin.OMEGA_BLOCK] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= spin.OMEGA_BLOCK
         np.testing.assert_array_equal(
             np.concatenate(blocks).view(np.uint64), np.linspace(*bounds, points).view(np.uint64))
 

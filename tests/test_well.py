@@ -234,6 +234,12 @@ class TestOverlapOracle:
         closed = decompose(gamma, 40)
         assert np.max(np.abs(overlap_oracle(levels, gamma) - closed)) <= 1e-13
 
+    def test_panels_add_left_to_right(self, monkeypatch):
+        # one rounding per addition, on every Python: a compensated sum, as
+        # the builtin sum is from 3.12 on, gives 1.0 here
+        monkeypatch.setattr(well, "integrate", lambda *a, **k: np.array([1e16, 1.0, -1e16]))
+        assert overlap_oracle(3, 0.5) == 0.0  # three panels: arches at 1/3 and 2/3
+
     def test_independent_of_the_closed_form(self):
         # an oracle that reached the kernels could end up checking itself
         def refuse(*args, **kwargs):

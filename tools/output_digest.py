@@ -26,10 +26,11 @@ than one chunk of rows, an ``omega-scan`` whose ratios hold exact decimal
 ties, a ``coeffs`` at ``--gamma 1e-100`` whose b_n alternate in sign and
 whose reals all have 3-digit exponents, two ``symmetry-check`` runs
 whose draws span many blocks (``--draws 100000 --seed 7``) and end one draw
-past a block edge (``--draws 4097``), a two-angle ``omega-scan`` whose
-curves each take two blocks of ratios and one ratio past them (``--points
-65537``), and a ``return-prob`` whose fractions end one past a chunk edge
-(``--points 8193``).  A workload's ``-o`` files go to a temporary
+past a block edge (``--draws 4097``), a two-angle ``omega-scan`` and a
+``threshold`` whose curves each take two blocks of `spin.OMEGA_BLOCK`
+ratios and one ratio past them (``--points 65537``), and a
+``return-prob`` whose fractions end one past a chunk edge (``--points
+8193``).  A workload's ``-o`` files go to a temporary
 directory, printed as ``$OUT`` so that the lines do not depend on where it
 is.
 
@@ -78,9 +79,10 @@ EXTRA = [
     # draws in 25 blocks of EMIT_CHUNK_ROWS, and one draw past a block edge
     ["spin", "symmetry-check", "--draws", "100000", "--seed", "7"],
     ["spin", "symmetry-check", "--draws", "4097"],
-    # two curves, each computed as two blocks of cli.OMEGA_BLOCK ratios and a
-    # block of the one ratio past their edge
+    # curves each computed as two blocks of spin.OMEGA_BLOCK ratios and a
+    # block of the one ratio past their edge: two written, one read
     ["spin", "omega-scan", "--alpha", "pi/12,pi/4", "--points", "65537"],
+    ["spin", "threshold", "--points", "65537"],
     # two blocks of EMIT_CHUNK_ROWS fractions, and one fraction past their edge
     ["spin", "return-prob", "--points", "8193"],
 ]
