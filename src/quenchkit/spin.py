@@ -351,26 +351,26 @@ def anti_adiabatic_threshold(
 ) -> tuple[float, float, float]:
     """Locate where the single-cycle curve turns monotone and where it freezes.
 
-    Returns ``(monotone, frozen, max_rho1)``.  Both onsets are read off the
-    discrete scan grid, with no root polishing: ``monotone`` is the smallest
-    grid ratio beyond which the curve is non-decreasing, ``frozen`` the
-    smallest grid ratio from which the probability stays at or above
-    ``1 - epsilon``, or nan when it is below that at ``ratio_max``;
-    ``max_rho1`` is the largest probability on the grid.  The grid should be
-    fine enough that adjacent probability differences resolve
-    ``epsilon / 10``.
+    Returns ``(monotone, frozen, max_rho1)``, folded over `omega_scan`'s
+    blocks as they come.  Both onsets are read off the discrete scan grid,
+    with no root polishing: ``monotone`` is the smallest grid ratio beyond
+    which the curve is non-decreasing, ``frozen`` the smallest grid ratio
+    from which the probability stays at or above ``1 - epsilon``, or nan
+    when it is below that at ``ratio_max``; ``max_rho1`` is the largest
+    probability on the grid.  The grid should be fine enough that adjacent
+    probability differences resolve ``epsilon / 10``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-    ratios, rho = np.concatenate(list(omega_scan(ratio_min, ratio_max, points, [alpha]))).T
-    # drops below a few ulps are rounding noise on flat stretches, not dips
-    decreases = np.flatnonzero(np.diff(rho) < -1e-13)
-    monotone = float(ratios[decreases[-1] + 1]) if decreases.size else float(ratios[0])
-    below = np.flatnonzero(rho < 1.0 - epsilon)
-    if below.size == 0:
-        frozen = float(ratios[0])
-    elif below[-1] == points - 1:
-        frozen = math.nan
-    else:
-        frozen = float(ratios[below[-1] + 1])
-    return monotone, frozen, float(rho.max())
+    monotone, frozen, last, top = math.nan, math.nan, math.inf, -math.inf
+    for ratios, rho in (rows.T for rows in omega_scan(ratio_min, ratio_max, points, [alpha])):
+        # nan before the first block and after a block that ends low
+        frozen = float(ratios[0]) if math.isnan(frozen) else frozen
+        # a few ulps' drop is rounding noise, not a dip; rho[0] drops from last
+        dips = np.flatnonzero(np.diff(rho, prepend=last) < -1e-13)
+        monotone = float(ratios[dips[-1]]) if dips.size else monotone
+        lows = np.flatnonzero(rho < 1.0 - epsilon)
+        if lows.size:
+            frozen = float(ratios[lows[-1] + 1]) if lows[-1] + 1 < len(rho) else math.nan
+        last, top = rho[-1], max(top, rho.max())
+    return monotone, frozen, float(top)

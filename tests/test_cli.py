@@ -537,9 +537,11 @@ class TestSpinCommands:
             spin.omega_scan(ratio_min, ratio_max, 10, alphas)  # no block drawn
 
     @pytest.mark.parametrize(
-        "command, block", [("omega-scan", spin.OMEGA_BLOCK), ("return-prob", cli.EMIT_CHUNK_ROWS)])
+        "command, block",
+        [("omega-scan", spin.OMEGA_BLOCK), ("threshold", spin.OMEGA_BLOCK),
+         ("return-prob", cli.EMIT_CHUNK_ROWS)])
     def test_memory_does_not_grow_with_points(self, command, block, tmp_path):
-        # each block of the grid is built as it is written; numpy reports its
+        # each block of the grid is built as it is used; numpy reports its
         # buffers to tracemalloc, so a grid of --points doubles would show
         def peak(points):
             tracemalloc.start()

@@ -663,6 +663,48 @@ class TestThreshold:
         with pytest.raises(ValueError):
             anti_adiabatic_threshold(0.0)
 
+    @staticmethod
+    def whole_curve(epsilon, alpha, ratio_min, ratio_max, points):
+        # the onsets read off the whole curve at once, as the fold over
+        # omega_scan's blocks must reproduce them
+        ratios = np.linspace(ratio_min, ratio_max, points)
+        rho = kernels.cycle_return_curve(ratios, alpha)
+        decreases = np.flatnonzero(np.diff(rho) < -1e-13)
+        monotone = float(ratios[decreases[-1] + 1]) if decreases.size else float(ratios[0])
+        below = np.flatnonzero(rho < 1.0 - epsilon)
+        if below.size == 0:
+            frozen = float(ratios[0])
+        elif below[-1] == points - 1:
+            frozen = math.nan
+        else:
+            frozen = float(ratios[below[-1] + 1])
+        return monotone, frozen, float(rho.max())
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    def test_block_size_does_not_change_the_result(self, block, monkeypatch):
+        # with blocks this small every dip and every low lands on a block
+        # edge somewhere, so each carry across an edge is exercised
+        cases = [
+            (0.05, 0.0, 0.05, 20.0, 100),  # no low: frozen is the first ratio
+            (1e-3, math.pi / 4, 0.05, 0.5, 200),  # low at the last point: nan
+            (0.02, math.pi / 4, 0.05, 20.0, 2),
+        ]
+        rng = np.random.default_rng(20261019 + block)
+        for _ in range(25):
+            lo = float(rng.uniform(0.05, 5.0))
+            cases.append((
+                float(10.0 ** rng.uniform(-3.0, -0.5)), float(rng.uniform(0.0, math.pi)),
+                lo, lo + float(rng.uniform(0.1, 20.0)), int(rng.integers(2, 300)),
+            ))
+        monkeypatch.setattr(spin, "OMEGA_BLOCK", block)
+        for case in cases:
+            want = self.whole_curve(*case)
+            got = anti_adiabatic_threshold(*case)
+            assert np.array(got).view(np.uint64).tolist() == (
+                np.array(want).view(np.uint64).tolist()), case
+        assert self.whole_curve(*cases[0])[1] == 0.05
+        assert math.isnan(self.whole_curve(*cases[1])[1])
+
 
 class TestHighFrequencyLimit:
     @pytest.mark.parametrize("alpha", [math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3])

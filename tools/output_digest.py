@@ -28,11 +28,11 @@ whose reals all have 3-digit exponents, two ``symmetry-check`` runs
 whose draws span many blocks (``--draws 100000 --seed 7``) and end one draw
 past a block edge (``--draws 4097``), a two-angle ``omega-scan`` and a
 ``threshold`` whose curves each take two blocks of `spin.OMEGA_BLOCK`
-ratios and one ratio past them (``--points 65537``), and a
-``return-prob`` whose fractions end one past a chunk edge (``--points
-8193``).  A workload's ``-o`` files go to a temporary
-directory, printed as ``$OUT`` so that the lines do not depend on where it
-is.
+ratios and one ratio past them (``--points 65537``), a ``threshold``
+that folds 62 such blocks (``--points 2000000``), and a ``return-prob``
+whose fractions end one past a chunk edge (``--points 8193``).  A
+workload's ``-o`` files go to a temporary directory, printed as ``$OUT`` so
+that the lines do not depend on where it is.
 
 Every command runs with ``PYTHONDONTWRITEBYTECODE=1``, whatever the caller's
 environment, so a digest never leaves ``__pycache__`` bytecode in the tree it
@@ -83,6 +83,8 @@ EXTRA = [
     # block of the one ratio past their edge: two written, one read
     ["spin", "omega-scan", "--alpha", "pi/12,pi/4", "--points", "65537"],
     ["spin", "threshold", "--points", "65537"],
+    # 62 blocks of spin.OMEGA_BLOCK ratios, the last one short, read as they come
+    ["spin", "threshold", "--points", "2000000"],
     # two blocks of EMIT_CHUNK_ROWS fractions, and one fraction past their edge
     ["spin", "return-prob", "--points", "8193"],
 ]
