@@ -93,9 +93,10 @@ def parse_range(text: str) -> tuple[float, float]:
 
 # Largest value of a size flag (--levels, --points, --max-level, --samples,
 # --draws) and of the quadrature panels of oracle-check, up to L (L + 1) / 2
-# per gamma at --max-level L.  The largest array a command holds is a few
-# times one of these sizes (scans go in blocks), so 10^7 keeps each under a
-# few hundred MiB; the benchmark's largest size is 10^6 points.
+# per gamma at --max-level L.  Most commands hold a few arrays of one of
+# these sizes at most (scans go in blocks).  force-scan holds about 15: its
+# peak RSS was 147.2 MiB at 10^6 points, about 121 bytes a point, so about
+# 1.1 GiB at 10^7.  The benchmark's largest size is 10^6 points.
 MAX_ELEMENTS = 10_000_000
 
 

@@ -40,7 +40,7 @@ class OdeDivergenceError(ArithmeticError):
 
 
 class Nodes(NamedTuple):
-    """Quadrature points handed to an array integrand by `integrate`.
+    """Quadrature points handed to the integrand by `integrate`.
 
     ``x`` holds the points; ``root[i]`` is the flat index, into the bounds
     passed to `integrate`, of the interval that ``x[i]`` belongs to, so an
@@ -77,9 +77,8 @@ def integrate(f: Callable, a, b, *, tolerance=1e-10):
     Parameters
     ----------
     f : callable
-        With scalar bounds: a real-valued integrand of one real variable,
-        called with floats.  With array bounds: called with a `Nodes` pair
-        and returning ``f(nodes.x)`` as a float array of the same shape.
+        Called with a `Nodes` pair, whatever the shape of the bounds, and
+        returning ``f(nodes.x)`` as a float array of the same shape.
     a, b : float or array_like
         Integration bounds, ``a <= b``; arrays of equal shape integrate one
         interval per element.
@@ -114,12 +113,6 @@ def integrate(f: Callable, a, b, *, tolerance=1e-10):
     tol = np.broadcast_to(np.asarray(tolerance, dtype=float), shape).ravel()
     if not np.all(tol > 0.0):
         raise ValueError(f"tolerance must be positive, got {tol[np.argmin(tol > 0.0)]}")
-    if shape == ():
-        scalar_f = f
-
-        def f(nodes: Nodes) -> np.ndarray:
-            return np.array([scalar_f(x) for x in nodes.x.tolist()], dtype=float)
-
     (x_low, w_low), (x_high, w_high) = _rules()
     x = np.concatenate([x_low, x_high])
     values = np.zeros(lo.size)

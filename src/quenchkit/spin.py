@@ -132,7 +132,7 @@ def instantaneous_eigenstates(
     _check_single(cfg, "instantaneous_eigenstates")
     phase = complex(math.cos(cfg.omega * t), math.sin(cfg.omega * t))
     turn = np.array([[1.0, phase], [phase.conjugate(), 1.0]])
-    upper, lower = _branch_terms([UPPER, LOWER], cfg)[0] * turn
+    upper, lower = (_branch_terms(b, cfg)[0] * row for b, row in zip((UPPER, LOWER), turn))
     e = 0.5 * HBAR * cfg.omega0
     return upper, lower, e, -e
 
@@ -152,22 +152,22 @@ def _check_time(t, rate=0.0) -> np.ndarray:
     return t
 
 
-def _branch_terms(branches, cfg: RotorConfig) -> np.ndarray:
-    """For each of ``branches``, its eigenstate a at t = 0, which is real, and
-    the h of `_closed_form`: shape ``(2,) + cfg's shape + (len(branches), 2)``."""
+def _branch_terms(branch: str, cfg: RotorConfig) -> np.ndarray:
+    """The eigenstate a of ``branch`` at t = 0, which is real, and the h of
+    `evolve_closed_form`: shape ``(2,) + cfg's shape + (2,)``."""
     w0, half = cfg.omega0, 0.5 * cfg.alpha
     w, ch, sh = np.broadcast_arrays(cfg.omega, np.cos(half), np.sin(half))
     terms = {UPPER: ((ch, sh), (w - w0, -(w0 + w))), LOWER: ((sh, -ch), (w0 + w, w0 - w))}
-    unknown = [b for b in branches if b not in terms]
-    if unknown:
-        raise ValueError(f"branch must be '{UPPER}' or '{LOWER}', got {unknown[0]!r}")
-    return np.moveaxis(np.array([terms[b] for b in branches]), (0, 2), (-2, -1))
+    if branch not in terms:
+        raise ValueError(f"branch must be '{UPPER}' or '{LOWER}', got {branch!r}")
+    return np.moveaxis(np.array(terms[branch]), 1, -1)
 
 
-def _closed_form(t, branches, cfg: RotorConfig):
-    """The exact states at ``t`` from the eigenstates a of ``branches``, shape
-    ``np.shape(t)`` broadcast against cfg's shape ``+ (len(branches), 2)``,
-    and the a, which are real.
+def evolve_closed_form(t, branch: str, cfg: RotorConfig) -> np.ndarray:
+    """Exact state at time ``t`` from the instantaneous eigenstate ``branch``
+    ("upper" or "lower"), which it reproduces exactly at t = 0.  ``t`` is a
+    float or an array; the complex amplitudes (up, down) are on the last
+    axis, shape ``np.shape(t)`` broadcast against cfg's shape ``+ (2,)``.
 
     In the frame rotating with the drive the state is (c - i s K) a, with
     c = cos(lam t/2), s = sin(lam t/2)/lam and K a = -h a componentwise for K
@@ -178,9 +178,9 @@ def _closed_form(t, branches, cfg: RotorConfig):
     """
     w = np.asarray(cfg.omega, dtype=float)
     lam = np.asarray(cfg.rabi_lambda)
-    t = _check_time(t, np.maximum(w, lam))[..., None, None]
-    a, h = _branch_terms(branches, cfg)
-    w, lam = w[..., None, None], lam[..., None, None]
+    t = _check_time(t, np.maximum(w, lam))[..., None]
+    a, h = _branch_terms(branch, cfg)
+    w, lam = w[..., None], lam[..., None]
     half, turn = t * lam * 0.5, t * (0.5 * w)
     c, cr, sr = np.cos(half), np.cos(turn), np.sin(turn) * np.array([-1.0, 1.0])
     # sin(lam t/2)/lam, whose only 0/0 is lam == 0 (alpha = 0 at resonance)
@@ -188,15 +188,7 @@ def _closed_form(t, branches, cfg: RotorConfig):
     p, q = c * a, s * h * a
     psi = np.empty(p.shape, complex)
     psi.real, psi.imag = p * cr - q * sr, p * sr + q * cr
-    return psi, a
-
-
-def evolve_closed_form(t, branch: str, cfg: RotorConfig) -> np.ndarray:
-    """Exact state at time ``t`` from the instantaneous eigenstate ``branch``
-    ("upper" or "lower"), which it reproduces exactly at t = 0.  ``t`` is a
-    float or an array; the complex amplitudes (up, down) are on the last
-    axis, shape ``np.shape(t) + (2,)``."""
-    return _closed_form(t, [branch], cfg)[0][..., 0, :]
+    return psi
 
 
 def ode_trajectory(
@@ -214,7 +206,7 @@ def ode_trajectory(
     _check_time(t)
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    initial = _branch_terms([branch], cfg)[0, 0]
+    initial = _branch_terms(branch, cfg)[0]
     if t == 0.0:
         times = np.zeros(samples + 1)
         states = np.tile(initial.astype(complex), (samples + 1, 1))
@@ -251,8 +243,8 @@ def return_probability(t, branch: str, cfg: RotorConfig):
     array."""
     # |<a|psi(t)>|^2, squared by pow like abs(z) ** 2 of a Python complex
     # (x * x differs in ~0.1% of last bits)
-    psi, a = _closed_form(t, [branch], cfg)
-    re, im = (psi.real * a)[..., 0, :], (psi.imag * a)[..., 0, :]
+    psi, a = evolve_closed_form(t, branch, cfg), _branch_terms(branch, cfg)[0]
+    re, im = psi.real * a, psi.imag * a
     p = np.float_power(np.hypot(re[..., 0] + re[..., 1], im[..., 0] + im[..., 1]), 2.0)
     return float(p) if p.ndim == 0 else p
 

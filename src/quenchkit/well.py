@@ -183,8 +183,8 @@ def _energies(gammas: np.ndarray, n_levels: int):
     the same doubles as for that gamma alone.  The blocks are dealt out in
     turn to up to `ENERGY_WORKERS` threads, the calling thread one of them,
     each with its own buffer; numpy releases the GIL in the row arithmetic.
-    A failure names the gamma of the first failing block, as one thread
-    running the blocks in order would.
+    The captured sums are checked once every thread has joined, so an
+    underflow names the first failing gamma in grid order.
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
@@ -202,8 +202,11 @@ def _energies(gammas: np.ndarray, n_levels: int):
     errstate = np.geterr()  # a new thread starts from numpy's default
 
     def work(i):
-        with np.errstate(**errstate):
-            failures[i] = _energy_blocks(gammas, terms, shares[i], rows, raw, captured)
+        try:
+            with np.errstate(**errstate):
+                _energy_blocks(gammas, terms, shares[i], rows, raw, captured)
+        except Exception as exc:
+            failures[i] = exc
 
     started = []
     try:
@@ -217,7 +220,14 @@ def _energies(gammas: np.ndarray, n_levels: int):
             thread.join()
     failed = [f for f in failures if f is not None]
     if failed:
-        raise min(failed, key=lambda f: f[0])[1]
+        raise failed[0]
+    # checked before dividing: below gamma ~ 2e-162 g * g is 0 as well
+    if not (captured > 0.0).all():
+        raise ValueError(
+            f"captured probability underflows to zero at gamma = "
+            f"{gammas[np.argmin(captured > 0.0)]} with {n_levels} levels"
+        )
+    raw /= gammas * gammas
     return raw / captured, raw, captured
 
 
@@ -229,33 +239,19 @@ def _cpus() -> int:
 
 
 def _energy_blocks(gammas, terms, starts, rows, raw, captured):
-    # `_energies` for the blocks at ``starts``, in order, into their slices
-    # of ``raw`` and ``captured``; stops at the first block that raises and
-    # returns (its start, the exception), else None
+    # `_energies`' sums for the blocks at ``starts``, in order, into their
+    # slices of ``raw`` and ``captured``
     n = terms[0]
     buffer = np.empty((min(rows, len(gammas)), len(n)))
     for start in starts:
         block = slice(start, start + rows)
         g = gammas[block]
-        try:
-            rho = kernels.expansion_coefficients(
-                g, len(n), out=buffer[: len(g)], terms=terms
-            )
-            rho *= rho
-            np.sum(rho, axis=1, out=captured[block])
-            # checked before dividing: below gamma ~ 2e-162 g * g is 0 as well
-            if not (captured[block] > 0.0).all():
-                raise ValueError(
-                    f"captured probability underflows to zero at gamma = "
-                    f"{g[np.argmin(captured[block] > 0.0)]} with {len(n)} levels"
-                )
-            rho *= n
-            rho *= n
-            np.sum(rho, axis=1, out=raw[block])
-            raw[block] /= g * g
-        except Exception as exc:
-            return start, exc
-    return None
+        rho = kernels.expansion_coefficients(g, len(n), out=buffer[: len(g)], terms=terms)
+        rho *= rho
+        np.sum(rho, axis=1, out=captured[block])
+        rho *= n
+        rho *= n
+        np.sum(rho, axis=1, out=raw[block])
 
 
 def quench_energy(gamma: float, n_levels: int = DEFAULT_LEVELS) -> tuple[float, float, float]:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from quenchkit import numerics
 from quenchkit.numerics import (
@@ -20,25 +21,24 @@ from quenchkit.numerics import (
 
 class TestIntegrate:
     def test_sine_over_half_period(self):
-        assert integrate(math.sin, 0.0, math.pi, tolerance=1e-12) == pytest.approx(
-            2.0, abs=1e-12
-        )
+        assert integrate(lambda nodes: np.sin(nodes.x), 0.0, math.pi,
+                         tolerance=1e-12) == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_integrand(self):
-        assert integrate(lambda x: 0.0, -3.0, 7.0) == 0.0
+        assert integrate(lambda nodes: np.zeros_like(nodes.x), -3.0, 7.0) == 0.0
 
     def test_degenerate_interval(self):
-        assert integrate(math.exp, 1.5, 1.5) == 0.0
+        assert integrate(lambda nodes: np.exp(nodes.x), 1.5, 1.5) == 0.0
 
     def test_ground_state_density_normalized(self):
         # |ground state|^2 of a box of width w integrates to one
         w = 1e-9
-        f = lambda q: (2.0 / w) * math.sin(math.pi * q / w) ** 2
+        f = lambda nodes: (2.0 / w) * np.sin(math.pi * nodes.x / w) ** 2
         assert integrate(f, 0.0, w, tolerance=1e-10) == pytest.approx(1.0, abs=1e-10)
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
-            integrate(math.sin, 1.0, 0.0)
+            integrate(lambda nodes: np.sin(nodes.x), 1.0, 0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -48,9 +48,9 @@ class TestIntegrate:
         b=st.floats(-2, 2),
     )
     def test_linearity_on_polynomials(self, coeffs_f, coeffs_g, a, b):
-        f = lambda x: coeffs_f[0] + coeffs_f[1] * x + coeffs_f[2] * x * x
-        g = lambda x: coeffs_g[0] + coeffs_g[1] * x + coeffs_g[2] * x * x
-        combo = lambda x: a * f(x) + b * g(x)
+        f = lambda nodes: coeffs_f[0] + coeffs_f[1] * nodes.x + coeffs_f[2] * nodes.x * nodes.x
+        g = lambda nodes: coeffs_g[0] + coeffs_g[1] * nodes.x + coeffs_g[2] * nodes.x * nodes.x
+        combo = lambda nodes: a * f(nodes) + b * g(nodes)
         tol = 1e-11
         lhs = integrate(combo, -1.0, 2.0, tolerance=tol)
         rhs = a * integrate(f, -1.0, 2.0, tolerance=tol) + b * integrate(g, -1.0, 2.0, tolerance=tol)
@@ -90,7 +90,7 @@ class TestIntegrate:
         # nodes resolve: the 16- and 24-point sums differ
         exact = (1.0 - math.cos(500.0)) / 50.0
         with pytest.raises(QuadratureConvergenceError, match="differ by") as err:
-            integrate(lambda x: math.sin(50.0 * x), 0.0, 10.0)
+            integrate(lambda nodes: np.sin(50.0 * nodes.x), 0.0, 10.0)
         assert math.isfinite(err.value.best_estimate)
         # the same integral split into arch-sized panels passes
         edges = np.linspace(0.0, 10.0, 161)
@@ -111,8 +111,24 @@ class TestIntegrate:
         # one call: both rules' nodes on every interval of the block
         assert calls == [80]
         with pytest.raises(QuadratureConvergenceError) as err:
-            integrate(lambda x: bad if x > 0.9 else x, 0.0, 1.0)
+            integrate(lambda nodes: np.where(nodes.x > 0.9, bad, nodes.x), 0.0, 1.0)
         assert math.isnan(err.value.best_estimate)
+
+    def test_scalar_bounds_hand_the_integrand_nodes(self):
+        # one call with the interval's 40 nodes, each rooted in interval 0
+        calls = []
+
+        def f(nodes):
+            calls.append(nodes)
+            return np.ones_like(nodes.x)
+
+        got = integrate(f, 0.5, 2.5)
+        assert type(got) is float and got == pytest.approx(2.0, abs=1e-14)
+        [nodes] = calls
+        assert isinstance(nodes, numerics.Nodes)
+        rules = np.concatenate([leggauss(16)[0], leggauss(24)[0]])
+        np.testing.assert_array_equal(nodes.x, 1.5 + 1.0 * rules)
+        np.testing.assert_array_equal(nodes.root, np.zeros(40, dtype=int))
 
     @pytest.mark.parametrize("scale", [1e308 * 10.0, 1e308])
     def test_warnings_give_way_to_the_error(self, scale):
@@ -128,8 +144,8 @@ class TestIntegrate:
 
 
 def smooth(c, x):
-    # A quintic plus a Lorentzian peak, in + - * / only, so a Python float
-    # and a NumPy array give the same doubles.
+    # A quintic plus a Lorentzian peak, in + - * / only, so its doubles do
+    # not depend on how many nodes one call holds.
     p = c[0] + x * (c[1] + x * x * x * x * c[2])
     return p + c[3] / (1.0 + c[4] * (x - c[5]) * (x - c[5]))
 
@@ -162,7 +178,8 @@ class TestIntegrateMatchesRecursion:
         lo, hi = np.array(panels).T
         with mock.patch.object(numerics, "BLOCK", block):
             got = value_or_best_estimate(lambda nodes: smooth(c, nodes.x), lo, hi)
-        alone = [value_or_best_estimate(lambda x: smooth(c, x), a, b) for a, b in panels]
+        alone = [value_or_best_estimate(lambda nodes: smooth(c, nodes.x), a, b)
+                 for a, b in panels]
         assert all(type(v) is float for v in alone)
         np.testing.assert_array_equal(got, alone)
 
@@ -195,7 +212,7 @@ class TestIntegrateMatchesRecursion:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(ValueError):
-            integrate(math.sin, 0.0, 1.0, tolerance=tol)
+            integrate(lambda nodes: np.sin(nodes.x), 0.0, 1.0, tolerance=tol)
 
 
 class TestOdeEvolve:

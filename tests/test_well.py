@@ -164,7 +164,7 @@ class TestEigenstates:
     @pytest.mark.parametrize("n", [1, 3])
     def test_wavefunction_normalized(self, n):
         w = 1e-9
-        density = lambda q: eigen_wavefunction(n, w, q) ** 2
+        density = lambda nodes: eigen_wavefunction(n, w, nodes.x) ** 2
         assert integrate(density, 0.0, w, tolerance=1e-10) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -276,7 +276,7 @@ class TestDecompose:
         # ground-state density over the shrunken box
         analytic = gamma - math.sin(2.0 * math.pi * gamma) / (2.0 * math.pi)
         cfg = WellConfig()
-        density = lambda q: eigen_wavefunction(1, cfg.width, q) ** 2
+        density = lambda nodes: eigen_wavefunction(1, cfg.width, nodes.x) ** 2
         by_quadrature = integrate(density, 0.0, gamma * cfg.width, tolerance=1e-10)
         assert analytic == pytest.approx(by_quadrature, abs=1e-9)
         assert captured_by(gamma, 10_000) == pytest.approx(analytic, abs=1e-3)

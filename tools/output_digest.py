@@ -29,10 +29,12 @@ whose draws span many blocks (``--draws 100000 --seed 7``) and end one draw
 past a block edge (``--draws 4097``), a two-angle ``omega-scan`` and a
 ``threshold`` whose curves each take two blocks of `spin.OMEGA_BLOCK`
 ratios and one ratio past them (``--points 65537``), a ``threshold``
-that folds 62 such blocks (``--points 2000000``), and a ``return-prob``
-whose fractions end one past a chunk edge (``--points 8193``).  A
-workload's ``-o`` files go to a temporary directory, printed as ``$OUT`` so
-that the lines do not depend on where it is.
+that folds 62 such blocks (``--points 2000000``), a ``return-prob``
+whose fractions end one past a chunk edge (``--points 8193``), and an
+``energy-scan`` whose captured probability underflows in the blocks of
+both threads (``--gamma 1e108:1e109``), which exits 2 naming the first
+such gamma.  A workload's ``-o`` files go to a temporary directory, printed
+as ``$OUT`` so that the lines do not depend on where it is.
 
 Every command runs with ``PYTHONDONTWRITEBYTECODE=1``, whatever the caller's
 environment, so a digest never leaves ``__pycache__`` bytecode in the tree it
@@ -87,6 +89,9 @@ EXTRA = [
     ["spin", "threshold", "--points", "2000000"],
     # two blocks of EMIT_CHUNK_ROWS fractions, and one fraction past their edge
     ["spin", "return-prob", "--points", "8193"],
+    # underflows from grid index 4,945 on, in blocks of both threads of
+    # well._energies: exit 2 naming that gamma
+    ["well", "energy-scan", "--gamma", "1e108:1e109", "--points", "10000"],
 ]
 
 
