@@ -19,6 +19,7 @@ import argparse
 import functools
 import math
 import os
+import random
 import sys
 
 import numpy as np
@@ -506,13 +507,14 @@ def _ode_check(args):
 
 
 def _symmetry_check(args):
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     low, high = spin.DEFAULT_RATIO_RANGE
     worst_sym = worst_cycle = 0.0
     for start in range(0, args.draws, EMIT_CHUNK_ROWS):
-        # (alpha, ratio, t / period) per draw, scaled as Generator.uniform
+        # (alpha, ratio, t / period) per draw, scaled as Random.uniform
         # scales: the doubles of one uniform call per value, in that order
-        u = rng.random((min(EMIT_CHUNK_ROWS, args.draws - start), 3))
+        n = min(EMIT_CHUNK_ROWS, args.draws - start)
+        u = np.array([rng.random() for _ in range(3 * n)]).reshape(n, 3)
         cfg = spin.RotorConfig.at_ratio(low + (high - low) * u[:, 1], alpha=math.pi * u[:, 0])
         t = u[:, 2] * cfg.drive_period
         p_upper = spin.return_probability(np.stack((t, cfg.drive_period)), spin.UPPER, cfg)

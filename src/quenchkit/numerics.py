@@ -2,11 +2,11 @@
 
 These routines are independent oracles: the quadrature and ODE integrators
 check the closed forms implemented elsewhere in the package, and the central
-difference checks the force stencils of `quenchkit.well`, which evaluate all
-their points in one array call.  They are deliberately simple and
-reproducible -- fixed Gauss-Legendre rules and classical fixed-step RK4, no
-adaptive subdivision or step controllers -- so that a reimplementation in any
-language produces the same numbers.
+difference checks the force stencils of `quenchkit.well`, which make two
+`_energies` calls: the energy column, then every stencil point.  They are
+deliberately simple and reproducible -- fixed Gauss-Legendre rules and
+classical fixed-step RK4, no adaptive subdivision or step controllers -- so
+that a reimplementation in any language produces the same numbers.
 
 `integrate` runs on arrays: it applies a 16- and a 24-point Gauss-Legendre
 rule to many intervals at once, a block of intervals at a time, and takes the
@@ -22,6 +22,12 @@ from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
+
+
+def refuse(ok, values, message: str) -> None:
+    """ValueError(message.format(v)) for the first ``v`` of ``values`` where ``ok`` fails."""
+    if not np.all(ok):
+        raise ValueError(message.format(float(np.asarray(values).flat[np.argmin(ok)])))
 
 
 class QuadratureConvergenceError(ArithmeticError):
@@ -111,8 +117,7 @@ def integrate(f: Callable, a, b, *, tolerance=1e-10):
         i = int(np.argmax(lo > hi))
         raise ValueError(f"bounds must satisfy a <= b, got a={lo[i]}, b={hi[i]}")
     tol = np.broadcast_to(np.asarray(tolerance, dtype=float), shape).ravel()
-    if not np.all(tol > 0.0):
-        raise ValueError(f"tolerance must be positive, got {tol[np.argmin(tol > 0.0)]}")
+    refuse(tol > 0.0, tol, "tolerance must be positive, got {}")
     (x_low, w_low), (x_high, w_high) = _rules()
     x = np.concatenate([x_low, x_high])
     values = np.zeros(lo.size)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from quenchkit import kernels
-from quenchkit.numerics import OdeDivergenceError
+from quenchkit.numerics import OdeDivergenceError, refuse
 
 HBAR = 1.054571817e-34  # J s
 
@@ -58,28 +58,23 @@ class RotorConfig:
 
     def __post_init__(self):
         omega, top = self.omega, kernels.MAX_RATIO
-        _refuse(np.isfinite(omega) & (omega > 0.0), omega,
-                "omega must be finite and positive, got {}")
+        refuse(np.isfinite(omega) & (omega > 0.0), omega,
+               "omega must be finite and positive, got {}")
         _check_alpha(self.alpha)
         np.broadcast_shapes(np.shape(self.alpha), np.shape(omega))  # or ValueError
         # kernels.rabi_rate squares the frequencies, which overflow past
         # sqrt(DBL_MAX); below 1 / MAX_RATIO a ratio leaves the range of a
         # double.  A ratio within the bounds keeps omega above 1e-150 rad/s.
         ratio, must = omega / OMEGA0, "drive ratio omega / omega0 must be"
-        _refuse(ratio <= top, ratio, f"{must} at most {top:g}, got {{:g}}")
-        _refuse(ratio >= 1.0 / top, ratio, f"{must} at least {1.0 / top:g}, got {{:g}}")
-        _refuse(omega <= top, omega, f"omega must be at most {top:g} rad/s, got {{:g}}")
-
-    @property
-    def omega0(self) -> float:
-        """Larmor frequency, rad/s: the constant `OMEGA0`."""
-        return OMEGA0
+        refuse(ratio <= top, ratio, f"{must} at most {top:g}, got {{:g}}")
+        refuse(ratio >= 1.0 / top, ratio, f"{must} at least {1.0 / top:g}, got {{:g}}")
+        refuse(omega <= top, omega, f"omega must be at most {top:g} rad/s, got {{:g}}")
 
     @property
     def rabi_lambda(self):
         """Generalized precession rate sqrt(w^2 + w0^2 - 2 w w0 cos(alpha)):
         a float for one configuration, an array for many."""
-        lam = kernels.rabi_rate(self.omega, self.omega0, self.alpha)
+        lam = kernels.rabi_rate(self.omega, OMEGA0, self.alpha)
         return float(lam) if np.ndim(lam) == 0 else lam
 
     @property
@@ -92,14 +87,8 @@ class RotorConfig:
         return cls(alpha=alpha, omega=ratio * OMEGA0)
 
 
-def _refuse(ok, values, message: str) -> None:
-    # ValueError(message) naming the first of ``values`` where ``ok`` fails
-    if not np.all(ok):
-        raise ValueError(message.format(float(np.asarray(values).flat[np.argmin(ok)])))
-
-
 def _check_alpha(alpha) -> None:
-    _refuse((0.0 <= alpha) & (alpha <= math.pi), alpha, "alpha must lie in [0, pi], got {}")
+    refuse((0.0 <= alpha) & (alpha <= math.pi), alpha, "alpha must lie in [0, pi], got {}")
 
 
 def _check_single(cfg: RotorConfig, name: str) -> None:
@@ -117,7 +106,7 @@ def hamiltonian(t: float, cfg: RotorConfig) -> np.ndarray:
     y' = A(t) y, so the two share one matrix.
     """
     _check_single(cfg, "hamiltonian")
-    a00, a01, a10, a11 = kernels._spin_generator(t, cfg.alpha, cfg.omega, cfg.omega0)
+    a00, a01, a10, a11 = kernels._spin_generator(t, cfg.alpha, cfg.omega, OMEGA0)
     return 1j * HBAR * np.array([[a00, a01], [a10, a11]], dtype=complex)
 
 
@@ -133,7 +122,7 @@ def instantaneous_eigenstates(
     phase = complex(math.cos(cfg.omega * t), math.sin(cfg.omega * t))
     turn = np.array([[1.0, phase], [phase.conjugate(), 1.0]])
     upper, lower = (_branch_terms(b, cfg)[0] * row for b, row in zip((UPPER, LOWER), turn))
-    e = 0.5 * HBAR * cfg.omega0
+    e = 0.5 * HBAR * OMEGA0
     return upper, lower, e, -e
 
 
@@ -155,7 +144,7 @@ def _check_time(t, rate=0.0) -> np.ndarray:
 def _branch_terms(branch: str, cfg: RotorConfig) -> np.ndarray:
     """The eigenstate a of ``branch`` at t = 0, which is real, and the h of
     `evolve_closed_form`: shape ``(2,) + cfg's shape + (2,)``."""
-    w0, half = cfg.omega0, 0.5 * cfg.alpha
+    w0, half = OMEGA0, 0.5 * cfg.alpha
     w, ch, sh = np.broadcast_arrays(cfg.omega, np.cos(half), np.sin(half))
     terms = {UPPER: ((ch, sh), (w - w0, -(w0 + w))), LOWER: ((sh, -ch), (w0 + w, w0 - w))}
     if branch not in terms:
@@ -211,7 +200,7 @@ def ode_trajectory(
         times = np.zeros(samples + 1)
         states = np.tile(initial.astype(complex), (samples + 1, 1))
         return times, states, 0.0
-    fastest = max(cfg.omega, cfg.omega0, cfg.rabi_lambda)
+    fastest = max(cfg.omega, OMEGA0, cfg.rabi_lambda)
     periods = t / cfg.drive_period
     # at least 600 steps per period of the fastest frequency: over P such
     # periods the error is about 2.5 P / 600^4, 3e-7 at the slowest drive
@@ -223,13 +212,13 @@ def ode_trajectory(
     if n_steps > MAX_RK4_STEPS:
         raise ValueError(
             f"RK4 over t = {t:g} s at drive ratio omega / omega0 = "
-            f"{cfg.omega / cfg.omega0:g} needs {n_steps:.0f} steps, above the budget "
+            f"{cfg.omega / OMEGA0:g} needs {n_steps:.0f} steps, above the budget "
             f"of {MAX_RK4_STEPS}"
         )
     n_steps = int(n_steps)
     stride = n_steps // samples
     states, drift = kernels.spin_rk4(
-        cfg.alpha, cfg.omega, cfg.omega0, t, n_steps, *initial, stride
+        cfg.alpha, cfg.omega, OMEGA0, t, n_steps, *initial, stride
     )
     if not np.all(np.isfinite(states.view(float))):
         raise OdeDivergenceError("two-level RK4 integration produced non-finite values")
@@ -251,9 +240,9 @@ def return_probability(t, branch: str, cfg: RotorConfig):
 
 def return_probability_cycle(cfg: RotorConfig):
     """Return probability after exactly one drive cycle, as a closed form in
-    the drive ratio ``cfg.omega / cfg.omega0``: a float for one
+    the drive ratio ``cfg.omega / OMEGA0``: a float for one
     configuration, an array of cfg's shape for many."""
-    ratio, alpha = np.broadcast_arrays(np.divide(cfg.omega, cfg.omega0), cfg.alpha)
+    ratio, alpha = np.broadcast_arrays(np.divide(cfg.omega, OMEGA0), cfg.alpha)
     rho = kernels.cycle_return_curve(ratio.ravel(), alpha.ravel()).reshape(ratio.shape)
     return float(rho) if rho.ndim == 0 else rho
 

@@ -26,7 +26,7 @@ import numpy as np
 from quenchkit import kernels
 # central_difference is the force stencils' test oracle, imported here only
 # because perfbench/tracer.py wraps `well.central_difference` by that name
-from quenchkit.numerics import central_difference, integrate  # noqa: F401
+from quenchkit.numerics import central_difference, integrate, refuse  # noqa: F401
 
 DEFAULT_LEVELS = 10
 DEFAULT_FORCE_STEP = 1e-4
@@ -64,16 +64,15 @@ class WellConfig:
     @property
     def ground_energy(self) -> float:
         """Ground-state energy of the initial box, h^2 / (8 m W^2), in J."""
-        return self.planck**2 / (8.0 * self.mass * self.width**2)
+        return eigen_energy(1, self.width, self)
 
 
-def _check_gamma(gamma: float) -> float:
-    """``gamma`` as a float, once it is a valid width ratio."""
-    gamma = float(gamma)
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
-    if gamma > kernels.MAX_RATIO:
-        raise ValueError(f"gamma must be at most {kernels.MAX_RATIO:g}, got {gamma}")
+def _check_gamma(gamma):
+    """``gamma``, a float or an array, once every element is a valid width
+    ratio; the first that is not is named."""
+    refuse(np.isfinite(gamma) & (gamma > 0.0), gamma, "gamma must be finite and positive, got {}")
+    top = kernels.MAX_RATIO
+    refuse(gamma <= top, gamma, f"gamma must be at most {top:g}, got {{}}")
     return gamma
 
 
@@ -93,8 +92,7 @@ def eigen_wavefunction(n, width: float, q):
 
     ``n`` and ``q`` broadcast: array arguments give an array of amplitudes.
     """
-    if np.any(np.asarray(n) < 1):
-        raise ValueError(f"level index must be >= 1, got {n}")
+    refuse(np.asarray(n) >= 1, n, "level index must be >= 1, got {:g}")
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width}")
     q = np.asarray(q, dtype=float)
@@ -132,8 +130,7 @@ def overlap_oracle(n, gamma: float, *, tolerance=1e-10):
     through one `integrate` call, and the result is an array over ``n``.
     """
     levels = np.asarray(n)
-    if np.any(levels < 1):
-        raise ValueError(f"level index must be >= 1, got {n}")
+    refuse(levels >= 1, levels, "level index must be >= 1, got {:g}")
     w0 = WellConfig().width
     w1 = _check_gamma(gamma) * w0
     upper = min(w0, w1)
@@ -188,9 +185,7 @@ def _energies(gammas: np.ndarray, n_levels: int):
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
-    in_domain = (gammas > 0.0) & (gammas <= kernels.MAX_RATIO)
-    if not in_domain.all():
-        _check_gamma(gammas[np.argmin(in_domain)])
+    _check_gamma(gammas)
     terms = kernels.level_terms(n_levels)
     raw = np.empty(len(gammas))
     captured = np.empty(len(gammas))
@@ -222,11 +217,8 @@ def _energies(gammas: np.ndarray, n_levels: int):
     if failed:
         raise failed[0]
     # checked before dividing: below gamma ~ 2e-162 g * g is 0 as well
-    if not (captured > 0.0).all():
-        raise ValueError(
-            f"captured probability underflows to zero at gamma = "
-            f"{gammas[np.argmin(captured > 0.0)]} with {n_levels} levels"
-        )
+    refuse(captured > 0.0, gammas,
+           f"captured probability underflows to zero at gamma = {{}} with {n_levels} levels")
     raw /= gammas * gammas
     return raw / captured, raw, captured
 
@@ -270,17 +262,13 @@ def _forces(gammas: np.ndarray, n_levels: int, step: float):
     energy = _energies(gammas, n_levels)[0]
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    if not (gammas - step > 0.0).all():
-        g = gammas[np.argmin(gammas - step > 0.0)]
-        raise ValueError(f"gamma - step must stay positive, got gamma={g}, step={step}")
+    refuse(gammas - step > 0.0, gammas,
+           f"gamma - step must stay positive, got gamma={{}}, step={step}")
     # Above about 2^19 at step 1e-4 the doubles next to gamma are too coarse
     # for the step: the stencil's differences are rounding, not slope.
-    coarse = np.spacing(gammas + 2.0 * step) > 1e-6 * step
-    if coarse.any():
-        raise ValueError(
-            f"the force stencil cannot resolve step {step} at gamma = "
-            f"{gammas[np.argmax(coarse)]}: the doubles there are over 1e-6 step apart"
-        )
+    refuse(np.spacing(gammas + 2.0 * step) <= 1e-6 * step, gammas,
+           f"the force stencil cannot resolve step {step} at gamma = {{}}: "
+           f"the doubles there are over 1e-6 step apart")
     # Within 2 step of an integer k >= 1 the stencil is second-order one-sided
     # and points away from k: h = -step below it and +step above (rounding is
     # symmetric in sign, so one formula serves both), with its far point at

@@ -6,6 +6,7 @@ import io
 import math
 import os
 import itertools
+import random
 import re
 import subprocess
 import sys
@@ -611,7 +612,7 @@ class TestSpinCommands:
     def per_draw_symmetry_check(draws, seed):
         """The reference for the array draws: per draw, three `uniform`
         calls and the closed forms at one configuration."""
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         worst_sym = worst_cycle = 0.0
         for _ in range(draws):
             alpha = rng.uniform(0.0, math.pi)

@@ -237,7 +237,7 @@ class TestOdeEvolve:
         from quenchkit import spin
 
         cfg = spin.RotorConfig.at_ratio(1.0, alpha=math.pi / 4)
-        w, w0, a = cfg.omega, cfg.omega0, cfg.alpha
+        w, w0, a = cfg.omega, spin.OMEGA0, cfg.alpha
 
         def rhs(t, y):
             off = math.sin(a) * np.exp(-1j * w * t)

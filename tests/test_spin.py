@@ -46,13 +46,12 @@ class TestConfig:
     def test_larmor_frequency(self):
         # a constant, not a field: the spin tables depend on alpha and
         # omega / omega0 only
-        cfg = RotorConfig()
-        assert cfg.omega0 == 1.6e-19 * 1.0 / 9.3e-31
+        assert spin.OMEGA0 == 1.6e-19 * 1.0 / 9.3e-31
         assert [f.name for f in dataclasses.fields(RotorConfig)] == ["alpha", "omega"]
 
     def test_at_ratio(self):
         cfg = RotorConfig.at_ratio(2.5, alpha=math.pi / 6)
-        assert cfg.omega == 2.5 * cfg.omega0
+        assert cfg.omega == 2.5 * spin.OMEGA0
         assert cfg.alpha == math.pi / 6
         assert RotorConfig.at_ratio(1.0 / kernels.MAX_RATIO).omega > 0.0
 
@@ -132,21 +131,21 @@ class TestConfig:
     def test_rabi_rate_triangle_bounds(self, alpha, ratio):
         cfg = cfg_at(ratio, alpha)
         lam = cfg.rabi_lambda
-        assert abs(cfg.omega - cfg.omega0) <= lam * (1 + 1e-12)
-        assert lam <= (cfg.omega + cfg.omega0) * (1 + 1e-12)
+        assert abs(cfg.omega - spin.OMEGA0) <= lam * (1 + 1e-12)
+        assert lam <= (cfg.omega + spin.OMEGA0) * (1 + 1e-12)
 
     def test_rabi_rate_stable_near_degeneracy(self):
         # naive w^2 + w0^2 - 2 w w0 cos(a) cancels catastrophically here
         cfg = cfg_at(1.0 + 1e-9, 1e-9)
-        gap = abs(cfg.omega - cfg.omega0)
-        assert gap <= cfg.rabi_lambda <= gap * 1.5 + 2e-9 * cfg.omega0
+        gap = abs(cfg.omega - spin.OMEGA0)
+        assert gap <= cfg.rabi_lambda <= gap * 1.5 + 2e-9 * spin.OMEGA0
 
 
 class TestHamiltonian:
     def test_aligned_field_is_diagonal(self):
         cfg = RotorConfig(alpha=0.0)
         h = hamiltonian(0.7e-11, cfg)
-        e = 0.5 * HBAR * cfg.omega0
+        e = 0.5 * HBAR * spin.OMEGA0
         np.testing.assert_array_equal(h, np.diag([e, -e]).astype(complex))
 
     @pytest.mark.parametrize("t_frac", [0.0, 0.21, 0.77])
@@ -163,7 +162,7 @@ class TestHamiltonian:
             t = rng.uniform(0, 1) * cfg.drive_period
             upper, lower, e_up, e_dn = instantaneous_eigenstates(t, cfg)
             h = hamiltonian(t, cfg)
-            scale = 0.5 * HBAR * cfg.omega0
+            scale = 0.5 * HBAR * spin.OMEGA0
             for state, e in ((upper, e_up), (lower, e_dn)):
                 residual = h @ state - e * state
                 assert np.max(np.abs(residual)) / scale <= 1e-12
@@ -280,7 +279,7 @@ class TestClosedFormEvolution:
 
     def test_kernel_agrees_with_generic_integrator(self):
         cfg = cfg_at(0.7, math.pi / 3)
-        w, w0, a = cfg.omega, cfg.omega0, cfg.alpha
+        w, w0, a = cfg.omega, spin.OMEGA0, cfg.alpha
 
         def rhs(t, y):
             off = math.sin(a) * np.exp(-1j * w * t)
@@ -304,7 +303,7 @@ def bits(x):
 def complex_closed_form(t, branch, cfg):
     """The exact state at one time in Python complex arithmetic, and the
     real initial eigenstate: the per-time reference of the array form."""
-    lam, w, w0 = cfg.rabi_lambda, cfg.omega, cfg.omega0
+    lam, w, w0 = cfg.rabi_lambda, cfg.omega, spin.OMEGA0
     c = math.cos(0.5 * lam * t)
     s = 0.5 * t if lam == 0.0 else math.sin(0.5 * (lam * t)) / lam
     ch, sh = math.cos(0.5 * cfg.alpha), math.sin(0.5 * cfg.alpha)

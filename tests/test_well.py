@@ -695,3 +695,35 @@ class TestScans:
             secant = (energy[i + 1] - energy[i - 1]) / (gamma[i + 1] - gamma[i - 1])
             if abs(secant) > 1e-3:
                 assert math.copysign(1.0, force[i]) == -math.copysign(1.0, secant)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: well._energies(np.array([1.5, -1.0, -2.0]), 10),
+         "gamma must be finite and positive, got -1.0"),
+        (lambda: well._energies(np.array([1.5, 2e150, 1e151]), 10),
+         "gamma must be at most 1e+150, got 2e+150"),
+        (lambda: well._energies(np.array([1.5, 2e-300, 1e-300]), 10),
+         "captured probability underflows to zero at gamma = 2e-300 with 10 levels"),
+        (lambda: well._forces(np.array([0.5, 5e-5, 4e-5]), 10, 1e-4),
+         "gamma - step must stay positive, got gamma=5e-05, step=0.0001"),
+        (lambda: well._forces(np.array([1.5, 600000.5, 700000.5]), 10, 1e-4),
+         "the force stencil cannot resolve step 0.0001 at gamma = 600000.5: "
+         "the doubles there are over 1e-6 step apart"),
+        (lambda: integrate(lambda nodes: nodes.x, np.zeros(3), np.ones(3),
+                           tolerance=[1e-10, -1.0, 0.0]),
+         "tolerance must be positive, got -1.0"),
+        (lambda: overlap_oracle(np.array([1, 0, -1]), 0.5), "level index must be >= 1, got 0"),
+        (lambda: eigen_wavefunction(np.array([[2], [0]]), 1.0, 0.3),
+         "level index must be >= 1, got 0"),
+    ],
+    ids=["energies-domain", "energies-top", "energies-underflow", "forces-step",
+         "forces-coarse", "integrate-tolerance", "overlap-oracle-level",
+         "eigen-wavefunction-level"],
+)
+def test_array_checks_name_the_first_bad_element(call, message):
+    # one line naming one value, never the whole array
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

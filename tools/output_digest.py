@@ -33,7 +33,9 @@ that folds 62 such blocks (``--points 2000000``), a ``return-prob``
 whose fractions end one past a chunk edge (``--points 8193``), and an
 ``energy-scan`` whose captured probability underflows in the blocks of
 both threads (``--gamma 1e108:1e109``), which exits 2 naming the first
-such gamma.  A workload's ``-o`` files go to a temporary directory, printed
+such gamma, and a ``force-scan`` whose first stencil reaches below zero
+(``--gamma 5e-5:1 --points 3``), which exits 2 naming that gamma.  A
+workload's ``-o`` files go to a temporary directory, printed
 as ``$OUT`` so that the lines do not depend on where it is.
 
 Every command runs with ``PYTHONDONTWRITEBYTECODE=1``, whatever the caller's
@@ -92,6 +94,8 @@ EXTRA = [
     # underflows from grid index 4,945 on, in blocks of both threads of
     # well._energies: exit 2 naming that gamma
     ["well", "energy-scan", "--gamma", "1e108:1e109", "--points", "10000"],
+    # gamma - step < 0 at grid point 0: exit 2 naming gamma = 5e-05
+    ["well", "force-scan", "--gamma", "5e-5:1", "--points", "3"],
 ]
 
 
