@@ -468,7 +468,7 @@ def _oracle_check(args):
 
 
 def _return_prob(args):
-    cfg = spin.RotorConfig.at_ratio(args.ratio, alpha=args.alpha)
+    cfg = spin.RotorConfig(alpha=args.alpha, ratio=args.ratio)
     # one block of rows per chunk keeps the temporaries small
     blocks = (
         np.column_stack((f, spin.return_probability(f * cfg.drive_period, spin.UPPER, cfg)))
@@ -496,7 +496,7 @@ def _ode_check(args):
     rows = []
     for alpha in args.alpha:
         for ratio in args.ratio_list:
-            cfg = spin.RotorConfig.at_ratio(ratio, alpha=alpha)
+            cfg = spin.RotorConfig(alpha=alpha, ratio=ratio)
             times, states, drift = spin.ode_trajectory(
                 cfg.drive_period, spin.UPPER, cfg, samples=args.samples
             )
@@ -515,7 +515,7 @@ def _symmetry_check(args):
         # scales: the doubles of one uniform call per value, in that order
         n = min(EMIT_CHUNK_ROWS, args.draws - start)
         u = np.array([rng.random() for _ in range(3 * n)]).reshape(n, 3)
-        cfg = spin.RotorConfig.at_ratio(low + (high - low) * u[:, 1], alpha=math.pi * u[:, 0])
+        cfg = spin.RotorConfig(alpha=math.pi * u[:, 0], ratio=low + (high - low) * u[:, 1])
         t = u[:, 2] * cfg.drive_period
         p_upper = spin.return_probability(np.stack((t, cfg.drive_period)), spin.UPPER, cfg)
         gap = np.abs(p_upper[0] - spin.return_probability(t, spin.LOWER, cfg))

@@ -178,13 +178,14 @@ def spin_rk4(alpha, omega, omega0, t_end, n_steps, up0, dn0, stride):
     return states, drift
 
 
-def rabi_rate(omega, omega0, alpha):
-    """Generalized precession rate sqrt(w^2 + w0^2 - 2 w w0 cos(alpha)), as
-    sqrt((w - w0)^2 + 4 w w0 sin^2(alpha/2)): no cancellation, and >= |w - w0|
-    down to rounding.  ``omega`` and ``alpha`` may be arrays that broadcast."""
+def rabi_rate(ratio, alpha):
+    """Generalized precession rate sqrt(x^2 + 1 - 2 x cos(alpha)) at drive
+    ratio x, in units of the Larmor frequency, as sqrt((x - 1)^2 + 4 x
+    sin^2(alpha/2)): no cancellation, and >= |x - 1| down to rounding.
+    ``ratio`` and ``alpha`` may be arrays that broadcast."""
     s = np.sin(0.5 * alpha)
-    d = omega - omega0
-    return np.sqrt(d * d + 4.0 * omega * omega0 * s * s)
+    d = ratio - 1.0
+    return np.sqrt(d * d + 4.0 * ratio * s * s)
 
 
 def cycle_return_curve(ratios, alpha):
@@ -192,7 +193,7 @@ def cycle_return_curve(ratios, alpha):
     a 1-D array, at the cone angle ``alpha``, a float or an array of x's
     shape.
 
-    mu = `rabi_rate` (x, 1, alpha); the degenerate x = 1, alpha = 0
+    mu = `rabi_rate` (x, alpha); the degenerate x = 1, alpha = 0
     (mu = 0) pins the state at probability 1.  The value is
     c c + ((coef coef) s) s with c, s the cosine and sine of pi mu / x and
     coef = (1 - x cos(alpha)) / mu, each operation done in place and in that
@@ -203,7 +204,7 @@ def cycle_return_curve(ratios, alpha):
     at 256 KiB each, where a whole 10^6-point curve holds three of 7.6 MiB.
     """
     x = np.asarray(ratios, dtype=float)
-    mu = rabi_rate(x, 1.0, alpha)
+    mu = rabi_rate(x, alpha)
     pinned = ~(mu > 0.0)
     mu[pinned] = 1.0
     phase = np.multiply(np.pi, mu)

@@ -1,11 +1,15 @@
 """Spin-1/2 in a rotating magnetic field: exact dynamics and return probability.
 
-The field has fixed magnitude and rotates at frequency ``omega`` on a cone of
+The field has fixed magnitude and rotates at frequency omega on a cone of
 half-angle ``alpha`` about the z axis.  Starting from an instantaneous
 eigenstate, the state evolves exactly; the return probability measures how
 much of it stays in that eigenstate.  For drives much faster than the Larmor
-frequency the state effectively freezes -- `anti_adiabatic_threshold` locates
-the drive ratio where that happens.
+frequency omega0 the state effectively freezes -- `anti_adiabatic_threshold`
+locates the drive ratio where that happens.
+
+Everything is in Larmor units: frequencies are the drive ratio x = omega /
+omega0 and the rates built from it, times are in units of 1 / omega0 and
+energies in units of hbar omega0.
 """
 
 from __future__ import annotations
@@ -19,19 +23,11 @@ import numpy as np
 from quenchkit import kernels
 from quenchkit.numerics import OdeDivergenceError, refuse
 
-HBAR = 1.054571817e-34  # J s
-
-UPPER = "upper"  # eigenvalue +hbar*omega0/2
-LOWER = "lower"  # eigenvalue -hbar*omega0/2
+UPPER = "upper"  # eigenvalue +1/2
+LOWER = "lower"  # eigenvalue -1/2
 
 DEFAULT_RATIO_RANGE = (0.05, 20.0)
 DEFAULT_SCAN_POINTS = 10_000
-
-# Larmor frequency, rad/s: charge 1.6e-19 C times a 1 T field over mass
-# 9.3e-31 kg.  Every spin quantity the package reports depends on the cone
-# angle and the drive ratio omega / omega0 only, so omega0 sets only the unit
-# of time.
-OMEGA0 = 1.6e-19 / 9.3e-31
 
 # Most RK4 steps one trajectory may take: ~10 s of the step loop.  A cycle
 # takes 10^4 steps at a drive ratio >= 0.064 and about 600 / r below that
@@ -46,45 +42,36 @@ RK4_STEPS_PER_PERIOD = 10_000
 
 @dataclass(frozen=True)
 class RotorConfig:
-    """Cone angle and drive frequency at the Larmor frequency `OMEGA0`: one
-    configuration, or many when ``alpha`` and ``omega`` are arrays of one
-    broadcast shape.
+    """Cone angle and drive ratio omega / omega0: one configuration, or many
+    when ``alpha`` and ``ratio`` are arrays of one broadcast shape.
 
     Defaults drive a 45-degree cone at the Larmor frequency.
     """
 
     alpha: float = math.pi / 4  # rad, cone half-angle
-    omega: float = OMEGA0  # rad/s, drive frequency
+    ratio: float = 1.0  # drive frequency over the Larmor frequency
 
     def __post_init__(self):
-        omega, top = self.omega, kernels.MAX_RATIO
-        refuse(np.isfinite(omega) & (omega > 0.0), omega,
-               "omega must be finite and positive, got {}")
+        ratio, top = self.ratio, kernels.MAX_RATIO
         _check_alpha(self.alpha)
-        np.broadcast_shapes(np.shape(self.alpha), np.shape(omega))  # or ValueError
-        # kernels.rabi_rate squares the frequencies, which overflow past
+        np.broadcast_shapes(np.shape(self.alpha), np.shape(ratio))  # or ValueError
+        # kernels.rabi_rate squares the ratios, which overflow past
         # sqrt(DBL_MAX); below 1 / MAX_RATIO a ratio leaves the range of a
-        # double.  A ratio within the bounds keeps omega above 1e-150 rad/s.
-        ratio, must = omega / OMEGA0, "drive ratio omega / omega0 must be"
+        # double.  nan and inf fail the first bound, 0 and below the second.
+        must = "drive ratio omega / omega0 must be"
         refuse(ratio <= top, ratio, f"{must} at most {top:g}, got {{:g}}")
         refuse(ratio >= 1.0 / top, ratio, f"{must} at least {1.0 / top:g}, got {{:g}}")
-        refuse(omega <= top, omega, f"omega must be at most {top:g} rad/s, got {{:g}}")
 
     @property
     def rabi_lambda(self):
-        """Generalized precession rate sqrt(w^2 + w0^2 - 2 w w0 cos(alpha)):
-        a float for one configuration, an array for many."""
-        lam = kernels.rabi_rate(self.omega, OMEGA0, self.alpha)
+        """Generalized precession rate sqrt(x^2 + 1 - 2 x cos(alpha)) at drive
+        ratio x: a float for one configuration, an array for many."""
+        lam = kernels.rabi_rate(self.ratio, self.alpha)
         return float(lam) if np.ndim(lam) == 0 else lam
 
     @property
     def drive_period(self):
-        return 2.0 * math.pi / self.omega
-
-    @classmethod
-    def at_ratio(cls, ratio, alpha=math.pi / 4) -> "RotorConfig":
-        """Config with the drive at ``ratio`` times the Larmor frequency."""
-        return cls(alpha=alpha, omega=ratio * OMEGA0)
+        return 2.0 * math.pi / self.ratio
 
 
 def _check_alpha(alpha) -> None:
@@ -92,51 +79,49 @@ def _check_alpha(alpha) -> None:
 
 
 def _check_single(cfg: RotorConfig, name: str) -> None:
-    shape = np.broadcast_shapes(np.shape(cfg.alpha), np.shape(cfg.omega))
+    shape = np.broadcast_shapes(np.shape(cfg.alpha), np.shape(cfg.ratio))
     if shape:
         raise ValueError(f"{name} takes one configuration, got an array of shape {shape}")
 
 
 def hamiltonian(t: float, cfg: RotorConfig) -> np.ndarray:
-    """2x2 Hamiltonian at time ``t``, in joules.
+    """2x2 Hamiltonian at time ``t``, in units of hbar omega0.
 
-    Traceless Hermitian with eigenvalues +/- hbar*omega0/2 at every instant:
-    (hbar*omega0/2) times the field direction contracted with the Pauli
-    matrices.  It is i hbar A(t) for the generator A of the RK4 oracle,
-    y' = A(t) y, so the two share one matrix.
+    Traceless Hermitian with eigenvalues +/- 1/2 at every instant: 1/2 times
+    the field direction contracted with the Pauli matrices.  It is i A(t)
+    for the generator A of the RK4 oracle, y' = A(t) y, so the two share one
+    matrix.
     """
     _check_single(cfg, "hamiltonian")
-    a00, a01, a10, a11 = kernels._spin_generator(t, cfg.alpha, cfg.omega, OMEGA0)
-    return 1j * HBAR * np.array([[a00, a01], [a10, a11]], dtype=complex)
+    a00, a01, a10, a11 = kernels._spin_generator(t, cfg.alpha, cfg.ratio, 1.0)
+    return 1j * np.array([[a00, a01], [a10, a11]], dtype=complex)
 
 
 def instantaneous_eigenstates(
     t: float, cfg: RotorConfig
 ) -> tuple[np.ndarray, np.ndarray, float, float]:
     """Eigenstates of the instantaneous Hamiltonian, each a normalized complex
-    array (up, down), and their energies (J): the t = 0 eigenstates of
-    `_branch_terms` with the field's phase e^{i omega t} on the down
-    component of the upper one and e^{-i omega t} on the up component of the
-    lower one."""
+    array (up, down), and their energies +/- 1/2: the t = 0 eigenstates of
+    `_branch_terms` with the field's phase e^{i x t} on the down component
+    of the upper one and e^{-i x t} on the up component of the lower one."""
     _check_single(cfg, "instantaneous_eigenstates")
-    phase = complex(math.cos(cfg.omega * t), math.sin(cfg.omega * t))
+    phase = complex(math.cos(cfg.ratio * t), math.sin(cfg.ratio * t))
     turn = np.array([[1.0, phase], [phase.conjugate(), 1.0]])
     upper, lower = (_branch_terms(b, cfg)[0] * row for b, row in zip((UPPER, LOWER), turn))
-    e = 0.5 * HBAR * OMEGA0
-    return upper, lower, e, -e
+    return upper, lower, 0.5, -0.5
 
 
 def _check_time(t, rate=0.0) -> np.ndarray:
     """``t`` as a float array broadcast against ``rate``, once every element
-    is finite and non-negative and, for a ``rate`` in rad/s, keeps the phase
-    ``rate * t`` finite."""
+    is finite and non-negative and keeps the phase ``rate * t`` finite."""
     t, rate = np.broadcast_arrays(np.asarray(t, dtype=float), rate)
-    with np.errstate(divide="ignore"):  # no rate: no bound
+    # no bound at a rate of 0, nor below a rate of 1, where the bound overflows
+    with np.errstate(divide="ignore", over="ignore"):
         ok = (t >= 0.0) & (t < sys.float_info.max / rate)
     if not ok.all():
         bad, rate = t.flat[np.argmin(ok)], rate.flat[np.argmin(ok)]
         if 0.0 <= bad < math.inf:
-            raise ValueError(f"t = {bad:g} s overflows the phase {rate:g} rad/s * t")
+            raise ValueError(f"t = {bad:g} overflows the phase {rate:g} * t")
         raise ValueError(f"t must be finite and non-negative, got {bad}")
     return t
 
@@ -144,9 +129,9 @@ def _check_time(t, rate=0.0) -> np.ndarray:
 def _branch_terms(branch: str, cfg: RotorConfig) -> np.ndarray:
     """The eigenstate a of ``branch`` at t = 0, which is real, and the h of
     `evolve_closed_form`: shape ``(2,) + cfg's shape + (2,)``."""
-    w0, half = OMEGA0, 0.5 * cfg.alpha
-    w, ch, sh = np.broadcast_arrays(cfg.omega, np.cos(half), np.sin(half))
-    terms = {UPPER: ((ch, sh), (w - w0, -(w0 + w))), LOWER: ((sh, -ch), (w0 + w, w0 - w))}
+    half = 0.5 * cfg.alpha
+    w, ch, sh = np.broadcast_arrays(cfg.ratio, np.cos(half), np.sin(half))
+    terms = {UPPER: ((ch, sh), (w - 1.0, -(1.0 + w))), LOWER: ((sh, -ch), (1.0 + w, 1.0 - w))}
     if branch not in terms:
         raise ValueError(f"branch must be '{UPPER}' or '{LOWER}', got {branch!r}")
     return np.moveaxis(np.array(terms[branch]), 1, -1)
@@ -165,7 +150,7 @@ def evolve_closed_form(t, branch: str, cfg: RotorConfig) -> np.ndarray:
     rounds as the complex form does, down to the phases 0.5 (lam t) and
     (0.5 w) t; numpy's complex multiply may round differently.
     """
-    w = np.asarray(cfg.omega, dtype=float)
+    w = np.asarray(cfg.ratio, dtype=float)
     lam = np.asarray(cfg.rabi_lambda)
     t = _check_time(t, np.maximum(w, lam))[..., None]
     a, h = _branch_terms(branch, cfg)
@@ -200,7 +185,7 @@ def ode_trajectory(
         times = np.zeros(samples + 1)
         states = np.tile(initial.astype(complex), (samples + 1, 1))
         return times, states, 0.0
-    fastest = max(cfg.omega, OMEGA0, cfg.rabi_lambda)
+    fastest = max(cfg.ratio, 1.0, cfg.rabi_lambda)
     periods = t / cfg.drive_period
     # at least 600 steps per period of the fastest frequency: over P such
     # periods the error is about 2.5 P / 600^4, 3e-7 at the slowest drive
@@ -211,14 +196,14 @@ def ode_trajectory(
     n_steps = np.ceil(np.ceil(steps) / samples) * samples
     if n_steps > MAX_RK4_STEPS:
         raise ValueError(
-            f"RK4 over t = {t:g} s at drive ratio omega / omega0 = "
-            f"{cfg.omega / OMEGA0:g} needs {n_steps:.0f} steps, above the budget "
+            f"RK4 over t = {t:g} at drive ratio omega / omega0 = "
+            f"{cfg.ratio:g} needs {n_steps:.0f} steps, above the budget "
             f"of {MAX_RK4_STEPS}"
         )
     n_steps = int(n_steps)
     stride = n_steps // samples
     states, drift = kernels.spin_rk4(
-        cfg.alpha, cfg.omega, OMEGA0, t, n_steps, *initial, stride
+        cfg.alpha, cfg.ratio, 1.0, t, n_steps, *initial, stride
     )
     if not np.all(np.isfinite(states.view(float))):
         raise OdeDivergenceError("two-level RK4 integration produced non-finite values")
@@ -240,9 +225,9 @@ def return_probability(t, branch: str, cfg: RotorConfig):
 
 def return_probability_cycle(cfg: RotorConfig):
     """Return probability after exactly one drive cycle, as a closed form in
-    the drive ratio ``cfg.omega / OMEGA0``: a float for one
-    configuration, an array of cfg's shape for many."""
-    ratio, alpha = np.broadcast_arrays(np.divide(cfg.omega, OMEGA0), cfg.alpha)
+    the drive ratio: a float for one configuration, an array of cfg's shape
+    for many."""
+    ratio, alpha = np.broadcast_arrays(cfg.ratio, cfg.alpha)
     rho = kernels.cycle_return_curve(ratio.ravel(), alpha.ravel()).reshape(ratio.shape)
     return float(rho) if rho.ndim == 0 else rho
 

@@ -80,8 +80,7 @@ def eigen_energy(n: int, width: float, cfg: WellConfig | None = None) -> float:
     """Energy of level ``n`` in a box of the given width, in joules."""
     if cfg is None:
         cfg = WellConfig()
-    if n < 1:
-        raise ValueError(f"level index must be >= 1, got {n}")
+    refuse(n >= 1, n, "level index must be >= 1, got {:g}")
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width}")
     return (cfg.planck * n) ** 2 / (8.0 * cfg.mass * width**2)
@@ -110,8 +109,7 @@ def expansion_coefficient(n: int, gamma: float) -> float:
     the old state.  The identity case gamma = 1 gives 1 for n = 1 and 0
     otherwise.
     """
-    if n < 1:
-        raise ValueError(f"level index must be >= 1, got {n}")
+    refuse(n >= 1, n, "level index must be >= 1, got {:g}")
     return float(kernels.expansion_coefficients(_check_gamma(gamma), n)[n - 1])
 
 
@@ -167,8 +165,7 @@ def decompose(gamma: float, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:
     """Expansion coefficients b_n for levels n = 1..n_levels, b_n at index
     n - 1.  The populations are ``b * b``; the probability the levels
     capture is their sum."""
-    if n_levels < 1:
-        raise ValueError(f"n_levels must be >= 1, got {n_levels}")
+    refuse(n_levels >= 1, n_levels, "n_levels must be >= 1, got {:g}")
     return kernels.expansion_coefficients(_check_gamma(gamma), n_levels)
 
 
@@ -183,8 +180,7 @@ def _energies(gammas: np.ndarray, n_levels: int):
     The captured sums are checked once every thread has joined, so an
     underflow names the first failing gamma in grid order.
     """
-    if n_levels < 1:
-        raise ValueError(f"n_levels must be >= 1, got {n_levels}")
+    refuse(n_levels >= 1, n_levels, "n_levels must be >= 1, got {:g}")
     _check_gamma(gammas)
     terms = kernels.level_terms(n_levels)
     raw = np.empty(len(gammas))

@@ -147,7 +147,7 @@ def test_criterion_08_spin_oracle_equivalence():
     worst = 0.0
     for alpha in (math.pi / 12, math.pi / 4, math.pi / 3):
         for ratio in (0.3, 1.0, 1.442, 5.0, 15.0):
-            cfg = spin.RotorConfig.at_ratio(ratio, alpha=alpha)
+            cfg = spin.RotorConfig(alpha=alpha, ratio=ratio)
             times, states, _ = spin.ode_trajectory(
                 cfg.drive_period, spin.UPPER, cfg, samples=16
             )
@@ -165,7 +165,7 @@ def test_criterion_09_cycle_consistency_and_branch_symmetry():
     for _ in range(1000):
         alpha = rng.uniform(0.0, math.pi)
         ratio = rng.uniform(0.05, 20.0)
-        cfg = spin.RotorConfig.at_ratio(ratio, alpha=alpha)
+        cfg = spin.RotorConfig(alpha=alpha, ratio=ratio)
         worst_cycle = max(
             worst_cycle,
             abs(
@@ -188,7 +188,7 @@ def test_criterion_10_anti_adiabatic_threshold():
     onset_ok = abs(monotone - 1.442) <= 0.05
     cfg0 = spin.RotorConfig(alpha=math.pi / 4)
     frozen_ok = all(
-        spin.return_probability_cycle(spin.RotorConfig.at_ratio(15.0, alpha=a)) >= 0.98
+        spin.return_probability_cycle(spin.RotorConfig(alpha=a, ratio=15.0)) >= 0.98
         for a in (math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3)
     )
     flat = np.concatenate(list(spin.omega_scan(0.05, 20.0, 10_000, [0.0])))[:, 1]

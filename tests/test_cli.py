@@ -478,7 +478,7 @@ class TestSpinCommands:
         assert code == 0
         table = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
         fractions = np.linspace(0.0, 1.0, points)
-        cfg = spin.RotorConfig.at_ratio(2.5, alpha=0.3)
+        cfg = spin.RotorConfig(alpha=0.3, ratio=2.5)
         rho = spin.return_probability(fractions * cfg.drive_period, spin.UPPER, cfg)
         np.testing.assert_array_equal(table, np.column_stack((fractions, rho)))
 
@@ -600,6 +600,26 @@ class TestSpinCommands:
         table = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
         assert table[:, 2].max() <= 1e-6
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["return-prob", "--ratio", "1e150", "--points", "5"],
+            ["return-prob", "--ratio", "1e-150", "--points", "5"],
+            ["ode-check", "--ratio-list", "1e150", "--alpha", "0.3"],
+            ["omega-scan", "--ratio", "1e149:1e150", "--points", "5"],
+            ["threshold", "--ratio", "1e149:1e150", "--points", "5"],
+        ],
+        ids=["return-prob-top", "return-prob-bottom", "ode-check-top", "omega-scan-top",
+             "threshold-top"],
+    )
+    def test_every_command_takes_the_whole_ratio_domain(self, argv, capsys):
+        # return-prob and ode-check once stopped at a drive frequency of
+        # 1e150 rad/s, a ratio of 5.8e138, below kernels.MAX_RATIO
+        code, out = run_cli(capsys, "spin", *argv)
+        assert code == 0
+        table = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1, ndmin=2)
+        assert table.size and np.isfinite(table).all()
+
     def test_symmetry_check_passes(self, capsys):
         code, out = run_cli(capsys, "spin", "symmetry-check", "--draws", "50")
         assert code == 0
@@ -616,7 +636,7 @@ class TestSpinCommands:
         worst_sym = worst_cycle = 0.0
         for _ in range(draws):
             alpha = rng.uniform(0.0, math.pi)
-            cfg = spin.RotorConfig.at_ratio(rng.uniform(*spin.DEFAULT_RATIO_RANGE), alpha=alpha)
+            cfg = spin.RotorConfig(alpha=alpha, ratio=rng.uniform(*spin.DEFAULT_RATIO_RANGE))
             t = rng.uniform(0.0, 1.0) * cfg.drive_period
             upper = spin.return_probability(t, spin.UPPER, cfg)
             worst_sym = max(worst_sym, abs(upper - spin.return_probability(t, spin.LOWER, cfg)))

@@ -236,12 +236,12 @@ class TestOdeEvolve:
     def test_rotating_field_matches_closed_form(self):
         from quenchkit import spin
 
-        cfg = spin.RotorConfig.at_ratio(1.0, alpha=math.pi / 4)
-        w, w0, a = cfg.omega, spin.OMEGA0, cfg.alpha
+        cfg = spin.RotorConfig(alpha=math.pi / 4, ratio=1.0)
+        w, a = cfg.ratio, cfg.alpha
 
         def rhs(t, y):
             off = math.sin(a) * np.exp(-1j * w * t)
-            return -0.5j * w0 * np.array(
+            return -0.5j * np.array(
                 [math.cos(a) * y[0] + off * y[1],
                  np.conj(off) * y[0] - math.cos(a) * y[1]]
             )

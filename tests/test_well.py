@@ -727,3 +727,25 @@ def test_array_checks_name_the_first_bad_element(call, message):
     with pytest.raises(ValueError) as raised:
         call()
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: eigen_energy(math.nan, 1e-9), "level index must be >= 1, got nan"),
+        (lambda: eigen_energy(0, 1e-9), "level index must be >= 1, got 0"),
+        (lambda: expansion_coefficient(math.nan, 2.0), "level index must be >= 1, got nan"),
+        (lambda: expansion_coefficient(-1, 2.0), "level index must be >= 1, got -1"),
+        (lambda: decompose(2.0, math.nan), "n_levels must be >= 1, got nan"),
+        (lambda: well._energies(np.array([1.5, 2.5]), math.nan),
+         "n_levels must be >= 1, got nan"),
+    ],
+    ids=["eigen-energy-nan", "eigen-energy-zero", "expansion-coefficient-nan",
+         "expansion-coefficient-negative", "decompose-nan", "energies-nan"],
+)
+def test_level_checks_refuse_nan(call, message):
+    # n < 1 is false for nan: eigen_energy returned nan, and the others
+    # failed inside numpy with "arange: cannot compute length"
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

@@ -34,7 +34,9 @@ whose fractions end one past a chunk edge (``--points 8193``), and an
 ``energy-scan`` whose captured probability underflows in the blocks of
 both threads (``--gamma 1e108:1e109``), which exits 2 naming the first
 such gamma, and a ``force-scan`` whose first stencil reaches below zero
-(``--gamma 5e-5:1 --points 3``), which exits 2 naming that gamma.  A
+(``--gamma 5e-5:1 --points 3``), which exits 2 naming that gamma, and a
+``return-prob`` (``--ratio 1e150 --points 3``) and an ``ode-check``
+(``--ratio-list 1e150 --alpha 0.3``) at the largest drive ratio.  A
 workload's ``-o`` files go to a temporary directory, printed
 as ``$OUT`` so that the lines do not depend on where it is.
 
@@ -96,6 +98,9 @@ EXTRA = [
     ["well", "energy-scan", "--gamma", "1e108:1e109", "--points", "10000"],
     # gamma - step < 0 at grid point 0: exit 2 naming gamma = 5e-05
     ["well", "force-scan", "--gamma", "5e-5:1", "--points", "3"],
+    # the largest drive ratio through the time-domain closed form and RK4
+    ["spin", "return-prob", "--ratio", "1e150", "--points", "3"],
+    ["spin", "ode-check", "--ratio-list", "1e150", "--alpha", "0.3"],
 ]
 
 
