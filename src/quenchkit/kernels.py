@@ -21,15 +21,7 @@ BACKEND = "numpy"
 MAX_RATIO = 1e150
 
 
-def level_terms(n_max):
-    """The row operands shared by every coefficient row: ``(n, n*n, n*pi)``
-    for n = 1..n_max.  A caller computing many blocks at one ``n_max`` forms
-    them once and passes them to `expansion_coefficients`."""
-    n = np.arange(1.0, n_max + 1.0)
-    return n, n * n, n * np.pi
-
-
-def expansion_coefficients(gamma, n_max, out=None, terms=None):
+def expansion_coefficients(gamma, n_max, out=None):
     """Overlaps b_n, n = 1..n_max, of the frozen ground state with the
     post-quench levels: shape ``(n_max,)`` for a scalar ``gamma`` and
     ``(len(gamma), n_max)`` for a 1-D array.
@@ -43,12 +35,12 @@ def expansion_coefficients(gamma, n_max, out=None, terms=None):
     gives b_k = 1/sqrt(k): resonance needs no test and no tolerance window.
     Every other entry is the plain formula.  For a 1-D ``gamma`` the rows
     may go into ``out``, a C-contiguous float array of the result's shape,
-    which is then returned; ``terms`` is `level_terms(n_max)`.  Either way
-    every double is the same.
+    which is then returned; either way every double is the same.
     """
     g = np.asarray(gamma, dtype=float)
     rows = np.atleast_1d(g)
-    n, nn, npi = level_terms(n_max) if terms is None else terms
+    n = np.arange(1.0, n_max + 1.0)
+    nn, npi = n * n, n * np.pi
     b = np.empty((rows.size, n_max)) if out is None else out
     shrink = rows < 1.0
     expand = rows > 1.0

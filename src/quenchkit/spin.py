@@ -197,7 +197,7 @@ def ode_trajectory(
     if n_steps > MAX_RK4_STEPS:
         raise ValueError(
             f"RK4 over t = {t:g} at drive ratio omega / omega0 = "
-            f"{cfg.ratio:g} needs {n_steps:.0f} steps, above the budget "
+            f"{cfg.ratio:g} needs {n_steps:.10g} steps, above the budget "
             f"of {MAX_RK4_STEPS}"
         )
     n_steps = int(n_steps)

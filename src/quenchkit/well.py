@@ -38,10 +38,6 @@ DEFAULT_FORCE_STEP = 1e-4
 # on one thread the two sizes run alike.
 ENERGY_BLOCK = 32768
 
-# Most threads that share out the blocks of one energy call, further capped
-# by the CPUs the process may run on; 2 is the only count measured.
-ENERGY_WORKERS = 2
-
 
 @dataclass(frozen=True)
 class WellConfig:
@@ -174,44 +170,40 @@ def _energies(gammas: np.ndarray, n_levels: int):
 
     The coefficient rows are computed a block of about `ENERGY_BLOCK`
     elements at a time, squared and weighted in place; each row's sums are
-    the same doubles as for that gamma alone.  The blocks are dealt out in
-    turn to up to `ENERGY_WORKERS` threads, the calling thread one of them,
-    each with its own buffer; numpy releases the GIL in the row arithmetic.
-    The captured sums are checked once every thread has joined, so an
-    underflow names the first failing gamma in grid order.
+    the same doubles as for that gamma alone.  The calling thread takes
+    blocks 0, 2, 4, ...; given two blocks or more and more than one CPU, one
+    helper thread with its own buffer takes blocks 1, 3, 5, ... under the
+    caller's `np.errstate` (numpy releases the GIL in the row arithmetic).
+    The helper is joined before the call returns or raises, and its
+    exception is raised unless the caller has one.  The captured sums are
+    checked after the join, so an underflow names the first failing gamma.
     """
     refuse(n_levels >= 1, n_levels, "n_levels must be >= 1, got {:g}")
     _check_gamma(gammas)
-    terms = kernels.level_terms(n_levels)
-    raw = np.empty(len(gammas))
-    captured = np.empty(len(gammas))
+    raw, captured = np.empty(len(gammas)), np.empty(len(gammas))
     rows = max(1, ENERGY_BLOCK // n_levels)
     starts = range(0, len(gammas), rows)
-    workers = min(ENERGY_WORKERS, _cpus(), len(starts)) if len(starts) > 1 else 1
-    shares = [starts[i::workers] for i in range(workers)]
-    failures = [None] * workers
-    errstate = np.geterr()  # a new thread starts from numpy's default
+    helper, failure = None, []
+    if len(starts) > 1 and _cpus() > 1:
+        errstate = np.geterr()  # a new thread starts from numpy's default
 
-    def work(i):
-        try:
-            with np.errstate(**errstate):
-                _energy_blocks(gammas, terms, shares[i], rows, raw, captured)
-        except Exception as exc:
-            failures[i] = exc
+        def odd_blocks(share):
+            try:
+                with np.errstate(**errstate):
+                    _energy_blocks(gammas, n_levels, share, rows, raw, captured)
+            except Exception as exc:
+                failure.append(exc)
 
-    started = []
+        helper = threading.Thread(target=odd_blocks, args=(starts[1::2],))
+        starts = starts[::2]
+        helper.start()
     try:
-        for i in range(1, workers):
-            thread = threading.Thread(target=work, args=(i,))
-            thread.start()
-            started.append(thread)
-        work(0)
+        _energy_blocks(gammas, n_levels, starts, rows, raw, captured)
     finally:
-        for thread in started:
-            thread.join()
-    failed = [f for f in failures if f is not None]
-    if failed:
-        raise failed[0]
+        if helper is not None:
+            helper.join()
+    if failure:
+        raise failure[0]
     # checked before dividing: below gamma ~ 2e-162 g * g is 0 as well
     refuse(captured > 0.0, gammas,
            f"captured probability underflows to zero at gamma = {{}} with {n_levels} levels")
@@ -226,15 +218,15 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _energy_blocks(gammas, terms, starts, rows, raw, captured):
+def _energy_blocks(gammas, n_levels, starts, rows, raw, captured):
     # `_energies`' sums for the blocks at ``starts``, in order, into their
     # slices of ``raw`` and ``captured``
-    n = terms[0]
-    buffer = np.empty((min(rows, len(gammas)), len(n)))
+    n = np.arange(1.0, n_levels + 1.0)
+    buffer = np.empty((min(rows, len(gammas)), n_levels))
     for start in starts:
         block = slice(start, start + rows)
         g = gammas[block]
-        rho = kernels.expansion_coefficients(g, len(n), out=buffer[: len(g)], terms=terms)
+        rho = kernels.expansion_coefficients(g, n_levels, out=buffer[: len(g)])
         rho *= rho
         np.sum(rho, axis=1, out=captured[block])
         rho *= n

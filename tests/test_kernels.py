@@ -239,9 +239,7 @@ def test_rows_written_into_out_equal_the_allocated_rows_bitwise(n_max, block):
     expected = kernels.expansion_coefficients(gammas, n_max)
     # stale contents must not leak into any row: nothing is zero-filled
     out = np.full((len(block), n_max), np.nan)
-    got = kernels.expansion_coefficients(
-        gammas, n_max, out=out, terms=kernels.level_terms(n_max)
-    )
+    got = kernels.expansion_coefficients(gammas, n_max, out=out)
     assert got is out
     np.testing.assert_array_equal(_bits(got), _bits(expected))
     for g, row in zip(block, got):

@@ -234,14 +234,18 @@ class TestClosedFormEvolution:
             np.testing.assert_allclose(s, expected, atol=1e-8)
 
     def test_step_budget_is_checked_before_any_step(self, monkeypatch):
-        # at least 600 steps per Larmor period: ratio 1e-9 would take 6e11
+        # at least 600 steps per Larmor period: ratio 1e-9 would take 6e11.
+        # At 1e-150 the count once printed as a 153-digit integer.
         def no_stepping(*args):
             raise AssertionError("stepped past the budget")
 
         monkeypatch.setattr(kernels, "spin_rk4", no_stepping)
-        cfg = cfg_at(1e-9, math.pi / 4)
-        with pytest.raises(ValueError, match=r"ratio omega / omega0 = 1e-09 needs \d{12} steps"):
-            spin.ode_trajectory(cfg.drive_period, UPPER, cfg)
+        for ratio, steps in (("1e-09", "6e+11"), ("1e-150", "6e+152")):
+            cfg = cfg_at(float(ratio), math.pi / 4)
+            with pytest.raises(ValueError) as info:
+                spin.ode_trajectory(cfg.drive_period, UPPER, cfg)
+            assert f"ratio omega / omega0 = {ratio} needs {steps} steps" in str(info.value)
+            assert len(str(info.value)) < 150
 
     def test_step_budget_admits_exactly_its_count(self, monkeypatch):
         # one cycle at ratio 1 takes the default 10,000 steps per period

@@ -281,11 +281,6 @@ class TestDecompose:
         assert analytic == pytest.approx(by_quadrature, abs=1e-9)
         assert captured_by(gamma, 10_000) == pytest.approx(analytic, abs=1e-3)
 
-    def test_dimensionless(self):
-        # identical output regardless of physical configuration
-        np.testing.assert_array_equal(decompose(2.7, 50), decompose(2.7, 50))
-        assert captured_by(2.7, 50) == captured_by(2.7, 50)
-
     @settings(max_examples=60, deadline=None)
     @given(
         gamma=st.floats(1.0, 12.0),
@@ -547,13 +542,12 @@ class TestScans:
             force_scan(1e90, 1e100, 5)
 
     def test_blocks_do_not_change_the_scans(self, monkeypatch):
-        # one row per block (two ways) on one thread and dealt out to two,
-        # then every grid point in one block
-        two_cpus(monkeypatch)
+        # one row per block (two ways) on one CPU and split between two
+        # threads on two, then every grid point in one block
         scans = []
-        for block, workers in ((1, 1), (37, 1), (1, 2), (37, 2), (10**9, 2)):
+        for block, cpus in ((1, 1), (37, 1), (1, 2), (37, 2), (10**9, 2)):
             monkeypatch.setattr(well, "ENERGY_BLOCK", block)
-            monkeypatch.setattr(well, "ENERGY_WORKERS", workers)
+            monkeypatch.setattr(well, "_cpus", lambda: cpus)
             scans.append((energy_scan(0.3, 6.7, 301, 37),
                           force_scan(0.5, 5.5, 201, 37, step=0.01)))
         whole = scans.pop()
@@ -610,11 +604,10 @@ class TestScans:
             captured.append(np.sum(rho))
             raw.append(np.sum(rho * n * n) / (g * g))
         captured, raw = np.array(captured), np.array(raw)
-        two_cpus(monkeypatch)
         blocks = (1, n_levels, well.ENERGY_BLOCK, 10**9)
-        for block, workers in itertools.product(blocks, (1, 2)):
+        for block, cpus in itertools.product(blocks, (1, 2)):
             monkeypatch.setattr(well, "ENERGY_BLOCK", block)
-            monkeypatch.setattr(well, "ENERGY_WORKERS", workers)
+            monkeypatch.setattr(well, "_cpus", lambda: cpus)
             got = well._energies(gammas, n_levels)
             for values, expected in zip(got, (raw / captured, raw, captured)):
                 np.testing.assert_array_equal(values.view(np.uint64), expected.view(np.uint64))
@@ -662,6 +655,52 @@ class TestScans:
         with pytest.raises(Boom, match="second block"):
             well._energies(np.linspace(1.1, 3.9, 40), 10)
         assert threading.active_count() == before
+
+    def test_the_callers_exception_wins_over_the_helpers(self, monkeypatch):
+        caller = threading.get_ident()
+
+        def every_call_raises(*args, **kwargs):
+            raise RuntimeError("caller" if threading.get_ident() == caller else "helper")
+
+        monkeypatch.setattr(well.kernels, "expansion_coefficients", every_call_raises)
+        monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
+        two_cpus(monkeypatch)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="caller"):
+            well._energies(np.linspace(1.1, 3.9, 40), 10)
+        assert threading.active_count() == before
+
+    def test_two_cpus_start_one_helper_for_the_odd_blocks(self, monkeypatch):
+        # one row per block: the gamma of each kernel call names its block.
+        # The helper runs only once the caller is into its own blocks, so a
+        # share read late from the caller's variables would show.
+        started, owner, caller_began = [], {}, threading.Event()
+        start = threading.Thread.start
+
+        def start_held(thread):
+            started.append(thread)
+            run = thread.run
+            thread.run = lambda: caller_began.wait(10) and run()
+            start(thread)
+
+        monkeypatch.setattr(well.threading.Thread, "start", start_held)
+        coefficients = well.kernels.expansion_coefficients
+
+        def record_thread(gammas, *args, **kwargs):
+            owner[float(gammas[0])] = threading.get_ident()
+            if threading.current_thread() is threading.main_thread():
+                caller_began.set()
+            return coefficients(gammas, *args, **kwargs)
+
+        monkeypatch.setattr(well.kernels, "expansion_coefficients", record_thread)
+        monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
+        two_cpus(monkeypatch)
+        gammas = np.linspace(0.5, 4.5, 7)
+        well._energies(gammas, 10)
+        assert len(started) == 1
+        caller, helper = threading.get_ident(), started[0].ident
+        assert caller != helper
+        assert [owner.get(g) for g in gammas.tolist()] == [caller, helper] * 3 + [caller]
 
     def test_one_block_or_one_cpu_starts_no_thread(self, monkeypatch):
         started = []

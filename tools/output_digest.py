@@ -36,7 +36,9 @@ both threads (``--gamma 1e108:1e109``), which exits 2 naming the first
 such gamma, and a ``force-scan`` whose first stencil reaches below zero
 (``--gamma 5e-5:1 --points 3``), which exits 2 naming that gamma, and a
 ``return-prob`` (``--ratio 1e150 --points 3``) and an ``ode-check``
-(``--ratio-list 1e150 --alpha 0.3``) at the largest drive ratio.  A
+(``--ratio-list 1e150 --alpha 0.3``) at the largest drive ratio, and an
+``ode-check`` at the smallest (``--ratio-list 1e-150``), which exits 2
+naming its step count past the RK4 budget.  A
 workload's ``-o`` files go to a temporary directory, printed
 as ``$OUT`` so that the lines do not depend on where it is.
 
@@ -101,6 +103,8 @@ EXTRA = [
     # the largest drive ratio through the time-domain closed form and RK4
     ["spin", "return-prob", "--ratio", "1e150", "--points", "3"],
     ["spin", "ode-check", "--ratio-list", "1e150", "--alpha", "0.3"],
+    # 6e+152 steps past the RK4 budget: exit 2
+    ["spin", "ode-check", "--ratio-list", "1e-150"],
 ]
 
 
