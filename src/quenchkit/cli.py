@@ -93,11 +93,11 @@ def parse_range(text: str) -> tuple[float, float]:
 
 
 # Largest value of a size flag (--levels, --points, --max-level, --samples,
-# --draws) and of the quadrature panels of oracle-check, up to L (L + 1) / 2
-# per gamma at --max-level L.  Most commands hold a few arrays of one of
-# these sizes at most (scans go in blocks).  force-scan holds about 15: its
-# peak RSS was 147.2 MiB at 10^6 points, about 121 bytes a point, so about
-# 1.1 GiB at 10^7.  The benchmark's largest size is 10^6 points.
+# --draws) and of oracle-check's quadrature panels, L (L + 1) / 2 per gamma
+# at --max-level L.  Most commands hold a few arrays of that size at most
+# (the spin scans go in blocks).  Two peak far higher at 10^6: force-scan at
+# 147.2 MiB (121 bytes a point, 1.1 GiB at 10^7) and one ode-check trajectory
+# at 238.7 MiB (208 bytes a sample, 2 GiB at 10^7).  The benchmark stops at 10^6.
 MAX_ELEMENTS = 10_000_000
 
 
@@ -210,9 +210,10 @@ def _decimal_tables():
     one row ``hi, lo, big, small`` each: ``hi`` is the correctly rounded
     power, ``lo`` the correctly rounded remainder and ``big + small`` the
     Veltkamp halves of ``hi``; the powers 10^1..10^15 that count an
-    integer's digits; and the four bytes ``e+dd`` for each exponent
-    -99..99.  Built on first use, so that importing the CLI costs
-    nothing."""
+    integer's digits; and the text tables `_put` gathers from, as
+    little-endian words: ``leads`` holds ``d.`` for each digit d, ``digits``
+    ``%04d`` for 0..9999 and ``exponents`` ``e+dd`` for -99..99.  Built on
+    first use, so that importing the CLI costs nothing."""
     hi, lo = [], []
     for k in (16 - e for e in _EXPONENTS):
         h = float(f"1e{k}")
@@ -227,8 +228,12 @@ def _decimal_tables():
     # one row per exponent, so that a value's four are gathered at once
     powers = np.column_stack((hi, lo, big, hi - big))
     tens = 10 ** np.arange(1, 16, dtype=np.uint64)
+    leads = np.frombuffer(b"".join(b"%d." % d for d in range(10)), "<u2")
+    # entry abcd holds the bytes a, b, c, d; the grid is views, only the stack allocates
+    grid = np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij", copy=False)
+    digits = np.stack(grid, -1).view("<u4").ravel()
     exponents = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-99, 100)), "<u4")
-    return powers, tens, exponents
+    return powers, tens, leads, digits, exponents
 
 
 def _product(x, e):
@@ -281,54 +286,30 @@ def _scaled(x):
     return e, q, frac
 
 
-def _put(buf, offset: int, dtype: str, values) -> None:
-    # Write ``values``, one integer per slot in row order, as the bytes from
-    # ``offset`` on in consecutive `_SLOT`-byte slots, the same number in
-    # each row of the 3-D ``buf`` (rows, slots, `_SLOT`); unaligned, as a
-    # slot is 25 bytes.
-    if not values.size:
+def _put(buf, offset: int, table, index) -> None:
+    # Write ``table[index]``, one entry per slot in row order, from byte
+    # ``offset`` on in consecutive `_SLOT`-byte slots, the same number in each
+    # row of the 3-D ``buf`` (rows, slots, `_SLOT`), unaligned.  A uint64 or
+    # intp ``index`` is read through its int64 view, which is not copied.
+    if not index.size:
         return  # no slots: the offset may lie past the end of ``buf``
     rows = len(buf)
-    count = values.size // rows
-    field = np.ndarray((rows, count), dtype, buffer=buf, offset=offset,
+    count = index.size // rows
+    field = np.ndarray((rows, count), table.dtype, buffer=buf, offset=offset,
                        strides=(buf.strides[0], _SLOT))
-    field[...] = values.reshape(rows, count)
-
-
-def _ascii_8(n):
-    # Eight decimal digits of each n < 10^8 (a uint64 array, overwritten) as
-    # one little-endian word of ASCII bytes, most significant digit first:
-    # split into 4-digit halves in 32-bit lanes, each lane into 2-digit
-    # 16-bit lanes, each of those into 8-bit digits.  x // 100 =
-    # (x * 5243) >> 19 for x < 10^4 and x // 10 = (x * 103) >> 10 for
-    # x < 100, and no product carries out of its lane.
-    q = n // 10000
-    n -= q * 10000
-    n <<= 32
-    n |= q
-    q = n * 5243
-    q >>= 19
-    q &= 0x0000007F0000007F
-    n -= q * 100
-    n <<= 16
-    n |= q
-    q = n * 103
-    q >>= 10
-    q &= 0x000F000F000F000F
-    n -= q * 10
-    n <<= 8
-    n |= q
-    n += 0x3030303030303030
-    return n
+    field[...] = table[index.view(np.int64)].reshape(rows, count)
 
 
 def _digits_16(buf, offset: int, n) -> None:
-    # the 16 digits of each n < 10^16 (a uint64 array, overwritten), with
-    # leading zeros, from ``offset`` on in the slots of `_put`
-    hi = n // 10**8
-    n -= hi * 10**8
-    _put(buf, offset, "<u8", _ascii_8(hi))
-    _put(buf, offset + 8, "<u8", _ascii_8(n))
+    # the 16 digits of each n < 10^16 (a uint64 array, overwritten) with
+    # leading zeros from ``offset`` on in `_put`'s slots: four ``digits``
+    # entries, the 4-digit groups peeled off from the most significant
+    digits = _decimal_tables()[3]
+    for group, power in enumerate((10**12, 10**8, 10**4)):
+        top = n // power
+        n -= top * power
+        _put(buf, offset + 4 * group, digits, top)
+    _put(buf, offset + 12, digits, n)
 
 
 def _decimal_rows(block, integers: int) -> str:
@@ -337,22 +318,23 @@ def _decimal_rows(block, integers: int) -> str:
 
     Each value takes one `_SLOT`-byte slot, its text right-aligned against
     its ',' or '\\n', and the rows keep each slot from that value's first
-    byte on.  A real x with |x| in [1e-99, 1e100) is scaled to
-    q + frac = |x| 10^(16-e) by `_scaled`; its 17 digits are those of q,
-    plus one where frac > 1/2, and it starts at byte 2, or at byte 1 with
-    its '-'.  frac is within 2^-47 of exact, so the rounding is certain
-    unless frac lies within 2^-47 of a half.  Those values, in practice the
-    exact decimal ties, and every other real (zero, nan, inf, subnormals and
-    3-digit exponents) are formatted by one ``%24.16e`` call, as Grisu3
-    defers to an exact method (Loitsch 2010); each field fills its slot as
-    is and starts after its leading spaces.  An integer column's value n,
-    truncated as ``%d`` truncates, is written as digits that end at the
-    separator, with a '-' before them where negative.
+    byte on.  `_put` gathers every digit, '.' and exponent of the fast path
+    from the text tables of `_decimal_tables`.  A real x with |x| in
+    [1e-99, 1e100) is scaled to q + frac = |x| 10^(16-e) by `_scaled`; its
+    17 digits are those of q, plus one where frac > 1/2, and it starts at
+    byte 2, or at byte 1 with its '-'.  frac is within 2^-47 of exact, so
+    the rounding is certain unless frac lies within 2^-47 of a half.  Those
+    values, in practice the exact decimal ties, and every other real (zero,
+    nan, inf, subnormals and 3-digit exponents) are formatted by one
+    ``%24.16e`` call, as Grisu3 defers to an exact method (Loitsch 2010);
+    each field fills its slot as is and starts after its leading spaces.
+    An integer n, truncated as ``%d`` truncates, is written as digits that
+    end at the separator, with a '-' before them where negative.
 
     Temporaries are updated in place or dropped once used, so that a chunk
     costs little more memory than its text.
     """
-    _, tens, exponents = _decimal_tables()
+    _, tens, leads, _, exponents = _decimal_tables()
     rows, cols = block.shape
     reals = cols - integers
     start = _SLOT * integers
@@ -373,11 +355,10 @@ def _decimal_rows(block, integers: int) -> str:
     e[carry] += 1
     lead = q // 10**16
     q -= lead * 10**16
-    lead += ord("0") + (ord(".") << 8)
-    _put(buf, start + 2, "<u2", lead)
+    _put(buf, start + 2, leads, lead)
     del lead
     _digits_16(buf, start + 4, q)
-    _put(buf, start + 20, "<u4", exponents[e + 99])
+    _put(buf, start + 20, exponents, e + 99)
     buf[:, integers:, 1] = ord("-")  # kept only where x < 0
     first[:, integers:] = (2 - (x < 0).view(np.uint8)).reshape(rows, reals)
     exact = np.flatnonzero(unsure | ~fast)

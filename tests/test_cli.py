@@ -1129,11 +1129,21 @@ class TestDecimalRows:
         with pytest.raises(ValueError, match=rf"integer column 0 holds {re.escape(repr(value))},"):
             _written(["n", "x"], table, 1)
 
-    @pytest.mark.parametrize("value", [2.0**53, -(2.0**53), 0.0])
+    # every digit count and every 4-digit group edge of an integer slot
+    @pytest.mark.parametrize("value", [2.0**53, -(2.0**53), 0.0] + [
+        sign * float(10**k + step)
+        for k in range(1, 16) for step in (-1, 0) for sign in (1, -1)
+    ])
     def test_integers_within_2_to_the_53_are_written(self, value):
         table = np.array([[value, 0.5]])
         expected = f"n,x\n{int(value)},5.0000000000000000e-01\n"
         assert _written(["n", "x"], table, 1) == expected.encode()
+
+    def test_text_tables_hold_their_printf_text(self):
+        _, _, leads, digits, exponents = cli._decimal_tables()
+        assert leads.tobytes() == b"".join(b"%d." % d for d in range(10))
+        assert digits.tobytes() == b"".join(b"%04d" % n for n in range(10000))
+        assert exponents.tobytes() == b"".join(b"e%+03d" % e for e in range(-99, 100))
 
     def test_blocks_of_rows(self):
         # multi-angle omega-scan hands over one block per curve
