@@ -2,17 +2,16 @@
 
 These routines are independent oracles: the quadrature and ODE integrators
 check the closed forms implemented elsewhere in the package, and the central
-difference checks the force stencils of `quenchkit.well`, which make two
-`_energies` calls: the energy column, then every stencil point.  They are
+difference checks the force stencils of `quenchkit.well`.  They are
 deliberately simple and reproducible -- fixed Gauss-Legendre rules and
 classical fixed-step RK4, no adaptive subdivision or step controllers -- so
 that a reimplementation in any language produces the same numbers.
 
 `integrate` runs on arrays: it applies a 16- and a 24-point Gauss-Legendre
-rule to many intervals at once, a block of intervals at a time, and takes the
-gap between the two sums as its error estimate.  `ode_evolve` is the generic
-scalar RK4 loop; the two-level kernel in `kernels.spin_rk4` is checked
-against it.
+rule, held as literal doubles, to many intervals at once, `BLOCK` intervals
+at a time, and takes the gap between the two sums as its error estimate.
+`ode_evolve` is the generic scalar RK4 loop; the two-level kernel in
+`kernels.spin_rk4` is checked against it.
 """
 
 from __future__ import annotations
@@ -57,19 +56,33 @@ class Nodes(NamedTuple):
     root: np.ndarray
 
 
-# Intervals evaluated together: a block's nodes and values are (BLOCK, 40)
-# arrays, a few MiB however many intervals a call brings.  No result depends
-# on it.
-BLOCK = 4096
+# Intervals evaluated together; no result depends on it.  `oracle-check` on crosscheck's
+# argv, medians of 12 alternating runs | at --max-level 1413, 3 runs (2 CPUs):
+#    4096  31.73 MiB  5.3k faults  0.180 s | 160.7 MiB  13.4 s
+#    1024  31.75 MiB  5.3k         0.189 s | 161.0 MiB  11.4 s
+#     512  30.58 MiB  6.0k         0.178 s | 160.7 MiB  11.1 s
+#     256  30.39 MiB  5.7k         0.182 s | 160.7 MiB  11.4 s
+BLOCK = 512
 
 
 @functools.cache
 def _rules():
-    # The 16- and 24-point rules on [-1, 1].  numpy.polynomial loads here, on
-    # first use, so that it does not slow the start of every command.
-    from numpy.polynomial.legendre import leggauss
-
-    return leggauss(16), leggauss(24)
+    # (nodes, weights) on [-1, 1]: numpy's 16- and 24-point doubles, written out so that no
+    # command loads LAPACK for them, as positive halves mirrored (both rules are symmetric).
+    half = np.array([
+        0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+        0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+        0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+        0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+        0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+        0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+        0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213,
+        0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+        0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+        0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869,
+    ])
+    return [(np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w)))
+            for x, w in (half[:16].reshape(2, 8), half[16:].reshape(2, 12))]
 
 
 def integrate(f: Callable, a, b, *, tolerance=1e-10):
@@ -145,6 +158,7 @@ def integrate(f: Callable, a, b, *, tolerance=1e-10):
                 )
             values[roots] = high
             gap[roots] = np.abs(high - low)
+            del nodes, fx  # before the next block's are built
     result = float(values[0]) if shape == () else values.reshape(shape)
     failed = ~(gap <= tol)
     if failed.any():

@@ -83,7 +83,7 @@ def eigen_energy(n: int, width: float, cfg: WellConfig | None = None) -> float:
 
 
 def eigen_wavefunction(n, width: float, q):
-    """Amplitude sqrt(2/W) sin(n pi q / W) at position ``q``; zero outside the box.
+    """Amplitude sqrt(2)/sqrt(W) sin(n pi q / W) at position ``q``; zero outside the box.
 
     ``n`` and ``q`` broadcast: array arguments give an array of amplitudes.
     """
@@ -91,7 +91,7 @@ def eigen_wavefunction(n, width: float, q):
     if not width > 0.0:
         raise ValueError(f"width must be positive, got {width}")
     q = np.asarray(q, dtype=float)
-    psi = math.sqrt(2.0 / width) * np.sin(n * math.pi * q / width)
+    psi = math.sqrt(2.0) / math.sqrt(width) * np.sin(n * math.pi * q / width)  # finite at any W
     psi = np.where((q < 0.0) | (q > width), 0.0, psi)
     return float(psi) if psi.ndim == 0 else psi
 

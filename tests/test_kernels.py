@@ -3,6 +3,7 @@ formula it replaced bit for bit, and the RK4 propagator agrees with the
 generic integrator in `numerics`."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -218,6 +219,27 @@ def test_rk4_blocks_do_not_change_the_trajectory(monkeypatch):
     np.testing.assert_array_equal(blocked, whole)
     assert blocked_drift == whole_drift
     assert whole_drift <= 1e-13
+
+
+def test_rk4_memory_does_not_grow_with_steps():
+    # one block's increments are built at a time, and they go before the
+    # next block's are; with one state recorded, what outlives a block is
+    # its complex states and norms, a few doubles a step of one block
+    alpha = math.pi / 4
+    up0, dn0 = complex(math.cos(alpha / 2)), complex(math.sin(alpha / 2))
+
+    def peak(n_steps):
+        tracemalloc.start()
+        try:
+            kernels.spin_rk4(alpha, 2.0, 1.0, n_steps * 1e-3, n_steps, up0, dn0, n_steps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block = kernels.RK4_BLOCK
+    peak(block)  # numpy's first-call caches
+    one, four = peak(block), peak(4 * block)
+    assert four - one < 8 * 8 * block  # eight doubles a step of one block
 
 
 # One gamma of each kind the in-place blocks must reproduce: shrink; the

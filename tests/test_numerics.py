@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,42 @@ from quenchkit.numerics import (
     integrate,
     ode_evolve,
 )
+
+
+class TestRules:
+    """The 16- and 24-point Gauss-Legendre rules are literal doubles."""
+
+    RULES = pytest.mark.parametrize("index, n", [(0, 16), (1, 24)], ids=["16", "24"])
+
+    @RULES
+    def test_rules_are_numpys_bit_for_bit(self, index, n):
+        # what numpy.polynomial computes with LAPACK on this host
+        x, w = numerics._rules()[index]
+        ref_x, ref_w = leggauss(n)
+        assert (x.dtype, w.dtype) == (np.float64, np.float64)
+        assert x.tobytes() == ref_x.tobytes()
+        assert w.tobytes() == ref_w.tobytes()
+
+    @RULES
+    def test_nodes_are_the_correctly_rounded_legendre_roots(self, index, n):
+        x, _ = numerics._rules()[index]
+        with mpmath.workdps(50):
+            for xi in x:
+                root = mpmath.findroot(lambda t: mpmath.legendre(n, t), mpmath.mpf(xi))
+                assert abs(root - xi) < 1e-15  # the root next to the node
+                assert float(root) == xi
+
+    @RULES
+    def test_weights_are_within_2e_13_of_the_exact_weights(self, index, n):
+        # w = 2 (1 - x^2) / (n P_{n-1}(x))^2 at a root x of P_n.  numpy's
+        # weights miss the correctly rounded ones by up to 1.2e-13 (the
+        # outermost 24-point weight); the literals keep numpy's doubles
+        x, w = numerics._rules()[index]
+        with mpmath.workdps(50):
+            for xi, wi in zip(x, w):
+                root = mpmath.findroot(lambda t: mpmath.legendre(n, t), mpmath.mpf(xi))
+                exact = 2 * (1 - root**2) / (n * mpmath.legendre(n - 1, root)) ** 2
+                assert abs(wi - exact) <= 2e-13 * exact
 
 
 class TestIntegrate:
@@ -188,6 +226,26 @@ class TestIntegrateMatchesRecursion:
         k = np.arange(5.0)
         got = integrate(lambda nodes: nodes.x * k[nodes.root], k, k + 1.0)
         np.testing.assert_allclose(got, k * (k + 0.5), rtol=1e-15)
+
+    def test_memory_does_not_grow_with_intervals(self):
+        # a block's nodes and integrand values go before the next block's
+        # are built; numpy reports its buffers to tracemalloc, so what grows
+        # with the intervals is the per-interval arrays: tolerances, values,
+        # gaps and the work index, and a mask or two
+        def peak(n):
+            lo = np.arange(float(n))
+            hi = lo + 0.5
+            tracemalloc.start()
+            try:
+                integrate(lambda nodes: np.sin(nodes.x), lo, hi)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        numerics._rules()  # cached on first use
+        block = numerics.BLOCK
+        one, four = peak(block), peak(4 * block)
+        assert four - one < 5 * 8 * (3 * block)  # five doubles per added interval
 
     def test_array_bounds_keep_their_shape(self):
         lo = np.zeros((2, 3))
