@@ -9,8 +9,8 @@ Tables are UTF-8 CSV with one header line, ``\\n`` line endings, and reals in
 scientific notation with 17 significant digits, so emitted files round-trip
 to the exact in-memory doubles and identical invocations are byte-identical.
 
-Exit codes: 0 success, 1 numerical non-convergence or a failed cross-check,
-2 argument errors.
+Exit codes: 0 success, 1 a failed check (after the whole table) or an oracle
+that met a value that is not finite, 2 argument errors.
 """
 
 from __future__ import annotations
@@ -435,13 +435,15 @@ def _oracle_check(args):
     blocks, failure = [], None
     levels = np.arange(1, top + 1)
     for g in args.gamma_list:
-        oracles = well.overlap_oracle(levels, g, tolerance=args.quad_tol)
+        oracles, errors = well.overlap_oracle(levels, g)
         closed = well.decompose(g, top)
         diffs = np.abs(closed - oracles)
         blocks.append(np.column_stack((levels, np.full(top, g), closed, oracles, diffs)))
-        # relative to the largest coefficient: |b_n| <= 1, and at extreme
-        # gammas every b_n is so small that an absolute bound passes anything
         failure = failure or _gate(
+            f"quadrature error estimate at gamma = {g}:", errors.max(), args.quad_tol
+        ) or _gate(
+            # relative to the largest coefficient: |b_n| <= 1, and at extreme
+            # gammas every b_n is so small that an absolute bound passes anything
             f"coefficient oracle disagreement at gamma = {g}:",
             diffs.max(), args.tol * np.abs(closed).max(),
         )
@@ -560,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(wsub, "oracle-check", _oracle_check,
                  "closed-form coefficients vs quadrature; exits 1 where a gamma's "
-                 "largest abs_diff exceeds --tol times its largest |b_closed|",
+                 "largest level quadrature error exceeds --quad-tol, or its largest "
+                 "abs_diff exceeds --tol times its largest |b_closed|",
                  "n,gamma,b_closed,b_oracle,abs_diff", 1)
     p.add_argument(
         "--gamma-list",
@@ -570,7 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-level", type=_positive_int, default=20)
     p.add_argument("--tol", type=_tolerance, default=1e-8)
-    p.add_argument("--quad-tol", type=_tolerance, default=1e-10)
+    p.add_argument("--quad-tol", type=_tolerance, default=1e-10,
+                   help="bound on a level's quadrature error estimate, the summed "
+                   "16/24-point gaps of its panels")
 
     spin_group = top.add_parser("spin", help="spin-1/2 in a rotating field")
     ssub = spin_group.add_subparsers(dest="command", required=True)

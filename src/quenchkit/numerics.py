@@ -9,9 +9,10 @@ that a reimplementation in any language produces the same numbers.
 
 `integrate` runs on arrays: it applies a 16- and a 24-point Gauss-Legendre
 rule, held as literal doubles, to many intervals at once, `BLOCK` intervals
-at a time, and takes the gap between the two sums as its error estimate.
-`ode_evolve` is the generic scalar RK4 loop; the two-level kernel in
-`kernels.spin_rk4` is checked against it.
+at a time, and returns the gap between the two sums beside each value as
+its error estimate, for the caller to judge.  `ode_evolve` is the generic
+scalar RK4 loop; the two-level kernel in `kernels.spin_rk4` is checked
+against it.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ def refuse(ok, values, message: str) -> None:
 
 
 class QuadratureConvergenceError(ArithmeticError):
-    """The quadrature's error estimate stayed above the tolerance.
-
-    Carries the best available estimate in ``best_estimate``.
-    """
-
-    def __init__(self, message: str, best_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
+    """The quadrature met an integrand value or a rule sum that is not finite."""
 
 
 class OdeDivergenceError(ArithmeticError):
@@ -85,13 +79,14 @@ def _rules():
             for x, w in (half[:16].reshape(2, 8), half[16:].reshape(2, 12))]
 
 
-def integrate(f: Callable, a, b, *, tolerance=1e-10):
+def integrate(f: Callable, a, b):
     """Integrate ``f`` over ``[a, b]`` with fixed Gauss-Legendre rules.
 
     The value is the 24-point sum; its error estimate is the gap to the
     16-point sum.  Nothing is subdivided, so the work is a fixed 40
     evaluations per interval: the caller picks intervals short against the
-    integrand's oscillations, on which the rules converge geometrically.
+    integrand's oscillations, on which the rules converge geometrically,
+    and judges the returned gaps.
 
     Parameters
     ----------
@@ -101,23 +96,18 @@ def integrate(f: Callable, a, b, *, tolerance=1e-10):
     a, b : float or array_like
         Integration bounds, ``a <= b``; arrays of equal shape integrate one
         interval per element.
-    tolerance : float or array_like
-        Per-interval absolute tolerance, broadcast against the bounds.
 
     Returns
     -------
-    float or np.ndarray
-        The 24-point sums: a float for scalar bounds, an array of the bounds'
-        shape otherwise.
+    (values, errors)
+        The 24-point sums and their absolute gaps to the 16-point sums:
+        floats for scalar bounds, arrays of the bounds' shape otherwise.
 
     Raises
     ------
     QuadratureConvergenceError
-        If the two rules differ by more than the tolerance on some interval.
-        The message names the first such interval; ``best_estimate`` holds
-        the value (a float for scalar bounds, an array of every interval's
-        value otherwise).  Also at once on the first block whose integrand
-        values or sums are not finite; ``best_estimate`` is then nan.
+        At once on the first block whose integrand values or sums are not
+        finite; the message names its first such interval.
     """
     if np.shape(a) != np.shape(b):
         raise ValueError(f"bounds must have equal shapes, got {np.shape(a)} and {np.shape(b)}")
@@ -129,8 +119,6 @@ def integrate(f: Callable, a, b, *, tolerance=1e-10):
     if np.any(lo > hi):
         i = int(np.argmax(lo > hi))
         raise ValueError(f"bounds must satisfy a <= b, got a={lo[i]}, b={hi[i]}")
-    tol = np.broadcast_to(np.asarray(tolerance, dtype=float), shape).ravel()
-    refuse(tol > 0.0, tol, "tolerance must be positive, got {}")
     (x_low, w_low), (x_high, w_high) = _rules()
     x = np.concatenate([x_low, x_high])
     values = np.zeros(lo.size)
@@ -153,22 +141,14 @@ def integrate(f: Callable, a, b, *, tolerance=1e-10):
                 i = roots[np.argmin(finite)]
                 raise QuadratureConvergenceError(
                     f"quadrature on [{lo[i]}, {hi[i]}] met an integrand value or a "
-                    f"rule sum that is not finite",
-                    best_estimate=np.nan,
+                    "rule sum that is not finite"
                 )
             values[roots] = high
             gap[roots] = np.abs(high - low)
             del nodes, fx  # before the next block's are built
-    result = float(values[0]) if shape == () else values.reshape(shape)
-    failed = ~(gap <= tol)
-    if failed.any():
-        i = int(np.argmax(failed))
-        raise QuadratureConvergenceError(
-            f"quadrature on [{lo[i]}, {hi[i]}] did not reach tolerance {tol[i]}: "
-            f"its 16- and 24-point Gauss-Legendre sums differ by {gap[i]:.3e}",
-            best_estimate=result,
-        )
-    return result
+    if shape == ():
+        return float(values[0]), float(gap[0])
+    return values.reshape(shape), gap.reshape(shape)
 
 
 def ode_evolve(

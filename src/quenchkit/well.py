@@ -109,19 +109,19 @@ def expansion_coefficient(n: int, gamma: float) -> float:
     return float(kernels.expansion_coefficients(_check_gamma(gamma), n)[n - 1])
 
 
-def overlap_oracle(n, gamma: float, *, tolerance=1e-10):
-    """Quadrature cross-check of `expansion_coefficient`.
+def overlap_oracle(n, gamma: float):
+    """Quadrature cross-check of `expansion_coefficient`: ``(b, error)``.
 
     Integrates the product of the old ground state and the new level-``n``
     eigenfunction over their common support by Gauss-Legendre quadrature,
     one panel per arch of the oscillating eigenfunction, on which the
     integrand is a product of two sines and the rules converge
-    geometrically.  Each panel gets an equal share of ``tolerance``.  The
-    result is dimensionless, so the integral runs over the reference box of
-    `WellConfig`.
+    geometrically.  ``error`` is the sum of the level's panel gaps between
+    the 16- and 24-point rules.  The result is dimensionless, so the
+    integral runs over the reference box of `WellConfig`.
 
     ``n`` may be an array of levels: every panel of every level then goes
-    through one `integrate` call, and the result is an array over ``n``.
+    through one `integrate` call, and ``b`` and ``error`` are arrays over ``n``.
     """
     levels = np.asarray(n)
     refuse(levels >= 1, levels, "level index must be >= 1, got {:g}")
@@ -137,24 +137,22 @@ def overlap_oracle(n, gamma: float, *, tolerance=1e-10):
     lo = np.array([x for e in edges for x in e[:-1]])
     hi = np.array([x for e in edges for x in e[1:]])
     panel_level = np.repeat(levels.ravel(), counts)
-    # the finest level's share must not underflow to zero
-    shares = max(counts) + 1
-    if not tolerance / shares > 0.0:
-        raise ValueError(
-            f"tolerance {tolerance} divided into {shares} panel shares at "
-            f"gamma = {gamma} gives {tolerance / shares}, not a positive share"
-        )
-    panel_tol = np.repeat([tolerance / len(e) for e in edges], counts)
 
     def integrand(nodes):
         new_level = eigen_wavefunction(panel_level[nodes.root], w1, nodes.x)
         return new_level * eigen_wavefunction(1, w0, nodes.x)
 
-    panels = iter(integrate(integrand, lo, hi, tolerance=panel_tol).tolist())
+    values, gaps = integrate(integrand, lo, hi)
+    error = np.add.reduceat(gaps, np.cumsum(counts) - counts)
+    del gaps  # before the values' list of floats is built
+    panels = iter(values.tolist())
+    del values
     # each level's panels summed left to right, one rounding per addition:
     # the builtin sum compensates its rounding since Python 3.12
     out = [functools.reduce(operator.add, itertools.islice(panels, c), 0) for c in counts]
-    return out[0] if levels.ndim == 0 else np.reshape(out, levels.shape)
+    if levels.ndim == 0:
+        return out[0], float(error[0])
+    return np.reshape(out, levels.shape), error.reshape(levels.shape)
 
 
 def decompose(gamma: float, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:

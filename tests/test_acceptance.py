@@ -47,7 +47,7 @@ def test_criterion_01_ground_energy_constant():
 def test_criterion_02_closed_form_vs_quadrature_oracle():
     gammas = (0.1, 0.3, 0.5, 0.9, 1.5, 2.0, 2.5, 4.9, 5.0, 10.1)
     worst = max(
-        abs(well.expansion_coefficient(n, g) - well.overlap_oracle(n, g))
+        abs(well.expansion_coefficient(n, g) - well.overlap_oracle(n, g)[0])
         for g in gammas
         for n in range(1, 21)
     )

@@ -242,10 +242,6 @@ class TestExitCodes:
             (["spin", "ode-check", "--ratio-list", "1e-9"], "above the budget of 10000000"),
             # only the first angle was checked; -7 wrote a curve with exit 0
             (["spin", "omega-scan", "--alpha=pi/4,-7", "--points", "3"], "got -7.0"),
-            # the share of the first gamma's finest level underflowed to 0 and
-            # the message was the whole tolerance array
-            (["well", "oracle-check", "--quad-tol", "5e-324"],
-             "tolerance 5e-324 divided into 21 panel shares at gamma = 0.1 gives 0.0"),
             # an -o path that cannot be opened ended in a traceback with exit 1
             (["well", "coeffs", "-o", "/nonexistent/x.csv"], "cannot write '/nonexistent/x.csv'"),
             (["well", "coeffs", "-o", "."], "cannot write '.'"),
@@ -406,9 +402,12 @@ class TestWellCommands:
         # every |b_n| is below 1e-29 here: against the absolute --tol an
         # oracle 50% wrong passed with exit 0
         oracle = well.overlap_oracle
-        monkeypatch.setattr(
-            well, "overlap_oracle", lambda n, g, **kw: 1.5 * oracle(n, g, **kw)
-        )
+
+        def wrong(n, g):
+            b, error = oracle(n, g)
+            return 1.5 * b, error
+
+        monkeypatch.setattr(well, "overlap_oracle", wrong)
         code = cli.main(["well", "oracle-check", "--gamma-list", gamma, "--max-level", "5"])
         assert code == 1
         out, stderr = capsys.readouterr()
@@ -446,18 +445,40 @@ class TestWellCommands:
         assert [float(row[1]) for row in rows] == [float(g) for g in gammas for _ in range(3)]
         assert all(math.isfinite(float(v)) for row in rows for v in row)
 
-    @pytest.mark.parametrize("quad_tol", ["1e-17", "1e-300"])
-    def test_oracle_check_exits_1_on_a_tolerance_below_rounding(self, quad_tol):
+    @pytest.mark.parametrize("quad_tol", ["1e-17", "1e-300", "5e-324"])
+    def test_oracle_check_exits_1_on_a_tolerance_below_rounding(self, quad_tol, capsys):
         # the adaptive rule once bisected toward 2^48 panels and never
-        # returned; two fixed rules either meet the tolerance or exit 1
+        # returned; two fixed rules state their error, and the gate exits 1
+        # after the whole table, as the --tol gate does
+        assert cli.main(["well", "oracle-check"]) == 0
+        table = capsys.readouterr().out.encode()
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
         argv = ["well", "oracle-check", "--quad-tol", quad_tol]
         proc = subprocess.run(
             [sys.executable, "-m", "quenchkit", *argv], capture_output=True, env=env, timeout=20
         )
         assert proc.returncode == 1
-        assert proc.stdout == b""
-        assert proc.stderr.startswith(b"quenchkit: quadrature on [")
+        assert proc.stdout == table
+        assert proc.stderr.startswith(b"quenchkit: quadrature error estimate at gamma = 0.1: ")
+        assert proc.stderr.endswith(f" exceeds {float(quad_tol):.3e}\n".encode())
+
+    def test_oracle_check_gates_the_quadrature_error(self, monkeypatch, capsys):
+        # the level errors come from `integrate`'s gaps: 1e-9 per panel is
+        # above the default --quad-tol, and the table is still written whole
+        argv = ["well", "oracle-check", "--max-level", "5"]
+        assert cli.main(argv) == 0
+        table = capsys.readouterr().out
+        real = well.integrate
+
+        def inflated(f, a, b):
+            values, gaps = real(f, a, b)
+            return values, np.full_like(gaps, 1e-9)
+
+        monkeypatch.setattr(well, "integrate", inflated)
+        assert cli.main(argv) == 1
+        out, stderr = capsys.readouterr()
+        assert out == table and len(out.splitlines()) == 51
+        assert stderr.startswith("quenchkit: quadrature error estimate at gamma =")
 
 
 class TestSpinCommands:
@@ -700,8 +721,8 @@ _SPIN_HEADERS = {
     "ode-check": ["alpha_rad,omega_over_omega0,max_abs_diff,norm_drift"],
     "symmetry-check": ["draws,max_branch_gap,max_cycle_gap"],
 }
-# --quad-tol reaches down to the smallest subnormal: below what the doubles
-# resolve, and then below what a panel's share of it can hold
+# --quad-tol reaches down to the smallest subnormal, below the quadrature
+# error that the doubles can state: such a bound exits 1 after the table
 _quad_tol = (st.sampled_from([1e-17, 1e-300, 5e-324]) | st.floats(5e-324, 1e-10)).map(repr)
 _WELL_FLAGS = {
     "coeffs": {"gamma": _text, "levels": _size},

@@ -72,7 +72,7 @@ def per_point_force(g, n_levels, step):
 # Each scalar entry point at one gamma; each checks gamma before any work.
 GAMMA_ENTRY_POINTS = [
     lambda g: expansion_coefficient(1, g),
-    lambda g: overlap_oracle(1, g),
+    lambda g: overlap_oracle(1, g)[0],
     lambda g: decompose(g),
     lambda g: quench_energy(g),
     lambda g: matter_wave_force(g),
@@ -165,7 +165,9 @@ class TestEigenstates:
     def test_wavefunction_normalized(self, n):
         w = 1e-9
         density = lambda nodes: eigen_wavefunction(n, w, nodes.x) ** 2
-        assert integrate(density, 0.0, w, tolerance=1e-10) == pytest.approx(1.0, abs=1e-10)
+        value, error = integrate(density, 0.0, w)
+        assert value == pytest.approx(1.0, abs=1e-10)
+        assert error <= 1e-10
 
 
 class TestExpansionCoefficient:
@@ -206,22 +208,24 @@ class TestOverlapOracle:
     def test_matches_closed_form(self, gamma):
         for n in range(1, 9):
             closed = expansion_coefficient(n, gamma)
-            oracle = overlap_oracle(n, gamma)
+            oracle, error = overlap_oracle(n, gamma)
             assert abs(closed - oracle) <= 1e-9
+            assert error <= 1e-10
 
     def test_identity_case(self):
-        assert overlap_oracle(1, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert overlap_oracle(1, 1.0)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_resonant_case(self):
-        assert overlap_oracle(3, 3.0) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
+        assert overlap_oracle(3, 3.0)[0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-9)
 
     @pytest.mark.parametrize("gamma", [0.280011, 1.0, 2.0, 4.9, 10.1])
     def test_levels_in_one_call_match_scalar_calls_bitwise(self, gamma):
         levels = np.arange(1, 13)
-        batched = overlap_oracle(levels, gamma, tolerance=1e-11)
-        assert batched.shape == levels.shape
-        scalar = [overlap_oracle(n, gamma, tolerance=1e-11) for n in levels.tolist()]
-        assert batched.tolist() == scalar
+        batched, errors = overlap_oracle(levels, gamma)
+        assert batched.shape == errors.shape == levels.shape
+        scalar = [overlap_oracle(n, gamma) for n in levels.tolist()]
+        assert list(zip(batched.tolist(), errors.tolist())) == scalar
+        assert errors.max() <= 1e-11
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -229,16 +233,35 @@ class TestOverlapOracle:
         | st.integers(1, 200).flatmap(lambda k: st.floats(k - 1e-9, k + 1e-9))
     )
     def test_confirms_the_closed_form_to_1e_13(self, gamma):
-        # at the default tolerance, next to the integer resonances too
+        # within the default --quad-tol, next to the integer resonances too
         levels = np.arange(1, 41)
         closed = decompose(gamma, 40)
-        assert np.max(np.abs(overlap_oracle(levels, gamma) - closed)) <= 1e-13
+        oracle, errors = overlap_oracle(levels, gamma)
+        assert np.max(np.abs(oracle - closed)) <= 1e-13
+        assert errors.max() <= 1e-10
 
     def test_panels_add_left_to_right(self, monkeypatch):
         # one rounding per addition, on every Python: a compensated sum, as
         # the builtin sum is from 3.12 on, gives 1.0 here
-        monkeypatch.setattr(well, "integrate", lambda *a, **k: np.array([1e16, 1.0, -1e16]))
-        assert overlap_oracle(3, 0.5) == 0.0  # three panels: arches at 1/3 and 2/3
+        monkeypatch.setattr(
+            well, "integrate", lambda *a: (np.array([1e16, 1.0, -1e16]), np.zeros(3))
+        )
+        assert overlap_oracle(3, 0.5)[0] == 0.0  # three panels: arches at 1/3 and 2/3
+
+    def test_error_sums_each_levels_panel_gaps(self, monkeypatch):
+        # at gamma = 0.5 level k has k panels; gaps 1, 2, ... make each
+        # level's sum exact: 1, 2 + 3, 4 + 5 + 6
+        real = well.integrate
+
+        def known_gaps(f, a, b):
+            values, _ = real(f, a, b)
+            return values, np.arange(1.0, values.size + 1.0)
+
+        monkeypatch.setattr(well, "integrate", known_gaps)
+        b, errors = overlap_oracle(np.array([1, 2, 3]), 0.5)
+        assert errors.tolist() == [1.0, 5.0, 15.0]
+        assert b.tolist() == overlap_oracle(np.array([1, 2, 3]), 0.5)[0].tolist()
+        assert overlap_oracle(3, 0.5)[1] == 6.0
 
     def test_independent_of_the_closed_form(self):
         # an oracle that reached the kernels could end up checking itself
@@ -246,8 +269,8 @@ class TestOverlapOracle:
             raise AssertionError("the oracle called the closed form")
 
         with mock.patch("quenchkit.kernels.expansion_coefficients", refuse):
-            got = overlap_oracle(np.arange(1, 41), 2.5)
-        assert got.shape == (40,)
+            got, errors = overlap_oracle(np.arange(1, 41), 2.5)
+        assert got.shape == errors.shape == (40,)
 
 
 class TestDecompose:
@@ -259,7 +282,7 @@ class TestDecompose:
 
     def test_captured_matches_quadrature_sum(self):
         captured = captured_by(5.0, 10)
-        via_oracle = sum(overlap_oracle(n, 5.0) ** 2 for n in range(1, 11))
+        via_oracle = sum(overlap_oracle(n, 5.0)[0] ** 2 for n in range(1, 11))
         assert captured == pytest.approx(via_oracle, abs=1e-8)
         assert captured == pytest.approx(0.989, abs=1e-3)
 
@@ -277,7 +300,8 @@ class TestDecompose:
         analytic = gamma - math.sin(2.0 * math.pi * gamma) / (2.0 * math.pi)
         cfg = WellConfig()
         density = lambda nodes: eigen_wavefunction(1, cfg.width, nodes.x) ** 2
-        by_quadrature = integrate(density, 0.0, gamma * cfg.width, tolerance=1e-10)
+        by_quadrature, error = integrate(density, 0.0, gamma * cfg.width)
+        assert error <= 1e-10
         assert analytic == pytest.approx(by_quadrature, abs=1e-9)
         assert captured_by(gamma, 10_000) == pytest.approx(analytic, abs=1e-3)
 
@@ -306,7 +330,7 @@ class TestQuenchEnergy:
         raw = 0.0
         captured = 0.0
         for n in range(1, 11):
-            p = overlap_oracle(n, 2.0) ** 2
+            p = overlap_oracle(n, 2.0)[0] ** 2
             captured += p
             raw += p * n * n / 4.0
         energy = quench_energy(2.0, 10)[0]
@@ -471,7 +495,7 @@ class TestScans:
         table = population_scan(4.9, 10)
         for n in (3, 4, 5, 6):
             assert table[n - 1, 1] == pytest.approx(
-                overlap_oracle(n, 4.9) ** 2, abs=1e-8
+                overlap_oracle(n, 4.9)[0] ** 2, abs=1e-8
             )
 
     @pytest.mark.parametrize("gamma", [1.5, 4.9, 10.1])
@@ -480,7 +504,7 @@ class TestScans:
         table = population_scan(gamma, 20)
         closed_peak = int(table[np.argmax(table[:, 1]), 0])
         oracle_peak = max(
-            range(1, 21), key=lambda n: overlap_oracle(n, gamma) ** 2
+            range(1, 21), key=lambda n: overlap_oracle(n, gamma)[0] ** 2
         )
         assert closed_peak == oracle_peak
 
@@ -750,15 +774,12 @@ class TestScans:
         (lambda: well._forces(np.array([1.5, 600000.5, 700000.5]), 10, 1e-4),
          "the force stencil cannot resolve step 0.0001 at gamma = 600000.5: "
          "the doubles there are over 1e-6 step apart"),
-        (lambda: integrate(lambda nodes: nodes.x, np.zeros(3), np.ones(3),
-                           tolerance=[1e-10, -1.0, 0.0]),
-         "tolerance must be positive, got -1.0"),
         (lambda: overlap_oracle(np.array([1, 0, -1]), 0.5), "level index must be >= 1, got 0"),
         (lambda: eigen_wavefunction(np.array([[2], [0]]), 1.0, 0.3),
          "level index must be >= 1, got 0"),
     ],
     ids=["energies-domain", "energies-top", "energies-underflow", "forces-step",
-         "forces-coarse", "integrate-tolerance", "overlap-oracle-level",
+         "forces-coarse", "overlap-oracle-level",
          "eigen-wavefunction-level"],
 )
 def test_array_checks_name_the_first_bad_element(call, message):

@@ -21,8 +21,11 @@ benchmark workloads of `perfbench/workloads.py` at the default seed and at
 seeds 101-105, each subcommand at its defaults, a two-angle ``omega-scan``,
 ``oracle-check`` at the largest ``--max-level`` its default gammas fit in
 the size budget and one at ``--gamma-list 1e-299``, whose box is narrower
-than 2/DBL_MAX, a ``force-scan`` with one-sided stencils on both sides of
-integers, a ``threshold`` that finds no frozen onset, a ``coeffs`` longer
+than 2/DBL_MAX, two whose ``--quad-tol`` is below the quadrature error
+that the doubles can state (``1e-17``, and ``5e-324``, the smallest
+subnormal), which exit 1 after the table, a ``force-scan`` with one-sided
+stencils on both sides of integers, a ``threshold`` that finds no frozen
+onset, a ``coeffs`` longer
 than one chunk of rows, an ``omega-scan`` whose ratios hold exact decimal
 ties, a ``coeffs`` at ``--gamma 1e-100`` whose b_n alternate in sign and
 whose reals all have 3-digit exponents, two ``symmetry-check`` runs
@@ -76,6 +79,9 @@ EXTRA = [
     ["well", "oracle-check", "--max-level", "1413"],
     # a box of gamma 1e-9 m narrower than 2 / DBL_MAX: sqrt(2 / W) would be inf
     ["well", "oracle-check", "--gamma-list", "1e-299", "--max-level", "1"],
+    # bounds below every level's quadrature error: exit 1 after the table
+    ["well", "oracle-check", "--quad-tol", "1e-17"],
+    ["well", "oracle-check", "--quad-tol", "5e-324"],
     # 4 left and 5 right one-sided stencil points, within 2 step of 1..4
     ["well", "force-scan", "--gamma", "0.5:4.5", "--points", "401", "--levels", "12",
      "--step", "0.01"],
