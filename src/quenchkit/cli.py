@@ -95,9 +95,10 @@ def parse_range(text: str) -> tuple[float, float]:
 # Largest value of a size flag (--levels, --points, --max-level, --samples,
 # --draws) and of oracle-check's quadrature panels, L (L + 1) / 2 per gamma
 # at --max-level L.  Most commands hold a few arrays of that size at most
-# (the spin scans go in blocks).  Two peak far higher at 10^6: force-scan at
-# 147.2 MiB (121 bytes a point, 1.1 GiB at 10^7) and one ode-check trajectory
-# at 238.7 MiB (208 bytes a sample, 2 GiB at 10^7).  The benchmark stops at 10^6.
+# (the spin scans go in blocks, oracle-check's panels in chunks of levels).
+# Two peak far higher at 10^6: force-scan at 147.2 MiB (121 bytes a point,
+# 1.1 GiB at 10^7) and one ode-check trajectory at 238.7 MiB (208 bytes a
+# sample, 2 GiB at 10^7).  The benchmark stops at 10^6.
 MAX_ELEMENTS = 10_000_000
 
 

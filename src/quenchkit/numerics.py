@@ -41,22 +41,26 @@ class OdeDivergenceError(ArithmeticError):
 class Nodes(NamedTuple):
     """Quadrature points handed to the integrand by `integrate`.
 
-    ``x`` holds the points; ``root[i]`` is the flat index, into the bounds
-    passed to `integrate`, of the interval that ``x[i]`` belongs to, so an
-    integrand can look up per-interval parameters.
+    ``x`` holds a block's points, one row of 40 per interval; ``root`` is a
+    column, one row per interval, of the intervals' flat indices into the
+    bounds passed to `integrate`, so a per-interval parameter looked up as
+    ``p[root]`` broadcasts against ``x``.
     """
 
     x: np.ndarray
     root: np.ndarray
 
 
-# Intervals evaluated together; no result depends on it.  `oracle-check` on crosscheck's
-# argv, medians of 12 alternating runs | at --max-level 1413, 3 runs (2 CPUs):
-#    4096  31.73 MiB  5.3k faults  0.180 s | 160.7 MiB  13.4 s
-#    1024  31.75 MiB  5.3k         0.189 s | 161.0 MiB  11.4 s
-#     512  30.58 MiB  6.0k         0.178 s | 160.7 MiB  11.1 s
-#     256  30.39 MiB  5.7k         0.182 s | 160.7 MiB  11.4 s
-BLOCK = 512
+# Intervals evaluated together; no result depends on it.  `oracle-check` with
+# `well.ORACLE_CHUNK` = 2048, medians of alternating runs (2 CPUs) on
+# crosscheck's argv, 12 runs | at --max-level 1413, 5 runs:
+#     512  30.52 MiB  5.7k faults | 32.84 MiB  1730k faults  11.09 s
+#     256  30.55 MiB  5.6k        | 32.68 MiB  1183k         11.09 s
+#     128  30.53 MiB  4.7k        | 32.60 MiB   7.0k         10.04 s
+#      64  30.53 MiB  4.7k        | 32.72 MiB   6.8k         11.75 s
+# From 256 up, glibc returns the top of the heap after each block and
+# faults it back in for the next.
+BLOCK = 128
 
 
 @functools.cache
@@ -91,8 +95,10 @@ def integrate(f: Callable, a, b):
     Parameters
     ----------
     f : callable
-        Called with a `Nodes` pair, whatever the shape of the bounds, and
-        returning ``f(nodes.x)`` as a float array of the same shape.
+        Called once per block of intervals with a `Nodes` pair, whatever the
+        shape of the bounds: ``x`` of shape (intervals, 40) and ``root`` of
+        shape (intervals, 1).  Returns ``f(nodes.x)`` as a float array of
+        ``x``'s shape.
     a, b : float or array_like
         Integration bounds, ``a <= b``; arrays of equal shape integrate one
         interval per element.
@@ -131,7 +137,7 @@ def integrate(f: Callable, a, b):
             roots = work[start:start + BLOCK]
             half = 0.5 * (hi[roots] - lo[roots])
             nodes = (lo[roots] + half)[:, None] + half[:, None] * x
-            fx = f(Nodes(nodes.ravel(), np.repeat(roots, x.size))).reshape(nodes.shape)
+            fx = f(Nodes(nodes, roots[:, None]))
             # an elementwise product summed per row, not a matrix product:
             # BLAS would round a row differently with the block's size
             low = half * (fx[:, :x_low.size] * w_low).sum(axis=1)

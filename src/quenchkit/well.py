@@ -38,6 +38,18 @@ DEFAULT_FORCE_STEP = 1e-4
 # on one thread the two sizes run alike.
 ENERGY_BLOCK = 32768
 
+# Panels of `overlap_oracle` built, integrated and summed at once, in whole
+# levels (a level with more panels goes alone); no result depends on it.
+# `oracle-check --max-level 1413` at `numerics.BLOCK` = 128, medians of 5
+# alternating runs (2 CPUs):
+#     8192  33.15 MiB   9.8k faults  10.42 s
+#     4096  32.70 MiB  10.2k         10.06 s
+#     2048  32.60 MiB   7.0k         10.04 s
+#     1024  32.55 MiB   6.7k          9.78 s
+# 1024 and 2048 differ by less than the runs' spread; crosscheck's 40 levels
+# fit in one chunk per gamma at any of these.
+ORACLE_CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class WellConfig:
@@ -120,8 +132,10 @@ def overlap_oracle(n, gamma: float):
     the 16- and 24-point rules.  The result is dimensionless, so the
     integral runs over the reference box of `WellConfig`.
 
-    ``n`` may be an array of levels: every panel of every level then goes
-    through one `integrate` call, and ``b`` and ``error`` are arrays over ``n``.
+    ``n`` may be an array of levels, and ``b`` and ``error`` are then arrays
+    over ``n``.  The levels' panels go through `integrate` a chunk of whole
+    levels at a time (`ORACLE_CHUNK`), so the memory does not grow with the
+    number of levels; each level's values are the doubles of that level alone.
     """
     levels = np.asarray(n)
     refuse(levels >= 1, levels, "level index must be >= 1, got {:g}")
@@ -129,30 +143,43 @@ def overlap_oracle(n, gamma: float):
     w1 = _check_gamma(gamma) * w0
     upper = min(w0, w1)
 
-    edges = []  # panel edges, one list per requested level
-    for k in levels.ravel().tolist():
-        nodes = [j * w1 / k for j in range(1, k + 1) if j * w1 / k < upper]
-        edges.append([0.0, *nodes, upper])
-    counts = [len(e) - 1 for e in edges]
-    lo = np.array([x for e in edges for x in e[:-1]])
-    hi = np.array([x for e in edges for x in e[1:]])
-    panel_level = np.repeat(levels.ravel(), counts)
-
-    def integrand(nodes):
+    def integrand(nodes):  # reads the chunk's `panel_level`, set below
         new_level = eigen_wavefunction(panel_level[nodes.root], w1, nodes.x)
         return new_level * eigen_wavefunction(1, w0, nodes.x)
 
-    values, gaps = integrate(integrand, lo, hi)
-    error = np.add.reduceat(gaps, np.cumsum(counts) - counts)
-    del gaps  # before the values' list of floats is built
-    panels = iter(values.tolist())
-    del values
-    # each level's panels summed left to right, one rounding per addition:
-    # the builtin sum compensates its rounding since Python 3.12
-    out = [functools.reduce(operator.add, itertools.islice(panels, c), 0) for c in counts]
+    b, error = [], []
+    for chunk in _level_chunks(levels.ravel().tolist(), w1, upper):
+        counts = [e.size - 1 for _, e in chunk]
+        lo = np.concatenate([e[:-1] for _, e in chunk])
+        hi = np.concatenate([e[1:] for _, e in chunk])
+        panel_level = np.repeat([k for k, _ in chunk], counts)
+        values, gaps = integrate(integrand, lo, hi)
+        error += np.add.reduceat(gaps, np.cumsum(counts) - counts).tolist()
+        panels = iter(values.tolist())
+        # each level's panels summed left to right, one rounding per addition:
+        # the builtin sum compensates its rounding since Python 3.12
+        b += [functools.reduce(operator.add, itertools.islice(panels, c), 0) for c in counts]
     if levels.ndim == 0:
-        return out[0], float(error[0])
-    return np.reshape(out, levels.shape), error.reshape(levels.shape)
+        return b[0], error[0]
+    return np.reshape(b, levels.shape), np.reshape(error, levels.shape)
+
+
+def _level_chunks(levels, w1, upper):
+    # `overlap_oracle`'s levels as lists of (k, panel edges of level k), each
+    # list of whole levels holding at most `ORACLE_CHUNK` panels, or one level
+    # if that level alone has more.  Level k's inner edges are the j w1 / k,
+    # j = 1..k, below ``upper``; k must be an int, as for range.
+    chunk, panels = [], 0
+    for k in levels:
+        inner = np.arange(1.0, operator.index(k) + 1.0) * w1 / k
+        edges = np.concatenate(((0.0,), inner[inner < upper], (upper,)))
+        if chunk and panels + edges.size - 1 > ORACLE_CHUNK:
+            yield chunk
+            chunk, panels = [], 0
+        chunk.append((k, edges))
+        panels += edges.size - 1
+    if chunk:
+        yield chunk
 
 
 def decompose(gamma: float, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:

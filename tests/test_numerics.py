@@ -145,7 +145,8 @@ class TestIntegrate:
             integrate(lambda nodes: np.where(nodes.x > 0.9, bad, nodes.x), 0.0, 1.0)
 
     def test_scalar_bounds_hand_the_integrand_nodes(self):
-        # one call with the interval's 40 nodes, each rooted in interval 0
+        # one call with the interval's 40 nodes in a row, and its index 0 in a
+        # column
         calls = []
 
         def f(nodes):
@@ -158,8 +159,9 @@ class TestIntegrate:
         [nodes] = calls
         assert isinstance(nodes, numerics.Nodes)
         rules = np.concatenate([leggauss(16)[0], leggauss(24)[0]])
-        np.testing.assert_array_equal(nodes.x, 1.5 + 1.0 * rules)
-        np.testing.assert_array_equal(nodes.root, np.zeros(40, dtype=int))
+        assert nodes.x.shape == (1, 40) and nodes.root.shape == (1, 1)
+        np.testing.assert_array_equal(nodes.x, [1.5 + rules])
+        np.testing.assert_array_equal(nodes.root, [[0]])
 
     @pytest.mark.parametrize("scale", [1e308 * 10.0, 1e308])
     def test_warnings_give_way_to_the_error(self, scale):

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quenchkit import well
+from quenchkit import numerics, well
 from quenchkit.numerics import central_difference, integrate
 from quenchkit.well import (
     WellConfig,
@@ -262,6 +263,55 @@ class TestOverlapOracle:
         assert errors.tolist() == [1.0, 5.0, 15.0]
         assert b.tolist() == overlap_oracle(np.array([1, 2, 3]), 0.5)[0].tolist()
         assert overlap_oracle(3, 0.5)[1] == 6.0
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_no_levels_give_empty_arrays(self, shape):
+        b, errors = overlap_oracle(np.arange(1, 1).reshape(shape), 0.5)
+        assert b.shape == errors.shape == shape
+        assert b.dtype == errors.dtype == np.float64
+
+    @pytest.mark.parametrize("gamma", [0.280011, 1.0, 3.0, 4.9])
+    def test_chunks_give_the_doubles_of_one_call(self, gamma, monkeypatch):
+        # at a chunk of 5 panels most levels have more and go alone, and the
+        # rest share chunks; every b and error must be the unchunked double
+        levels = np.arange(1, 61)
+        monkeypatch.setattr(well, "ORACLE_CHUNK", 10**9)
+        whole = overlap_oracle(levels, gamma)
+        calls = []
+        real = well.integrate
+
+        def counted(f, a, b):
+            calls.append(a.size)
+            return real(f, a, b)
+
+        monkeypatch.setattr(well, "ORACLE_CHUNK", 5)
+        monkeypatch.setattr(well, "integrate", counted)
+        chunked = overlap_oracle(levels, gamma)
+        assert max(calls) > 5 and min(calls) < 5 and sum(calls) > 60
+        for got, want in zip(chunked, whole):
+            assert got.tolist() == want.tolist()
+
+    def test_memory_does_not_grow_with_levels(self):
+        # panels are built, integrated and summed a chunk of levels at a time;
+        # numpy reports its buffers to tracemalloc, so all L (L + 1) / 2 panels
+        # of levels 1..L at gamma = 0.5 would show
+        def peak(top):
+            tracemalloc.start()
+            try:
+                overlap_oracle(np.arange(1, top + 1), 0.5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        overlap_oracle(np.arange(1, 3), 0.5)  # the rules are cached on first use
+        small, large = peak(200), peak(800)
+        # a chunk holds at most ORACLE_CHUNK + 800 panels at about 200 bytes
+        # each (bounds, level, value, gap, the value as a float), and the
+        # integrand about a dozen arrays of a block's nodes
+        chunk = 200 * (well.ORACLE_CHUNK + 800) + 12 * 40 * 8 * numerics.BLOCK
+        assert large < chunk
+        # what grows is the results: a few objects per level, no panels
+        assert large - small < 200 * 600
 
     def test_independent_of_the_closed_form(self):
         # an oracle that reached the kernels could end up checking itself
