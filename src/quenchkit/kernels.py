@@ -186,32 +186,22 @@ def cycle_return_curve(ratios, alpha):
     a 1-D array, at the cone angle ``alpha``, a float or an array of x's
     shape.
 
-    mu = `rabi_rate` (x, alpha); the degenerate x = 1, alpha = 0
-    (mu = 0) pins the state at probability 1.  The value is
-    c c + ((coef coef) s) s with c, s the cosine and sine of pi mu / x and
-    coef = (1 - x cos(alpha)) / mu, each operation done in place and in that
-    order: the same doubles as the plain expression, with three arrays of
-    the curve's size alive at once instead of about ten.  Each value depends
-    on its own ratio alone, so `quenchkit.spin.omega_scan` calls it on
-    blocks of `quenchkit.spin.OMEGA_BLOCK` ratios and its temporaries stay
-    at 256 KiB each, where a whole 10^6-point curve holds three of 7.6 MiB.
+    1 - rho = (sin(alpha) sin(pi u) / u)^2 = pi^2 sin^2(alpha) sinc^2(u),
+    u = mu / x, mu = `rabi_rate` (x, alpha) (Rabi, Phys. Rev. 51, 652, 1937):
+    rho = 1 - (t sin(pi u))^2 with t = sin(alpha) / u <= 1 (x sin(alpha) <=
+    mu; ``np.minimum`` undoes rounding), so rho lies in [0, 1] in floating
+    point too.  u = 0 only at x = 1 and alpha below about 1.5e-162, where
+    u = 1 gives rho = 1.  In place, three arrays of x's size are alive at once;
+    each value depends on its own ratio alone, so `quenchkit.spin.omega_scan`
+    calls it on blocks of `quenchkit.spin.OMEGA_BLOCK` ratios (256 KiB each).
     """
     x = np.asarray(ratios, dtype=float)
-    mu = rabi_rate(x, alpha)
-    pinned = ~(mu > 0.0)
-    mu[pinned] = 1.0
-    phase = np.multiply(np.pi, mu)
-    phase /= x
-    coef = np.multiply(x, np.cos(alpha))
-    np.subtract(1.0, coef, out=coef)
-    coef /= mu
-    del mu
-    rho = np.cos(phase)
-    s = np.sin(phase, out=phase)
-    rho *= rho
-    coef *= coef
-    coef *= s
-    coef *= s
-    rho += coef
-    rho[pinned] = 1.0
-    return rho
+    u = rabi_rate(x, alpha)
+    u /= x
+    u[u == 0.0] = 1.0
+    phase = np.multiply(np.pi, u)
+    t = np.divide(np.sin(alpha), u, out=u)
+    np.minimum(t, 1.0, out=t)
+    t *= np.sin(phase, out=phase)
+    t *= t
+    return np.subtract(1.0, t, out=t)

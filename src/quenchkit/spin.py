@@ -214,12 +214,19 @@ def ode_trajectory(
 def return_probability(t, branch: str, cfg: RotorConfig):
     """Probability of finding the evolved state back in its initial
     eigenstate: a float for a float ``t`` and one configuration, else an
-    array."""
-    # |<a|psi(t)>|^2, squared by pow like abs(z) ** 2 of a Python complex
-    # (x * x differs in ~0.1% of last bits)
+    array: A / (A + B), A and B the squared overlaps of psi(t) with the
+    initial eigenstate a and with its orthogonal partner (a_1, -a_0), so it
+    lies in [0, 1] in floating point too."""
     psi, a = evolve_closed_form(t, branch, cfg), _branch_terms(branch, cfg)[0]
-    re, im = psi.real * a, psi.imag * a
-    p = np.float_power(np.hypot(re[..., 0] + re[..., 1], im[..., 0] + im[..., 1]), 2.0)
+
+    def square(v):
+        # |<v|psi(t)>|^2 for a real v, squared by pow like abs(z) ** 2 of a
+        # Python complex (x * x differs in ~0.1% of last bits)
+        re, im = psi.real * v, psi.imag * v
+        return np.float_power(np.hypot(re[..., 0] + re[..., 1], im[..., 0] + im[..., 1]), 2.0)
+
+    stay = square(a)
+    p = stay / (stay + square(a[..., ::-1] * [1.0, -1.0]))
     return float(p) if p.ndim == 0 else p
 
 

@@ -1,6 +1,7 @@
 """Kernel checks: the array coefficient kernel reproduces the per-gamma
-formula it replaced bit for bit, and the RK4 propagator agrees with the
-generic integrator in `numerics`."""
+formula it replaced bit for bit, the RK4 propagator agrees with the
+generic integrator in `numerics`, and the single-cycle curve matches
+mpmath within three arrays of its block."""
 
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quenchkit import kernels, well
+from quenchkit import kernels, spin, well
 from quenchkit.numerics import ode_evolve
 
 
@@ -240,6 +241,36 @@ def test_rk4_memory_does_not_grow_with_steps():
     peak(block)  # numpy's first-call caches
     one, four = peak(block), peak(4 * block)
     assert four - one < 8 * 8 * block  # eight doubles a step of one block
+
+
+def test_cycle_curve_holds_three_arrays_of_its_block():
+    # a block of spin.omega_scan's size, where numpy elides rabi_rate's
+    # temporaries; the margin is a page for numpy's scalars and headers,
+    # far below a boolean mask of the block (block / 8 bytes)
+    x = np.linspace(0.05, 20.0, spin.OMEGA_BLOCK)
+    kernels.cycle_return_curve(x, 0.7)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        kernels.cycle_return_curve(x, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * x.nbytes + 4096
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1e-8, math.pi / 48, math.pi / 6, math.pi / 4, 1.5, 2.5,
+                                   math.pi])
+def test_cycle_curve_matches_mpmath(alpha):
+    # 1 - rho = (sin(alpha) sin(pi u) / u)^2 with u = mu / x, at 50 digits
+    x = np.linspace(0.05, 200.0, 400)
+    rho = kernels.cycle_return_curve(x, alpha)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        for xi, got in zip(x.tolist(), rho.tolist()):
+            xi = mpmath.mpf(xi)
+            u = mpmath.sqrt((1 - xi * mpmath.cos(a)) ** 2 + (xi * mpmath.sin(a)) ** 2) / xi
+            want = 1 - (mpmath.sin(a) * mpmath.sin(mpmath.pi * u) / u) ** 2
+            assert abs(got - want) <= 1e-15, xi
 
 
 # One gamma of each kind the in-place blocks must reproduce: shrink; the

@@ -42,7 +42,9 @@ such gamma, and a ``force-scan`` whose first stencil reaches below zero
 ``return-prob`` (``--ratio 1e150 --points 3``) and an ``ode-check``
 (``--ratio-list 1e150 --alpha 0.3``) at the largest drive ratio, and an
 ``ode-check`` at the smallest (``--ratio-list 1e-150``), which exits 2
-naming its step count past the RK4 budget.  A
+naming its step count past the RK4 budget, and two ``threshold`` runs
+(``--alpha 0`` and ``--alpha pi``) and a ``return-prob`` (``--alpha 0
+--ratio 0.7``) with no drive, whose every probability is exactly 1.  A
 workload's ``-o`` files go to a temporary directory, printed
 as ``$OUT`` so that the lines do not depend on where it is.
 
@@ -114,6 +116,10 @@ EXTRA = [
     ["spin", "ode-check", "--ratio-list", "1e150", "--alpha", "0.3"],
     # 6e+152 steps past the RK4 budget: exit 2
     ["spin", "ode-check", "--ratio-list", "1e-150"],
+    # no drive: every return probability is exactly 1, none rounds above it
+    ["spin", "threshold", "--alpha", "0"],
+    ["spin", "threshold", "--alpha", "pi"],
+    ["spin", "return-prob", "--alpha", "0", "--ratio", "0.7"],
 ]
 
 
