@@ -5,7 +5,9 @@ coefficients of the frozen well state (up to 10^4 levels for each of 10^4
 grid points), the fixed-step RK4 propagator for the driven two-level system,
 and the single-cycle return-probability curve (10^6 grid points).  Each has
 one implementation here, written on arrays; the scalar entry points in
-`quenchkit.well` and `quenchkit.spin` are thin wrappers over them.
+`quenchkit.well` and `quenchkit.spin` are thin wrappers over them.  An
+expansion row of N coefficients takes its sines from tables of 2 (N / L + L)
+sines and cosines (`LEVEL_STRIDE` = L), not from N calls of the sine.
 """
 
 from __future__ import annotations
@@ -33,21 +35,25 @@ def expansion_coefficients(gamma, n_max, out=None):
     shrink, is computed from the exact difference to that integer, so it
     keeps full precision next to the integer and an exact integer gamma = k
     gives b_k = 1/sqrt(k): resonance needs no test and no tolerance window.
-    Every other entry is the plain formula.  For a 1-D ``gamma`` the rows
-    may go into ``out``, a C-contiguous float array of the result's shape,
-    which is then returned; either way every double is the same.
+    Every other entry is the plain formula, except that an expansion row's
+    sines sin(n pi / gamma) come from sums of products of two small tables
+    (`LEVEL_STRIDE`), whose bits depend on n and gamma only: the first m
+    levels are the same doubles whatever ``n_max`` is.  For a 1-D ``gamma``
+    the rows may go into ``out``, a C-contiguous float array of the
+    result's shape, which is then returned; either way every double is the
+    same.
     """
     g = np.asarray(gamma, dtype=float)
     rows = np.atleast_1d(g)
     n = np.arange(1.0, n_max + 1.0)
-    nn, npi = n * n, n * np.pi
+    nn = n * n
     b = np.empty((rows.size, n_max)) if out is None else out
     shrink = rows < 1.0
     expand = rows > 1.0
     if shrink.all():
         _shrink_rows(rows, n, nn, b)
     elif expand.all():
-        _expand_rows(rows, nn, npi, b)
+        _expand_rows(rows, nn, b)
     else:  # a mixed block: each regime's rows through a block of their own
         identity = rows == 1.0
         b[identity] = 0.0
@@ -55,7 +61,7 @@ def expansion_coefficients(gamma, n_max, out=None):
         if shrink.any():
             b[shrink] = _shrink_rows(rows[shrink], n, nn, None)
         if expand.any():
-            b[expand] = _expand_rows(rows[expand], nn, npi, None)
+            b[expand] = _expand_rows(rows[expand], nn, None)
     return b[0] if g.ndim == 0 else b
 
 
@@ -76,24 +82,68 @@ def _shrink_rows(gamma, n, nn, out):
     return out
 
 
-def _expand_rows(gamma, nn, npi, out):
-    # 2 g^(3/2) sin(n pi / g) / (pi (g^2 - n^2)) for each g > 1, into out;
-    # level k = rint(g) is sinc(d / g) / sqrt(g) * 2 g / (g + k) from the
-    # exact d = k - g, which is 1/sqrt(g) at d = 0
+def _expand_rows(gamma, nn, out):
+    # 2 g^(3/2) sin(n pi / g) / (pi (g^2 - n^2)) for each g > 1, into out,
+    # its sines from `_level_sines` with 2 g^(3/2) / pi folded in; level
+    # k = rint(g) is sinc(d / g) / sqrt(g) * 2 g / (g + k) from the exact
+    # d = k - g, which is 1/sqrt(g) at d = 0
     g = gamma[:, None]
-    den = g * g - nn
-    den *= np.pi
+    if out is None:
+        out = np.empty((gamma.size, nn.size))
+    den = np.empty_like(out)
+    _level_sines(g, out, den)
+    den[...] = nn  # then subtracting from it in place takes no ufunc buffers
+    np.subtract(g * g, den, out=den)
     k = np.rint(gamma)
     rows = np.flatnonzero(k <= len(nn))
     level = k[rows].astype(np.intp) - 1
     den[rows, level] = 1.0  # no 0/0 at an exact integer; overwritten below
-    out = np.divide(npi, g, out=out)
-    np.sin(out, out=out)
-    out *= 2.0 * g * np.sqrt(g)
     out /= den
     g, k = gamma[rows], k[rows]
     out[rows, level] = np.sinc((k - g) / g) / np.sqrt(g) * (2.0 * g / (g + k))
     return out
+
+
+# Levels n = a L + b, b = 1..L, that `_level_sines` takes from one row's
+# tables at a and at b.  Kernel time on a 32 x 1000 block, best of 9 (2 CPUs):
+#     L   1000 levels   999    1001
+#    32     213 us     217 us  217 us
+#    40     201 us     224 us  217 us
+#    50     208 us     224 us  218 us
+# 1000 = 25 * 40 needs no partial stride; elsewhere 32-50 run alike.
+LEVEL_STRIDE = 40
+
+
+def _level_sines(g, out, scratch):
+    # c sin(n pi / g), c = 2 g sqrt(g) / pi, for n = 1..width of out and each
+    # g of the column g, into out, as c sin(x_a) cos(x_b) + c cos(x_a) sin(x_b)
+    # with x_a = (a L pi) / g and x_b = (b pi) / g: 2 (N / L + L) sines and
+    # cosines a row for N levels.  Each entry is one sum of two products of
+    # table entries, so its bits depend on n and g alone, not on the width.
+    # scratch is a buffer of out's shape.  einsum's outer products take no
+    # ufunc buffers (a broadcast np.multiply takes three 64 KiB ones) and
+    # give np.multiply's products, but for the sign of a zero.
+    stride = LEVEL_STRIDE
+    whole, rest = divmod(out.shape[1], stride)
+    x = np.arange(0.0, whole + (rest > 0)) * stride * np.pi / g
+    cos_a = np.cos(x)
+    sin_a = np.sin(x, out=x)
+    c = 2.0 * g * np.sqrt(g) / np.pi
+    sin_a *= c
+    cos_a *= c
+    x = np.arange(1.0, min(stride, out.shape[1]) + 1.0) * np.pi / g
+    cos_b = np.cos(x)
+    sin_b = np.sin(x, out=x)
+    # the whole strides as (rows, whole, L) views, then the rest as (rows, 1, rest)
+    for first, count, width in ((0, whole, stride), (whole, 1, rest)):
+        if count and width:
+            a = slice(first, first + count)
+            cols = slice(first * stride, first * stride + count * width)
+            shape = (len(g), count, width)
+            np.einsum("ia,ib->iab", sin_a[:, a], cos_b[:, :width], out=out[:, cols].reshape(shape))
+            np.einsum("ia,ib->iab", cos_a[:, a], sin_b[:, :width],
+                      out=scratch[:, cols].reshape(shape))
+    out += scratch
 
 
 # Steps whose RK4 increments are built at once, which bounds `spin_rk4`'s temporaries.

@@ -246,7 +246,7 @@ def _cpus() -> int:
 def _energy_blocks(gammas, n_levels, starts, rows, raw, captured):
     # `_energies`' sums for the blocks at ``starts``, in order, into their
     # slices of ``raw`` and ``captured``
-    n = np.arange(1.0, n_levels + 1.0)
+    nn = np.arange(1.0, n_levels + 1.0) ** 2  # exact for n < 2^26: one rounding per weight
     buffer = np.empty((min(rows, len(gammas)), n_levels))
     for start in starts:
         block = slice(start, start + rows)
@@ -254,8 +254,7 @@ def _energy_blocks(gammas, n_levels, starts, rows, raw, captured):
         rho = kernels.expansion_coefficients(g, n_levels, out=buffer[: len(g)])
         rho *= rho
         np.sum(rho, axis=1, out=captured[block])
-        rho *= n
-        rho *= n
+        rho *= nn
         np.sum(rho, axis=1, out=raw[block])
 
 

@@ -16,10 +16,10 @@ from quenchkit import kernels, spin, well
 from quenchkit.numerics import ode_evolve
 
 
-def per_gamma_coefficients(gamma, n_max):
+def plain_coefficients(gamma, n_max):
     """The one-gamma NumPy kernel that `kernels.expansion_coefficients`
-    replaced, with its closed-form entry at the nearest integer; the
-    bit-for-bit reference for its rows."""
+    replaced, with one sine per level and its closed-form entry at the
+    nearest integer; the baseline of the kernel's accuracy."""
     if gamma == 1.0:
         b = np.zeros(n_max)
         b[0] = 1.0
@@ -31,15 +31,35 @@ def per_gamma_coefficients(gamma, n_max):
         den = gamma * gamma - n * n
         den[0] = (gamma - 1.0) * (gamma + 1.0)
         return sign * pref * n / (np.pi * den)
+    sines = 2.0 * gamma * math.sqrt(gamma) * np.sin(n * np.pi / gamma)
+    return _over_denominators(gamma, sines, np.pi * (gamma * gamma - n * n))
+
+
+def per_gamma_coefficients(gamma, n_max):
+    """The kernel's row at one gamma, the bit-for-bit reference for its
+    rows: the plain formula, but an expansion's c sin(n pi / gamma), with
+    c = 2 gamma sqrt(gamma) / pi, is c sin(x_a) cos(x_b) + c cos(x_a) sin(x_b)
+    for n = a L + b, b = 1..L (L = `kernels.LEVEL_STRIDE`), at
+    x_a = (a L pi) / gamma and x_b = (b pi) / gamma, over gamma^2 - n^2."""
+    if gamma <= 1.0:
+        return plain_coefficients(gamma, n_max)
+    a, b = np.divmod(np.arange(n_max), kernels.LEVEL_STRIDE)
+    x_a = a * kernels.LEVEL_STRIDE * np.pi / gamma
+    x_b = (b + 1.0) * np.pi / gamma
+    c = 2.0 * gamma * math.sqrt(gamma) / np.pi
+    sines = (np.sin(x_a) * c) * np.cos(x_b) + (np.cos(x_a) * c) * np.sin(x_b)
+    n = np.arange(1.0, n_max + 1.0)
+    return _over_denominators(gamma, sines, gamma * gamma - n * n)
+
+
+def _over_denominators(gamma, sines, den):
+    # an expansion row sines / den, with the closed-form entry at k = rint(gamma)
     k = int(np.rint(gamma))
-    den = np.pi * (gamma * gamma - n * n)
-    if k <= n_max:
-        den[k - 1] = 1.0
-    b = 2.0 * gamma * math.sqrt(gamma) * np.sin(n * np.pi / gamma) / den
-    if k <= n_max:
-        b[k - 1] = np.sinc((k - gamma) / gamma) / math.sqrt(gamma) * (
-            2.0 * gamma / (gamma + k)
-        )
+    if k > len(den):
+        return sines / den
+    den[k - 1] = 1.0
+    b = sines / den
+    b[k - 1] = np.sinc((k - gamma) / gamma) / math.sqrt(gamma) * (2.0 * gamma / (gamma + k))
     return b
 
 
@@ -172,6 +192,96 @@ def test_rows_match_mpmath_next_to_the_integers(gamma, extra):
         assert np.max(np.abs(b - ref)) <= 2e-14 * np.max(np.abs(ref))
     b = well.decompose(gamma, n_max)
     assert np.sum(b * b) <= 1.0 + 1e-15
+
+
+_STRIDE = kernels.LEVEL_STRIDE
+ROW_GAMMAS = [0.3, 1.0, 1.0 + 1e-10, 2.0, 2.5, 3.0 * (1 + 1e-12), 7.0 - 1e-9, 37.0, 40.3,
+              999.5, 1234.567, 1e4, 1e150]
+
+
+@pytest.mark.parametrize("m", [1, _STRIDE - 1, _STRIDE, _STRIDE + 1, 37, 999])
+def test_rows_do_not_depend_on_n_max(m):
+    # each entry is one sum of products of its own row's table entries: the
+    # first m levels are the same doubles at any n_max, which a combine whose
+    # rounding depends on the block's shape (a BLAS product) would break
+    full = kernels.expansion_coefficients(np.array(ROW_GAMMAS), 1000)
+    part = kernels.expansion_coefficients(np.array(ROW_GAMMAS), m)
+    np.testing.assert_array_equal(_bits(part), _bits(full[:, :m]))
+    for g, row in zip(ROW_GAMMAS, full):
+        np.testing.assert_array_equal(_bits(kernels.expansion_coefficients(g, m)), _bits(row[:m]))
+        assert well.expansion_coefficient(m, g) == well.decompose(g, 1000)[m - 1]
+
+
+U = 2.0**-53  # unit roundoff
+
+
+def rounding_envelope(gamma, exact):
+    """First-order bound on the rounding error of each entry of an expansion
+    row b_n = c sin(x) / D, with c = 2 gamma^(3/2) / pi, x = n pi / gamma and
+    D = gamma^2 - n^2, whose exact values are ``exact``; u = 2^-53.
+
+    The argument x, or x_a and x_b with x_a + x_b = x, takes two roundings
+    and pi's 0.35 u: 2.36 u x.  The plain sine takes 1 ulp (at most u, as
+    |sin| < 1) and c's square root and product 2 u.  The table sum takes
+    1 ulp in each of its 4 sines and cosines, 5.35 u in each of its two
+    products (c's 3.35 u, the table's and the product's rounding) and u in
+    the sum; as |sin x_a cos x_b| + |cos x_a sin x_b| <= 1, that is 10.4 u,
+    which bounds the plain sine's 3 u too.  gamma * gamma takes u gamma^2 of
+    D, and D's subtraction, the division, pi (in the plain D) and the
+    reference's own rounding at most 4.4 u of b_n.
+    """
+    n = np.arange(1.0, len(exact) + 1.0)
+    x = n * np.pi / gamma
+    den = np.abs(gamma * gamma - n * n)
+    den[den == 0.0] = np.inf  # the closed-form entry at an integer gamma, bounded apart
+    c = 2.0 * gamma * math.sqrt(gamma) / math.pi
+    return U * (c * (2.36 * x + 10.4) / den + np.abs(exact) * (gamma * gamma / den + 4.4))
+
+
+_WIDE_GAMMAS = st.one_of(
+    st.floats(1.0, 1e4, exclude_min=True),
+    st.integers(2, 10**4).map(float),
+    st.builds(lambda k, s: k * (1 + s * 1e-12), st.integers(2, 10**4), _SIDE),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=_WIDE_GAMMAS,
+       n_max=st.sampled_from([1, _STRIDE - 1, _STRIDE, _STRIDE + 1, 2 * _STRIDE + 3, 37, 1000]))
+def test_table_sines_stay_within_the_plain_formulas_rounding_envelope(gamma, n_max):
+    # Every entry of the kernel's row and of the plain formula's (one sine
+    # per level, the baseline) is within its first-order rounding bound,
+    # whose terms differ only in the sine's own rounding; the closed-form
+    # entry at k = rint(gamma) is the plain formula's double.  Row by row
+    # either may be the closer: near a node n = m gamma both errors are the
+    # rounding of x and of gamma^2 amplified by 1 / |D|, and they do not
+    # round alike.
+    exact = np.array([float(v) for v in mp_coefficients(gamma, range(1, n_max + 1))])
+    bound = rounding_envelope(gamma, exact)
+    row, plain = kernels.expansion_coefficients(gamma, n_max), plain_coefficients(gamma, n_max)
+    k = int(np.rint(gamma))
+    if k <= n_max:
+        assert row[k - 1] == plain[k - 1]
+        bound[k - 1] = np.inf
+    for got in (row, plain):
+        assert np.all(np.abs(got - exact) <= bound)
+
+
+def test_an_expansion_block_holds_its_denominators_and_small_tables():
+    # out given, as in well._energies: one block of denominators, the
+    # 2 (N / L + L) table entries a row, and numpy's buffers for the
+    # broadcast subtraction; the one-sine kernel peaked at 1.61 blocks here
+    # (numpy 2.4), and a 0.05 block margin (12.8 kB) holds numpy's scalars
+    gammas = np.linspace(1.01, 60.0, 32)
+    out = np.empty((32, 1000))
+    kernels.expansion_coefficients(gammas, 1000, out=out)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        kernels.expansion_coefficients(gammas, 1000, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1.61 + 0.05) * out.nbytes
 
 
 def test_numpy_rk4_preserves_norm():

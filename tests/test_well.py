@@ -49,8 +49,8 @@ def per_point_energy(gamma, n_levels):
     """The one-gamma renormalized energy that the blocked scans replaced."""
     b = decompose(gamma, n_levels)
     rho = b * b
-    n = np.arange(1.0, n_levels + 1.0)
-    return float(np.sum(rho * n * n) / (gamma * gamma)) / float(np.sum(rho))
+    nn = np.arange(1.0, n_levels + 1.0) ** 2
+    return float(np.sum(rho * nn) / (gamma * gamma)) / float(np.sum(rho))
 
 
 def per_point_force(g, n_levels, step):
@@ -670,13 +670,13 @@ class TestScans:
             np.linspace(0.01, 0.99, 450), specials, np.arange(2.0, 40.0),
             np.linspace(1.01, 60.0, 450), specials[::-1],
         ])
-        n = np.arange(1.0, n_levels + 1.0)
+        nn = np.arange(1.0, n_levels + 1.0) ** 2
         captured, raw = [], []
         for g in gammas.tolist():
             b = decompose(g, n_levels)
             rho = b * b
             captured.append(np.sum(rho))
-            raw.append(np.sum(rho * n * n) / (g * g))
+            raw.append(np.sum(rho * nn) / (g * g))
         captured, raw = np.array(captured), np.array(raw)
         blocks = (1, n_levels, well.ENERGY_BLOCK, 10**9)
         for block, cpus in itertools.product(blocks, (1, 2)):

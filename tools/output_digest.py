@@ -44,7 +44,12 @@ such gamma, and a ``force-scan`` whose first stencil reaches below zero
 ``ode-check`` at the smallest (``--ratio-list 1e-150``), which exits 2
 naming its step count past the RK4 budget, and two ``threshold`` runs
 (``--alpha 0`` and ``--alpha pi``) and a ``return-prob`` (``--alpha 0
---ratio 0.7``) with no drive, whose every probability is exactly 1.  A
+--ratio 0.7``) with no drive, whose every probability is exactly 1, and
+three expansion runs whose rows take their sines from tables of strides of
+`kernels.LEVEL_STRIDE` levels: a ``coeffs`` one level past one stride
+(``--gamma 2.5 --levels 41``), a ``pop-scan`` whose last stride holds one
+level (``--gamma 1234.567 --levels 1001``) and an ``energy-scan`` whose last
+stride is one level short (``--gamma 1:1e4 --points 2000 --levels 999``).  A
 workload's ``-o`` files go to a temporary directory, printed
 as ``$OUT`` so that the lines do not depend on where it is.
 
@@ -120,6 +125,11 @@ EXTRA = [
     ["spin", "threshold", "--alpha", "0"],
     ["spin", "threshold", "--alpha", "pi"],
     ["spin", "return-prob", "--alpha", "0", "--ratio", "0.7"],
+    # expansion rows one level past a stride of kernels.LEVEL_STRIDE = 40
+    # levels, with a partial last stride, and with none short of a whole one
+    ["well", "coeffs", "--gamma", "2.5", "--levels", "41"],
+    ["well", "pop-scan", "--gamma", "1234.567", "--levels", "1001"],
+    ["well", "energy-scan", "--gamma", "1:1e4", "--points", "2000", "--levels", "999"],
 ]
 
 
