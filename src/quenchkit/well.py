@@ -17,8 +17,6 @@ import functools
 import itertools
 import math
 import operator
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,11 +29,17 @@ from quenchkit.numerics import central_difference, integrate, refuse  # noqa: F4
 DEFAULT_LEVELS = 10
 DEFAULT_FORCE_STEP = 1e-4
 
-# Elements of coefficient rows computed at once by the energy scans: bounds
-# their temporaries at about 0.5 MiB per thread (2^16 raised well-scan's
-# peak RSS by 3 MiB on one thread).  On two threads 2^15 hands the
-# interpreter lock over half as often as 2^14, which gained no wall time;
-# on one thread the two sizes run alike.
+# Elements of coefficient rows computed at once by the energy scans, which
+# bounds the block buffer and its kernel temporaries.  well-scan's
+# energy-scan, force-scan and captured at 1000 levels, summed user + system
+# CPU and each command's peak RSS from os.wait4, medians of 20 alternating
+# rounds (2 CPUs):
+#     2^13  1.31 s  31.09 / 31.19 / 30.14 MiB
+#     2^14  1.12 s  31.12 / 31.26 / 30.15
+#     2^15  1.04 s  31.09 / 31.25 / 30.21
+#     2^16  0.99 s  31.15 / 31.46 / 30.64
+# 2^16 saves about 5% of CPU but raises force-scan's peak by 0.2 MiB and
+# captured's by 0.4 MiB, past the benchmark's 0.1 MiB bound.
 ENERGY_BLOCK = 32768
 
 # Panels of `overlap_oracle` built, integrated and summed at once, in whole
@@ -193,62 +197,21 @@ def decompose(gamma: float, n_levels: int = DEFAULT_LEVELS) -> np.ndarray:
 def _energies(gammas: np.ndarray, n_levels: int):
     """Renormalized, raw and captured energies at each of ``gammas``.
 
-    The coefficient rows are computed a block of about `ENERGY_BLOCK`
-    elements at a time, squared and weighted in place; each row's sums are
-    the same doubles as for that gamma alone.  The calling thread takes
-    blocks 0, 2, 4, ...; given two blocks or more and more than one CPU, one
-    helper thread with its own buffer takes blocks 1, 3, 5, ... under the
-    caller's `np.errstate` (numpy releases the GIL in the row arithmetic).
-    The helper is joined before the call returns or raises, and its
-    exception is raised unless the caller has one.  The captured sums are
-    checked after the join, so an underflow names the first failing gamma.
+    One loop in the calling thread computes the coefficient rows a block of
+    about `ENERGY_BLOCK` elements at a time, in grid order, into one
+    block-sized buffer, squares and weights them in place and writes each
+    block's sums into its slices of the result; each row's sums are the
+    same doubles as for that gamma alone.  The caller's `np.errstate`
+    applies to every block.  The captured sums are checked after the loop,
+    so an underflow names the first failing gamma.
     """
     refuse(n_levels >= 1, n_levels, "n_levels must be >= 1, got {:g}")
     _check_gamma(gammas)
     raw, captured = np.empty(len(gammas)), np.empty(len(gammas))
     rows = max(1, ENERGY_BLOCK // n_levels)
-    starts = range(0, len(gammas), rows)
-    helper, failure = None, []
-    if len(starts) > 1 and _cpus() > 1:
-        errstate = np.geterr()  # a new thread starts from numpy's default
-
-        def odd_blocks(share):
-            try:
-                with np.errstate(**errstate):
-                    _energy_blocks(gammas, n_levels, share, rows, raw, captured)
-            except Exception as exc:
-                failure.append(exc)
-
-        helper = threading.Thread(target=odd_blocks, args=(starts[1::2],))
-        starts = starts[::2]
-        helper.start()
-    try:
-        _energy_blocks(gammas, n_levels, starts, rows, raw, captured)
-    finally:
-        if helper is not None:
-            helper.join()
-    if failure:
-        raise failure[0]
-    # checked before dividing: below gamma ~ 2e-162 g * g is 0 as well
-    refuse(captured > 0.0, gammas,
-           f"captured probability underflows to zero at gamma = {{}} with {n_levels} levels")
-    raw /= gammas * gammas
-    return raw / captured, raw, captured
-
-
-def _cpus() -> int:
-    # CPUs this process may run on
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _energy_blocks(gammas, n_levels, starts, rows, raw, captured):
-    # `_energies`' sums for the blocks at ``starts``, in order, into their
-    # slices of ``raw`` and ``captured``
     nn = np.arange(1.0, n_levels + 1.0) ** 2  # exact for n < 2^26: one rounding per weight
     buffer = np.empty((min(rows, len(gammas)), n_levels))
-    for start in starts:
+    for start in range(0, len(gammas), rows):
         block = slice(start, start + rows)
         g = gammas[block]
         rho = kernels.expansion_coefficients(g, n_levels, out=buffer[: len(g)])
@@ -256,6 +219,11 @@ def _energy_blocks(gammas, n_levels, starts, rows, raw, captured):
         np.sum(rho, axis=1, out=captured[block])
         rho *= nn
         np.sum(rho, axis=1, out=raw[block])
+    # checked before dividing: below gamma ~ 2e-162 g * g is 0 as well
+    refuse(captured > 0.0, gammas,
+           f"captured probability underflows to zero at gamma = {{}} with {n_levels} levels")
+    raw /= gammas * gammas
+    return raw / captured, raw, captured
 
 
 def quench_energy(gamma: float, n_levels: int = DEFAULT_LEVELS) -> tuple[float, float, float]:

@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 import threading
@@ -32,11 +31,6 @@ from quenchkit.well import (
 B_HALF_1 = 0.6002108774380708
 
 ALT_CONFIG = WellConfig(mass=3.3e-26, planck=6.626e-34, width=2.5e-9)
-
-
-def two_cpus(monkeypatch):
-    """Let `well._energies` use two threads even on a one-CPU host."""
-    monkeypatch.setattr(well, "_cpus", lambda: 2)
 
 
 def captured_by(gamma, n_levels):
@@ -616,12 +610,10 @@ class TestScans:
             force_scan(1e90, 1e100, 5)
 
     def test_blocks_do_not_change_the_scans(self, monkeypatch):
-        # one row per block (two ways) on one CPU and split between two
-        # threads on two, then every grid point in one block
+        # one row per block (two ways), then every grid point in one block
         scans = []
-        for block, cpus in ((1, 1), (37, 1), (1, 2), (37, 2), (10**9, 2)):
+        for block in (1, 37, 10**9):
             monkeypatch.setattr(well, "ENERGY_BLOCK", block)
-            monkeypatch.setattr(well, "_cpus", lambda: cpus)
             scans.append((energy_scan(0.3, 6.7, 301, 37),
                           force_scan(0.5, 5.5, 201, 37, step=0.01)))
         whole = scans.pop()
@@ -678,114 +670,55 @@ class TestScans:
             captured.append(np.sum(rho))
             raw.append(np.sum(rho * nn) / (g * g))
         captured, raw = np.array(captured), np.array(raw)
-        blocks = (1, n_levels, well.ENERGY_BLOCK, 10**9)
-        for block, cpus in itertools.product(blocks, (1, 2)):
+        for block in (1, n_levels, well.ENERGY_BLOCK, 10**9):
             monkeypatch.setattr(well, "ENERGY_BLOCK", block)
-            monkeypatch.setattr(well, "_cpus", lambda: cpus)
             got = well._energies(gammas, n_levels)
             for values, expected in zip(got, (raw / captured, raw, captured)):
                 np.testing.assert_array_equal(values.view(np.uint64), expected.view(np.uint64))
 
-    @pytest.mark.parametrize("first", [1, 2])
-    def test_threaded_blocks_name_the_first_failing_gamma(self, first, monkeypatch):
-        # one row per block, dealt out in turn, and blocks first..first + 2
-        # underflow: the worker thread's block 1 fails before the calling
-        # thread's block 2, or block 2 before block 3 the other way round
+    def test_blocks_name_the_first_failing_gamma(self, monkeypatch):
+        # one row per block: blocks 1-3 underflow, the smallest gamma last
         monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
-        two_cpus(monkeypatch)
         gammas = np.full(8, 1.5)
-        gammas[first:first + 3] = [1e-300, 2e-300, 3e-300]
-        before = threading.active_count()
-        with pytest.raises(ValueError, match=r"underflows to zero at gamma = 1e-300 with 10"):
+        gammas[1:4] = [3e-300, 2e-300, 1e-300]
+        with pytest.raises(ValueError, match=r"underflows to zero at gamma = 3e-300 with 10"):
             well._energies(gammas, 10)
-        assert threading.active_count() == before
 
-    def test_worker_threads_carry_the_callers_errstate(self, monkeypatch):
+    def test_every_block_runs_under_the_callers_errstate(self, monkeypatch):
         monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
-        two_cpus(monkeypatch)
-        gammas = np.array([1.5, 1e-300, 1.5, 1.5])  # block 1: a worker thread's
+        gammas = np.array([1.5, 1e-300, 1.5, 1.5])  # block 1 underflows
         with np.errstate(under="raise"), pytest.raises(FloatingPointError):
             well._energies(gammas, 10)
 
-    def test_worker_exceptions_reach_the_caller_and_every_thread_ends(self, monkeypatch):
+    def test_a_blocks_exception_reaches_the_caller(self, monkeypatch):
         class Boom(Exception):
             pass
 
-        calls, lock = [], threading.Lock()
+        calls = []
         coefficients = well.kernels.expansion_coefficients
 
-        def second_call_raises(*args, **kwargs):
-            with lock:
-                calls.append(None)
-                n = len(calls)
-            if n == 2:
-                raise Boom("second block")
+        def third_call_raises(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise Boom("block 2")
             return coefficients(*args, **kwargs)
 
-        monkeypatch.setattr(well.kernels, "expansion_coefficients", second_call_raises)
+        monkeypatch.setattr(well.kernels, "expansion_coefficients", third_call_raises)
         monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
-        two_cpus(monkeypatch)
-        before = threading.active_count()
-        with pytest.raises(Boom, match="second block"):
+        with pytest.raises(Boom, match="block 2"):
             well._energies(np.linspace(1.1, 3.9, 40), 10)
-        assert threading.active_count() == before
+        assert len(calls) == 3  # no block after the failing one
 
-    def test_the_callers_exception_wins_over_the_helpers(self, monkeypatch):
-        caller = threading.get_ident()
+    def test_many_blocks_start_no_thread(self, monkeypatch):
+        # forty blocks of one row, on a host of any CPU count
+        def fail(thread):
+            raise AssertionError("a thread was started")
 
-        def every_call_raises(*args, **kwargs):
-            raise RuntimeError("caller" if threading.get_ident() == caller else "helper")
-
-        monkeypatch.setattr(well.kernels, "expansion_coefficients", every_call_raises)
-        monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
-        two_cpus(monkeypatch)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="caller"):
-            well._energies(np.linspace(1.1, 3.9, 40), 10)
-        assert threading.active_count() == before
-
-    def test_two_cpus_start_one_helper_for_the_odd_blocks(self, monkeypatch):
-        # one row per block: the gamma of each kernel call names its block.
-        # The helper runs only once the caller is into its own blocks, so a
-        # share read late from the caller's variables would show.
-        started, owner, caller_began = [], {}, threading.Event()
-        start = threading.Thread.start
-
-        def start_held(thread):
-            started.append(thread)
-            run = thread.run
-            thread.run = lambda: caller_began.wait(10) and run()
-            start(thread)
-
-        monkeypatch.setattr(well.threading.Thread, "start", start_held)
-        coefficients = well.kernels.expansion_coefficients
-
-        def record_thread(gammas, *args, **kwargs):
-            owner[float(gammas[0])] = threading.get_ident()
-            if threading.current_thread() is threading.main_thread():
-                caller_began.set()
-            return coefficients(gammas, *args, **kwargs)
-
-        monkeypatch.setattr(well.kernels, "expansion_coefficients", record_thread)
-        monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
-        two_cpus(monkeypatch)
-        gammas = np.linspace(0.5, 4.5, 7)
-        well._energies(gammas, 10)
-        assert len(started) == 1
-        caller, helper = threading.get_ident(), started[0].ident
-        assert caller != helper
-        assert [owner.get(g) for g in gammas.tolist()] == [caller, helper] * 3 + [caller]
-
-    def test_one_block_or_one_cpu_starts_no_thread(self, monkeypatch):
-        started = []
-        monkeypatch.setattr(well.threading.Thread, "start", lambda t: started.append(t))
         gammas = np.linspace(0.5, 4.5, 40)
         expected = [v.tolist() for v in well._energies(gammas, 10)]
-        assert started == []  # one block
+        monkeypatch.setattr(threading.Thread, "start", fail)
         monkeypatch.setattr(well, "ENERGY_BLOCK", 10)
-        monkeypatch.setattr(well, "_cpus", lambda: 1)
         assert [v.tolist() for v in well._energies(gammas, 10)] == expected
-        assert started == []
 
     def test_force_scan_omits_resonant_grid_points(self):
         gamma, _, force = force_scan(1.9, 2.1, 3).T

@@ -35,9 +35,9 @@ past a block edge (``--draws 4097``), a two-angle ``omega-scan`` and a
 ratios and one ratio past them (``--points 65537``), a ``threshold``
 that folds 62 such blocks (``--points 2000000``), a ``return-prob``
 whose fractions end one past a chunk edge (``--points 8193``), and an
-``energy-scan`` whose captured probability underflows in the blocks of
-both threads (``--gamma 1e108:1e109``), which exits 2 naming the first
-such gamma, and a ``force-scan`` whose first stencil reaches below zero
+``energy-scan`` whose captured probability underflows in the last three
+of its four blocks (``--gamma 1e108:1e109``), which exits 2 naming the
+first such gamma, and a ``force-scan`` whose first stencil reaches below zero
 (``--gamma 5e-5:1 --points 3``), which exits 2 naming that gamma, and a
 ``return-prob`` (``--ratio 1e150 --points 3``) and an ``ode-check``
 (``--ratio-list 1e150 --alpha 0.3``) at the largest drive ratio, and an
@@ -111,7 +111,7 @@ EXTRA = [
     ["spin", "threshold", "--points", "2000000"],
     # two blocks of EMIT_CHUNK_ROWS fractions, and one fraction past their edge
     ["spin", "return-prob", "--points", "8193"],
-    # underflows from grid index 4,945 on, in blocks of both threads of
+    # underflows from grid index 4,945 on, in blocks 1-3 of the four of
     # well._energies: exit 2 naming that gamma
     ["well", "energy-scan", "--gamma", "1e108:1e109", "--points", "10000"],
     # gamma - step < 0 at grid point 0: exit 2 naming gamma = 5e-05
